@@ -1,0 +1,116 @@
+"""Golden verify reports: every catalog pair at a small grid.
+
+The committed reports under ``tests/golden/`` were written by
+``curvint verify --workers 1``.  The test runs the same commands again and
+compares the reports field by field: strings, integers, booleans, nulls
+and exit codes exactly, floats within ``1e-12 * max(1, |golden|)``.  The
+float bound absorbs last-digit differences between numpy/LAPACK builds
+and deliberate reorderings of the pointwise arithmetic.
+
+Regenerate (only when a report change is intended) from the repository
+root with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from curvint import cli
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+MANIFEST = GOLDEN_DIR / "manifest.json"
+
+# (surface, field, nodes per coordinate)
+CASES = [
+    ("torus2", "theta", 64),
+    ("sphere3", "hopf", 24),
+    ("ellipsoid3", "hopf", 32),
+    ("revs1s2", "theta", 24),
+    ("tube-t3", "fiber", 24),
+]
+
+FLOAT_RTOL = 1e-12
+
+
+def _argv(surface, field, nodes, out):
+    return ["verify", "--surface", surface, "--field", field,
+            "--grid", str(nodes), "--workers", "1", "--out", str(out)]
+
+
+def _report_name(surface, field, nodes):
+    return f"verify-{surface}-{field}-{nodes}.json"
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def golden_mismatches(golden, actual, path="$"):
+    """Paths at which ``actual`` leaves the golden report's bounds.
+
+    A float printed with no fractional digits reads back as an int, so two
+    ints must be equal and any other pair of numbers is held to the float
+    bound.
+    """
+    if isinstance(golden, dict) and isinstance(actual, dict):
+        if list(golden) != list(actual):
+            return [f"{path}: keys {list(actual)} != {list(golden)}"]
+        return [m for key in golden
+                for m in golden_mismatches(golden[key], actual[key], f"{path}.{key}")]
+    if isinstance(golden, list) and isinstance(actual, list):
+        if len(golden) != len(actual):
+            return [f"{path}: length {len(actual)} != {len(golden)}"]
+        return [m for i, (g, a) in enumerate(zip(golden, actual))
+                for m in golden_mismatches(g, a, f"{path}[{i}]")]
+    if _is_number(golden) and _is_number(actual):
+        if isinstance(golden, int) and isinstance(actual, int):
+            ok = golden == actual
+        else:
+            ok = abs(actual - golden) <= FLOAT_RTOL * max(1.0, abs(golden))
+        return [] if ok else [f"{path}: {actual!r} vs golden {golden!r}"]
+    if type(golden) is not type(actual) or golden != actual:
+        return [f"{path}: {actual!r} != golden {golden!r}"]
+    return []
+
+
+def test_mismatch_rules():
+    assert golden_mismatches({"a": 1.0, "b": [0, True]},
+                             {"a": 1.0 + 1e-13, "b": [1e-15, True]}) == []
+    assert golden_mismatches({"x": 2.0}, {"x": 2.0 + 1e-11})
+    assert golden_mismatches({"k": 2}, {"k": 3})
+    assert golden_mismatches({"ok": True}, {"ok": 1})
+    assert golden_mismatches({"s": "a"}, {"s": "b"})
+    assert golden_mismatches({"a": 1, "b": 2}, {"b": 2, "a": 1})
+    assert golden_mismatches([1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("surface,field,nodes", CASES,
+                         ids=[f"{s}-{f}-{n}" for s, f, n in CASES])
+def test_verify_matches_golden(tmp_path, capsys, surface, field, nodes):
+    name = _report_name(surface, field, nodes)
+    expected_code = json.loads(MANIFEST.read_text())[name]
+    out = tmp_path / name
+    code = cli.main(_argv(surface, field, nodes, out))
+    capsys.readouterr()
+    assert code == expected_code
+    golden = json.loads((GOLDEN_DIR / name).read_text())
+    actual = json.loads(out.read_text())
+    assert golden_mismatches(golden, actual) == []
+
+
+def regenerate():
+    """Rewrite every golden report and the exit-code manifest."""
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    codes = {}
+    for surface, field, nodes in CASES:
+        name = _report_name(surface, field, nodes)
+        codes[name] = cli.main(_argv(surface, field, nodes, GOLDEN_DIR / name))
+    MANIFEST.write_text(json.dumps(codes, indent=2) + "\n")
+    return codes
+
+
+if __name__ == "__main__":
+    for name, code in regenerate().items():
+        print(f"{name}: exit {code}", file=sys.stderr)
