@@ -24,21 +24,6 @@ class KahanAccumulator:
         return self
 
 
-def tree_reduce(parts):
-    """Pairwise-sum a list of arrays/scalars; shape fixed by len(parts)."""
-    if not parts:
-        return 0.0
-    level = list(parts)
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(level[i] + level[i + 1])
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
-
-
 def _two_sum(a, b):
     """Error-free transformation: a + b = s + err exactly."""
     s = a + b
@@ -50,7 +35,8 @@ def _two_sum(a, b):
 def tree_reduce_compensated(parts):
     """Pairwise tree with two-sum nodes; residuals folded in at the root.
 
-    Same fixed shape as tree_reduce, but the result is accurate to
+    Pairs are summed level by level and an odd last part is carried up, so
+    the tree's shape depends only on len(parts); the result is accurate to
     O(eps^2) regardless of the number of parts.
     """
     if not parts:

@@ -28,6 +28,7 @@ from .quadrature import (
     _check_grid,
     _integrate_vector,
     _run_blocks,
+    _select_ks,
 )
 
 _DEGREE_RESIDUAL_MAX = 0.1
@@ -79,7 +80,8 @@ def gauss_degree(
     """
 
     def func(ci, U):
-        return shape_determinant_batch(surface, ci, U)[:, None]
+        det, volume_factor = shape_determinant_batch(surface, ci, U)
+        return det[:, None], volume_factor
 
     total = _integrate_vector(surface, func, grid, workers)[0]
     result = _degree_from_raw(total / sphere_volume(surface.dim))
@@ -156,18 +158,13 @@ def verify_integral_formula(
     """
     t0 = time.perf_counter()
     n = surface.n_intrinsic
-    if k == "all":
-        ks = list(range(n + 1))
-    else:
-        ks = sorted(set(int(i) for i in k))
-        if any(i < 0 or i > n for i in ks):
-            raise ValueError(f"k selection outside [0, {n}]")
+    ks = _select_ks(n, k)
 
     def func(ci, U):
         batch = shape_data_batch(surface, field, ci, U)
         vals = eta_all(ColumnSystem.from_shape_data(batch.data)).values
         ones = np.ones((vals.shape[0], 1))
-        return np.concatenate([ones, vals], axis=1)
+        return np.concatenate([ones, vals], axis=1), batch.volume_factor
 
     values = _integrate_vector(surface, func, grid, workers)
     halves = _integrate_vector(surface, func, grid.half(surface), workers)

@@ -86,6 +86,7 @@ class ShapeDataBatch(NamedTuple):
     h_asymmetry: np.ndarray      # (B,)
     dv_e_dot_v: np.ndarray       # (B, n)  <D_{e_i} v, v>
     dv_v_dot_v: np.ndarray       # (B,)    <D_v v, v>
+    volume_factor: np.ndarray    # (B,)    chart volume factor
 
 
 def _check_field_allowed(surface: ChartedHypersurface):
@@ -240,6 +241,7 @@ def shape_data_batch(
         h_asymmetry=h_asym,
         dv_e_dot_v=dv_e_dot_v,
         dv_v_dot_v=dv_v_dot_v,
+        volume_factor=geo.volume_factor,
     )
 
 

@@ -137,6 +137,7 @@ class GeometryBatch(NamedTuple):
     normal: np.ndarray         # (B, q)
     dnormal: np.ndarray | None  # (B, p, q), row a = dN/du_a
     second: np.ndarray | None   # (B, q, p, p)
+    second_form: np.ndarray | None  # (B, p, p), <N, d2F/du_a du_b>
 
 
 def generalized_cross(vectors: np.ndarray) -> np.ndarray:
@@ -184,13 +185,11 @@ def geometry_batch(
     """Evaluate chart geometry at a batch of parameter points.
 
     With ``second=True`` the derivative of the unit normal is included,
-    obtained by differentiating the normalized cross product of the chart
-    tangent vectors through the second partials.
+    obtained from the second partials by the Weingarten equation
+    dN/du_a = -sum_{b,c} <N, F_ab> g^{bc} F_c.
     """
     chart = surface.charts[chart_index]
     U = np.asarray(U, dtype=float)
-    B, p = U.shape
-    q = p + 1
     sgn = float(surface.orientation_sign)
 
     F = np.asarray(chart.position(U), dtype=float)
@@ -212,21 +211,13 @@ def geometry_batch(
 
     dnormal = None
     H2 = None
+    L = None
     if second:
         H2 = np.asarray(chart.second_partials(U), dtype=float)
-        # dG/du_a by multilinearity: replace tangent row b with d(dF/du_b)/du_a.
-        stacks = []
-        for b in range(p):
-            s = np.repeat(tangents[:, None, :, :], p, axis=1)  # (B, p_a, p, q)
-            s[:, :, b, :] = np.moveaxis(H2[:, :, b, :], -1, 1)
-            stacks.append(s)
-        rep = np.stack(stacks, axis=1)  # (B, p_b, p_a, p, q)
-        dG = np.sum(generalized_cross(rep), axis=1)  # (B, p_a, q)
-        nh = G / Gnorm[:, None]
-        proj = np.einsum("xq,xaq->xa", nh, dG)
-        dnormal = sgn * (dG - proj[:, :, None] * nh[:, None, :]) / Gnorm[:, None, None]
+        L = np.einsum("xq,xqab->xab", normal, H2)
+        dnormal = -np.einsum("xca,xqc->xaq", np.linalg.solve(g, L), J)
 
-    return GeometryBatch(F, J, g, volume_factor, normal, dnormal, H2)
+    return GeometryBatch(F, J, g, volume_factor, normal, dnormal, H2, L)
 
 
 def tangent_coefficients(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:
@@ -318,13 +309,16 @@ def shape_operator(
 
 def shape_determinant_batch(
     surface: ChartedHypersurface, chart_index: int, U: np.ndarray
-) -> np.ndarray:
-    """det of the normal-map differential, frame-free.
+) -> tuple[np.ndarray, np.ndarray]:
+    """det of the normal-map differential, frame-free, and the volume factor.
 
-    Computed in the chart basis as det(<dN/du_a, dF/du_b>) / det(metric);
+    By the Weingarten equation <dN/du_a, dF/du_b> = -<N, d2F/du_a du_b>, so
+    the determinant is (-1)^p det(<N, d2F/du_a du_b>) / det(metric); it
     equals the determinant of the second fundamental form in any
-    orthonormal frame.
+    orthonormal frame.  The chart volume factor of the same evaluation is
+    returned alongside for integration.
     """
     geo = geometry_batch(surface, chart_index, U, second=True)
-    K = np.einsum("xaq,xqb->xab", geo.dnormal, geo.jacobian)
-    return np.linalg.det(K) / np.linalg.det(geo.metric)
+    sign = (-1.0) ** surface.dim
+    det = sign * np.linalg.det(geo.second_form) / np.linalg.det(geo.metric)
+    return det, geo.volume_factor

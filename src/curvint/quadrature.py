@@ -161,10 +161,12 @@ def _run_blocks(tasks, worker, workers):
 
 
 def _integrate_vector(surface, func, grid, workers) -> np.ndarray:
-    """Sum func(ci, U) * volume_factor * weight over all grid points.
+    """Sum values * volume_factor * weight over all grid points.
 
-    ``func`` returns (B, m); result is (m,).  Blocks are fixed-size
-    slices of the flattened grid, combined by a pairwise tree.
+    ``func(ci, U)`` returns the (B, m) values together with the (B,)
+    volume factor of the geometry it evaluated; result is (m,).  Blocks
+    are fixed-size slices of the flattened grid, combined by a pairwise
+    tree.
     """
     _check_grid(surface, grid)
 
@@ -174,8 +176,7 @@ def _integrate_vector(surface, func, grid, workers) -> np.ndarray:
         pts = cg.points[start:start + BLOCK]
         w = cg.weights[start:start + BLOCK]
         try:
-            vals = np.asarray(func(ci, pts))
-            volf = geometry_batch(surface, ci, pts, second=False).volume_factor
+            vals, volf = func(ci, pts)
         except CurvintError as exc:
             raise type(exc)(f"chart {ci}: {exc}") from exc
         wf = surface.charts[ci].weight_fraction
@@ -217,7 +218,8 @@ def integrate(
     t0 = time.perf_counter()
 
     def vec(ci, U):
-        return np.asarray(integrand(ci, U), dtype=float)[:, None]
+        vals = np.asarray(integrand(ci, U), dtype=float)[:, None]
+        return vals, geometry_batch(surface, ci, U, second=False).volume_factor
 
     value = _integrate_vector(surface, vec, grid, workers)[0]
     half = _integrate_vector(surface, vec, grid.half(surface), workers)[0]
@@ -229,10 +231,21 @@ def integrate(
     )
 
 
+def _select_ks(n: int, k) -> list[int]:
+    """Sorted invariant indices from "all" or an iterable inside [0, n]."""
+    if k == "all":
+        return list(range(n + 1))
+    ks = sorted(set(int(i) for i in k))
+    if any(i < 0 or i > n for i in ks):
+        raise ValueError(f"k selection outside [0, {n}]")
+    return ks
+
+
 def _eta_func(surface, field):
     def func(ci, U):
         batch = shape_data_batch(surface, field, ci, U)
-        return eta_all(ColumnSystem.from_shape_data(batch.data)).values
+        values = eta_all(ColumnSystem.from_shape_data(batch.data)).values
+        return values, batch.volume_factor
 
     return func
 
@@ -250,13 +263,7 @@ def integrate_eta(
     computed per point in the same pass; the returned dict maps k to its
     IntegralResult.
     """
-    n = surface.n_intrinsic
-    if k == "all":
-        ks = list(range(n + 1))
-    else:
-        ks = sorted(set(int(i) for i in k))
-        if any(i < 0 or i > n for i in ks):
-            raise ValueError(f"k selection outside [0, {n}]")
+    ks = _select_ks(surface.n_intrinsic, k)
     t0 = time.perf_counter()
     func = _eta_func(surface, field)
     values = _integrate_vector(surface, func, grid, workers)

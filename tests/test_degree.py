@@ -54,6 +54,35 @@ def test_non_integer_degree_raised(surfaces):
         cv.gauss_degree(surface, QuadratureGrid.build(surface, 16))
 
 
+@pytest.fixture
+def geometry_points(monkeypatch):
+    """Count geometry_batch points under every name a caller looks it up by."""
+    import curvint.fields
+    import curvint.manifold
+    import curvint.quadrature
+
+    original = curvint.manifold.geometry_batch
+    counted = []
+
+    def counting(surface, chart_index, U, *args, **kwargs):
+        counted.append(len(U))
+        return original(surface, chart_index, U, *args, **kwargs)
+
+    for module in (curvint.fields, curvint.quadrature, curvint.manifold):
+        monkeypatch.setattr(module, "geometry_batch", counting)
+    return counted
+
+
+def test_one_geometry_evaluation_per_point(surfaces, geometry_points):
+    surface = surfaces["sphere3"]
+    grid = QuadratureGrid.build(surface, 8)
+    cv.verify_integral_formula(surface, cv.get_field("hopf", surface), grid)
+    assert sum(geometry_points) == 8**3 + 4**3  # full grid plus half grid
+    geometry_points.clear()
+    cv.gauss_degree(surface, grid)
+    assert sum(geometry_points) == 8**3
+
+
 def test_predicted_integral_table():
     vol3 = cv.sphere_volume(3)
     assert cv.predicted_integral(2, 0, 1) == pytest.approx(vol3)
