@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import curvint as cv
+import curvint.fields
+import curvint.manifold
+import curvint.quadrature
 from curvint.quadrature import QuadratureGrid
 from conftest import CATALOG_PAIRS
 
@@ -57,10 +60,6 @@ def test_non_integer_degree_raised(surfaces):
 @pytest.fixture
 def geometry_points(monkeypatch):
     """Count geometry_batch points under every name a caller looks it up by."""
-    import curvint.fields
-    import curvint.manifold
-    import curvint.quadrature
-
     original = curvint.manifold.geometry_batch
     counted = []
 
