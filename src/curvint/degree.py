@@ -12,7 +12,6 @@ obstruction carried by the field's tangential derivative matrix.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +126,6 @@ class VerificationReport:
     rows: tuple[EtaCheck, ...]
     rel_tol: float
     abs_tol: float
-    wall_time_s: float
 
     @property
     def all_passed(self) -> bool:
@@ -156,7 +154,6 @@ def verify_integral_formula(
     half-resolution error estimate exceeds the same bound.  The default
     absolute tolerance is 1e-6 times the measured surface volume.
     """
-    t0 = time.perf_counter()
     n = surface.n_intrinsic
     ks = _select_ks(n, k)
 
@@ -209,7 +206,6 @@ def verify_integral_formula(
         rows=tuple(rows),
         rel_tol=rel_tol,
         abs_tol=abs_tol,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 

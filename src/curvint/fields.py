@@ -129,7 +129,12 @@ def normalize_and_project(
     return v[0] if single else v
 
 
-def _pivoted_frame(geo: GeometryBatch, v: np.ndarray) -> np.ndarray:
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, as the root of a self dot product."""
+    return np.sqrt(np.einsum("...q,...q->...", x, x))
+
+
+def _pivoted_frame(geo: GeometryBatch, v: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the tangent complement of v, chart order.
 
     Gram-Schmidt over the chart tangent vectors with v removed first.
@@ -141,17 +146,18 @@ def _pivoted_frame(geo: GeometryBatch, v: np.ndarray) -> np.ndarray:
     B, p, q = tangents.shape
     n = p - 1
     w = tangents - np.einsum("xaq,xq->xa", tangents, v)[:, :, None] * v[:, None, :]
-    scale = np.max(np.linalg.norm(w, axis=-1), axis=-1)  # (B,)
+    scale = np.max(_norm(w), axis=-1)  # (B,)
 
     # Pass 1: modified Gram-Schmidt residual norms; near-zero residuals
     # become zero vectors so later projections are unaffected.
     r = w.copy()
     res = np.empty((B, p))
     for a in range(p):
-        nr = np.linalg.norm(r[:, a, :], axis=-1)
+        ra = r[:, a, :]
+        nr = _norm(ra)
         res[:, a] = nr
         ok = nr > _GS_ZERO_RTOL * scale
-        e = np.where(ok[:, None], r[:, a, :] / np.where(ok, nr, 1.0)[:, None], 0.0)
+        e = np.where(ok[:, None], ra / np.where(ok, nr, 1.0)[:, None], 0.0)
         if a + 1 < p:
             r[:, a + 1:, :] -= np.einsum("xbq,xq->xb", r[:, a + 1:, :], e)[:, :, None] * e[:, None, :]
     discard = np.argmin(res, axis=1)
@@ -163,12 +169,13 @@ def _pivoted_frame(geo: GeometryBatch, v: np.ndarray) -> np.ndarray:
     out = np.empty((B, n, q))
     for a in range(n):
         ra = w2[:, a, :]
-        nr = np.linalg.norm(ra, axis=-1)
+        nr = _norm(ra)
         low = nr <= _GS_RANK_RTOL * scale
         if np.any(low):
+            pt = np.asarray(U)[int(np.argmax(low))]
             raise DegenerateImmersion(
                 "tangent vectors do not span the field complement at "
-                f"point index {int(np.argmax(low))}"
+                f"u={pt.tolist()}"
             )
         ea = ra / nr[:, None]
         out[:, a, :] = ea
@@ -184,7 +191,7 @@ def adapted_frame(
     U, _ = manifold._as_batch(u)
     geo = geometry_batch(surface, chart_index, U, second=False)
     vb = np.asarray(v, dtype=float)[None, :]
-    e = _pivoted_frame(geo, vb)
+    e = _pivoted_frame(geo, vb, U)
     return AdaptedFramePoint(e=e[0], v=vb[0], normal=geo.normal[0])
 
 
@@ -210,34 +217,38 @@ def shape_data_batch(
 
     rawJ = _field_jacobian(field, surface, chart_index, U)
     draw = np.swapaxes(rawJ, -1, -2)               # (B, p, q)
-    rn = np.einsum("xq,xq->x", raw, geo.normal)
-    drn = (np.einsum("xaq,xq->xa", draw, geo.normal)
-           + np.einsum("xq,xaq->xa", raw, geo.dnormal))
+    N = geo.normal
+    dN = geo.dnormal
+    rn = np.einsum("xq,xq->x", raw, N)
+    drn = np.einsum("xaq,xq->xa", draw, N) + np.einsum("xq,xaq->xa", raw, dN)
     dP = (draw
-          - drn[:, :, None] * geo.normal[:, None, :]
-          - rn[:, None, None] * geo.dnormal)
+          - drn[:, :, None] * N[:, None, :]
+          - rn[:, None, None] * dN)
     dv = (dP - np.einsum("xq,xaq->xa", v, dP)[:, :, None] * v[:, None, :]) / Pn[:, None, None]
 
-    e = _pivoted_frame(geo, v)
+    e = _pivoted_frame(geo, v, U)
     frame = np.concatenate([e, v[:, None, :]], axis=1)  # (B, p, q), v last
+    frame_t = np.ascontiguousarray(np.swapaxes(frame, -1, -2))  # matmul runs faster on it
 
-    c = manifold.tangent_coefficients(geo, frame)       # (B, p, p)
-    Dv = np.einsum("xam,xaq->xmq", c, dv)               # derivative of v along frame
-    DN = np.einsum("xam,xaq->xmq", c, geo.dnormal)
+    ct = np.swapaxes(manifold.tangent_coefficients(geo, frame), -1, -2)
+    Dv = ct @ dv                                       # derivative of v along frame
+    DN = ct @ dN
 
-    h_raw = np.einsum("xmq,xkq->xmk", DN, frame)
+    h_raw = DN @ frame_t
     h_t = np.swapaxes(h_raw, -1, -2)
     h_asym = np.max(np.abs(h_raw - h_t), axis=(-2, -1))
     h = 0.5 * (h_raw + h_t)
 
-    a = np.einsum("xiq,xjq->xij", Dv[:, :n, :], e)
-    vvec = np.einsum("xq,xiq->xi", Dv[:, n, :], e)
-    dv_e_dot_v = np.einsum("xiq,xq->xi", Dv[:, :n, :], v)
-    dv_v_dot_v = np.einsum("xq,xq->x", Dv[:, n, :], v)
+    # <D_m v, frame_k>: a, vvec and both <nabla v, v> residuals in one product
+    dv_frame = Dv @ frame_t
+    a = dv_frame[:, :n, :n]
+    vvec = dv_frame[:, n, :n]
+    dv_e_dot_v = dv_frame[:, :n, n]
+    dv_v_dot_v = dv_frame[:, n, n]
 
     return ShapeDataBatch(
         data=ShapeData(h=h, a=a, vvec=vvec),
-        frame=FrameBatch(e=e, v=v, normal=geo.normal),
+        frame=FrameBatch(e=e, v=v, normal=N),
         h_asymmetry=h_asym,
         dv_e_dot_v=dv_e_dot_v,
         dv_v_dot_v=dv_v_dot_v,

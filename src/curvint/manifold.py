@@ -133,11 +133,62 @@ class GeometryBatch(NamedTuple):
     position: np.ndarray       # (B, q)
     jacobian: np.ndarray       # (B, q, p)
     metric: np.ndarray         # (B, p, p)
+    metric_inv: np.ndarray     # (B, p, p)
     volume_factor: np.ndarray  # (B,)
     normal: np.ndarray         # (B, q)
-    dnormal: np.ndarray | None  # (B, p, q), row a = dN/du_a
     second: np.ndarray | None   # (B, q, p, p)
     second_form: np.ndarray | None  # (B, p, p), <N, d2F/du_a du_b>
+
+    @property
+    def dnormal(self) -> np.ndarray | None:
+        """(B, p, q), row a = dN/du_a = -sum_{b,c} <N, F_ab> g^{bc} F_c.
+
+        The Weingarten equation; None when second partials were not
+        evaluated.  Formed on each access, so bind it once.
+        """
+        if self.second_form is None:
+            return None
+        coeff = np.swapaxes(self.metric_inv @ self.second_form, -1, -2)
+        return -coeff @ np.swapaxes(self.jacobian, -1, -2)
+
+
+def _minor_det(M: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """det M[..., rows, cols] by cofactor expansion along rows[0]."""
+    if not rows:
+        return np.ones(M.shape[:-2])
+    if len(rows) == 1:
+        return M[..., rows[0], cols[0]]
+    if len(rows) == 2:
+        (r, s), (a, b) = rows, cols
+        return M[..., r, a] * M[..., s, b] - M[..., r, b] * M[..., s, a]
+    total = 0.0
+    for j, c in enumerate(cols):
+        term = M[..., rows[0], c] * _minor_det(M, rows[1:], cols[:j] + cols[j + 1:])
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def _det(M: np.ndarray) -> np.ndarray:
+    """Determinant over the trailing (p, p) axes.
+
+    Cofactor expansion down to closed-form 2x2 blocks: for the p <= 5
+    matrices of chart geometry this is a few dozen vector operations per
+    batch, where batched LAPACK pays a call per matrix.
+    """
+    idx = tuple(range(M.shape[-1]))
+    return _minor_det(M, idx, idx)
+
+
+def _inverse(M: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Inverse over the trailing (p, p) axes: adjugate over ``det`` = _det(M)."""
+    p = M.shape[-1]
+    idx = tuple(range(p))
+    adj = np.empty(M.shape)
+    for i in range(p):
+        for j in range(p):
+            minor = _minor_det(M, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:])
+            adj[..., i, j] = -minor if (i + j) % 2 else minor
+    return adj / det[..., None, None]
 
 
 def generalized_cross(vectors: np.ndarray) -> np.ndarray:
@@ -153,12 +204,11 @@ def generalized_cross(vectors: np.ndarray) -> np.ndarray:
     if q != p + 1:
         raise ValueError(f"need q = p+1 vectors, got {p} vectors in R^{q}")
     cols = np.swapaxes(vs, -1, -2)  # (..., q, p)
-    minors = np.stack(
-        [np.delete(cols, i, axis=-2) for i in range(q)], axis=-3
-    )  # (..., q, p, p)
-    dets = np.linalg.det(minors)
+    # row i of ``kept`` lists the rows of cols that survive deleting row i
+    kept = np.array([[r for r in range(q) if r != i] for i in range(q)])
+    minors = cols[..., kept, :]  # (..., q, p, p)
     signs = np.where((np.arange(q) + p) % 2 == 0, 1.0, -1.0)
-    return dets * signs
+    return _det(minors) * signs
 
 
 def _as_batch(u: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -184,9 +234,10 @@ def geometry_batch(
 ) -> GeometryBatch:
     """Evaluate chart geometry at a batch of parameter points.
 
-    With ``second=True`` the derivative of the unit normal is included,
-    obtained from the second partials by the Weingarten equation
-    dN/du_a = -sum_{b,c} <N, F_ab> g^{bc} F_c.
+    With ``second=True`` the second partials and ``second_form`` are
+    included, from which ``GeometryBatch.dnormal`` gives the derivative of
+    the unit normal.  The metric inverse is formed once per batch, after
+    the degeneracy check.
     """
     chart = surface.charts[chart_index]
     U = np.asarray(U, dtype=float)
@@ -198,26 +249,25 @@ def geometry_batch(
 
     G = generalized_cross(tangents)  # (B, q)
     Gnorm = np.linalg.norm(G, axis=-1)
-    tan_norms = np.linalg.norm(tangents, axis=-1)  # (B, p)
-    scale = np.prod(tan_norms, axis=-1)
+    g = tangents @ J
+    # product of the tangent norms, read off the metric diagonal
+    scale = np.sqrt(np.prod(np.diagonal(g, axis1=-2, axis2=-1), axis=-1))
     bad = Gnorm <= _DEGENERACY_RTOL * scale
     if np.any(bad):
         _raise_degenerate(U, bad)
     normal = sgn * G / Gnorm[:, None]
 
-    g = np.einsum("xqa,xqb->xab", J, J)
-    det_g = np.linalg.det(g)
+    det_g = _det(g)
     volume_factor = np.sqrt(det_g)
+    metric_inv = _inverse(g, det_g)
 
-    dnormal = None
     H2 = None
     L = None
     if second:
         H2 = np.asarray(chart.second_partials(U), dtype=float)
         L = np.einsum("xq,xqab->xab", normal, H2)
-        dnormal = -np.einsum("xca,xqc->xaq", np.linalg.solve(g, L), J)
 
-    return GeometryBatch(F, J, g, volume_factor, normal, dnormal, H2, L)
+    return GeometryBatch(F, J, g, metric_inv, volume_factor, normal, H2, L)
 
 
 def tangent_coefficients(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:
@@ -226,8 +276,8 @@ def tangent_coefficients(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:
     ``X`` has shape (B, m, q); returns c of shape (B, p, m) solving
     J c = X in the least-squares sense via the metric (exact for tangent X).
     """
-    rhs = np.einsum("xqa,xmq->xam", geo.jacobian, X)
-    return np.linalg.solve(geo.metric, rhs)
+    rhs = np.swapaxes(geo.jacobian, -1, -2) @ np.swapaxes(X, -1, -2)
+    return geo.metric_inv @ rhs
 
 
 def normal_derivative(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:
@@ -236,7 +286,7 @@ def normal_derivative(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:
     ``X`` shape (B, m, q) -> (B, m, q), chain rule through the chart.
     """
     c = tangent_coefficients(geo, X)
-    return np.einsum("xam,xaq->xmq", c, geo.dnormal)
+    return np.swapaxes(c, -1, -2) @ geo.dnormal
 
 
 def second_fundamental_form(
@@ -248,7 +298,7 @@ def second_fundamental_form(
     the symmetrized matrix and the max-entry asymmetry of the raw one.
     """
     DN = normal_derivative(geo, frame)
-    h_raw = np.einsum("xmq,xkq->xmk", DN, frame)
+    h_raw = DN @ np.swapaxes(frame, -1, -2)
     h_t = np.swapaxes(h_raw, -1, -2)
     asym = np.max(np.abs(h_raw - h_t), axis=(-2, -1))
     return 0.5 * (h_raw + h_t), asym
@@ -320,5 +370,5 @@ def shape_determinant_batch(
     """
     geo = geometry_batch(surface, chart_index, U, second=True)
     sign = (-1.0) ** surface.dim
-    det = sign * np.linalg.det(geo.second_form) / np.linalg.det(geo.metric)
+    det = sign * _det(geo.second_form) / _det(geo.metric)
     return det, geo.volume_factor

@@ -18,7 +18,6 @@ difference is reported as the estimated error.
 """
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -134,7 +133,6 @@ class IntegralResult:
     value: float
     nodes: int
     estimated_error: float
-    wall_time_s: float
 
 
 def _check_grid(surface: ChartedHypersurface, grid: QuadratureGrid):
@@ -212,11 +210,8 @@ def integrate(
     Returns
     -------
     IntegralResult
-        Integral value, node count, the half-resolution error estimate and
-        wall time.
+        Integral value, node count and the half-resolution error estimate.
     """
-    t0 = time.perf_counter()
-
     def vec(ci, U):
         vals = np.asarray(integrand(ci, U), dtype=float)[:, None]
         return vals, geometry_batch(surface, ci, U, second=False).volume_factor
@@ -227,7 +222,6 @@ def integrate(
         value=float(value),
         nodes=grid.total_points,
         estimated_error=float(abs(value - half)),
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
@@ -264,17 +258,14 @@ def integrate_eta(
     IntegralResult.
     """
     ks = _select_ks(surface.n_intrinsic, k)
-    t0 = time.perf_counter()
     func = _eta_func(surface, field)
     values = _integrate_vector(surface, func, grid, workers)
     halves = _integrate_vector(surface, func, grid.half(surface), workers)
-    dt = time.perf_counter() - t0
     return {
         i: IntegralResult(
             value=float(values[i]),
             nodes=grid.total_points,
             estimated_error=float(abs(values[i] - halves[i])),
-            wall_time_s=dt,
         )
         for i in ks
     }

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvint as cv
-from curvint.fields import shape_data_batch
-from curvint.manifold import geometry_batch
+from curvint.fields import _pivoted_frame, shape_data_batch
+from curvint.manifold import GeometryBatch, geometry_batch
 from conftest import CATALOG_PAIRS, domain_samples
 
 N_SAMPLES = 100
@@ -91,6 +91,26 @@ def test_frame_pivot_discards_field_aligned_column(surfaces):
     f_phi = geo.jacobian[0][:, 1]
     cosang = abs(fr.e[0] @ f_phi) / np.linalg.norm(f_phi)
     assert abs(cosang - 1.0) < 1e-12
+
+
+def test_pivoted_frame_rank_loss_names_the_point():
+    """Tangents that lose rank once v is removed: the error gives u."""
+    # point 0 is regular; at point 1 the tangents are e1, 2 e1, e2 and v = e2,
+    # so only e1 survives the projection and the frame cannot be completed
+    tangents = np.zeros((2, 3, 4))
+    tangents[0, [0, 1, 2], [0, 1, 2]] = 1.0
+    tangents[1, [0, 1, 2], [0, 0, 1]] = [1.0, 2.0, 1.0]
+    v = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    J = np.swapaxes(tangents, 1, 2)
+    geo = GeometryBatch(
+        position=np.zeros((2, 4)), jacobian=J, metric=tangents @ J,
+        metric_inv=np.full((2, 3, 3), np.nan),  # the metric is singular at point 1
+        volume_factor=np.zeros(2), normal=np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)),
+        second=None, second_form=None,
+    )
+    U = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    with pytest.raises(cv.DegenerateImmersion, match=r"at u=\[0\.4, 0\.5, 0\.6\]"):
+        _pivoted_frame(geo, v, U)
 
 
 def test_shape_data_sphere3_hopf(surfaces):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import curvint as cv
-from curvint.manifold import generalized_cross, geometry_batch
+from curvint.manifold import _det, _inverse, generalized_cross, geometry_batch
 from conftest import domain_samples
 
 N_SAMPLES = 100
@@ -38,6 +38,46 @@ def test_generalized_cross_defining_identity():
         y = rng.normal(size=5)
         det = np.linalg.det(np.column_stack([vs.T, y]))
         assert abs(X @ y - det) < 1e-12 * max(1.0, abs(det))
+
+
+def _assert_det_inverse_match_lapack(M):
+    det = _det(M)
+    ref_det = np.linalg.det(M)
+    assert np.max(np.abs(det - ref_det) / np.abs(ref_det)) < 1e-12
+    inv = _inverse(M, det)
+    ref_inv = np.linalg.inv(M)
+    err = np.max(np.abs(inv - ref_inv), axis=(-2, -1))
+    assert np.max(err / np.max(np.abs(ref_inv), axis=(-2, -1))) < 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_det_and_inverse_match_lapack(p):
+    """Dense random matrices with singular values in [1, 10]."""
+    rng = np.random.default_rng(10 + p)
+    Q1 = np.linalg.qr(rng.normal(size=(200, p, p)))[0]
+    Q2 = np.linalg.qr(rng.normal(size=(200, p, p)))[0]
+    s = rng.uniform(1.0, 10.0, size=(200, 1, p))
+    _assert_det_inverse_match_lapack((Q1 * s) @ Q2)
+
+
+def test_det_and_inverse_on_ill_conditioned_sphere3_metrics(surfaces):
+    """Hopf-coordinate metrics next to the collapsing circles t = 0, pi/2."""
+    gap = 10.0 ** -np.arange(2, 7)
+    t = np.concatenate([gap, 0.5 * np.pi - gap])
+    rng = np.random.default_rng(11)
+    U = np.column_stack([t, rng.uniform(0, 2 * np.pi, (t.size, 2))])
+    geo = geometry_batch(surfaces["sphere3"], 0, U, second=False)
+    assert np.linalg.cond(geo.metric).max() > 1e11
+    _assert_det_inverse_match_lapack(geo.metric)
+
+
+@pytest.mark.parametrize("name", cv.surface_names())
+def test_metric_inv_is_inverse(surfaces, name):
+    surface = surfaces[name]
+    U = domain_samples(surface, N_SAMPLES)
+    geo = geometry_batch(surface, 0, U, second=False)
+    eye = np.eye(surface.dim)
+    assert np.max(np.abs(geo.metric_inv @ geo.metric - eye)) < 1e-12
 
 
 @pytest.mark.parametrize("name", cv.surface_names())
