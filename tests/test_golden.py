@@ -1,14 +1,17 @@
-"""Golden verify reports: every catalog pair at a small grid.
+"""Golden reports: every catalog pair at a small grid.
 
 The committed reports under ``tests/golden/`` were written by
-``curvint verify --workers 1``.  The test runs the same commands again and
-compares the reports field by field: strings, integers, booleans, nulls
-and exit codes exactly, floats within ``1e-12 * max(1, |golden|)``.  The
-float bound absorbs last-digit differences between numpy/LAPACK builds
-and deliberate reorderings of the pointwise arithmetic.
+``curvint verify --workers 1`` and ``curvint compute --workers 1`` (JSON
+for every pair, CSV for one pair each).  The test runs the same commands
+again and compares the reports field by field (CSV cell by cell):
+strings, integers, booleans, nulls and exit codes exactly, floats within
+``1e-12 * max(1, |golden|)``.  The float bound absorbs last-digit
+differences between numpy/LAPACK builds and deliberate reorderings of the
+pointwise arithmetic.
 
 Regenerate (only when a report change is intended) from the repository
-root with ``PYTHONPATH=src python tests/test_golden.py``.
+root with ``PYTHONPATH=src python tests/test_golden.py``; to add new runs
+without rewriting the others, pass just those to ``regenerate(runs)``.
 """
 
 import json
@@ -31,16 +34,41 @@ CASES = [
     ("tube-t3", "fiber", 24),
 ]
 
+# (command, surface, field, nodes, format)
+RUNS = ([("verify", *case, "json") for case in CASES]
+        + [("compute", *case, "json") for case in CASES]
+        + [("compute", "torus2", "theta", 64, "csv"),
+           ("verify", "sphere3", "hopf", 24, "csv")])
+CSV_RUNS = [run for run in RUNS if run[4] == "csv"]
+
 FLOAT_RTOL = 1e-12
 
 
-def _argv(surface, field, nodes, out):
-    return ["verify", "--surface", surface, "--field", field,
-            "--grid", str(nodes), "--workers", "1", "--out", str(out)]
+def _argv(command, surface, field, nodes, fmt, out):
+    return [command, "--surface", surface, "--field", field,
+            "--grid", str(nodes), "--workers", "1", "--format", fmt,
+            "--out", str(out)]
 
 
-def _report_name(surface, field, nodes):
-    return f"verify-{surface}-{field}-{nodes}.json"
+def _report_name(command, surface, field, nodes, fmt):
+    return f"{command}-{surface}-{field}-{nodes}.{fmt}"
+
+
+def _csv_value(cell):
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+def _load(path):
+    """A JSON report, or a CSV report as rows of int/float/str cells."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)
+    return [[_csv_value(c) for c in line.split(",")] for line in text.splitlines()]
 
 
 def _is_number(x):
@@ -86,27 +114,41 @@ def test_mismatch_rules():
     assert golden_mismatches([1.0], [1.0, 2.0])
 
 
-@pytest.mark.parametrize("surface,field,nodes", CASES,
-                         ids=[f"{s}-{f}-{n}" for s, f, n in CASES])
-def test_verify_matches_golden(tmp_path, capsys, surface, field, nodes):
-    name = _report_name(surface, field, nodes)
+def _check_golden(tmp_path, capsys, run):
+    name = _report_name(*run)
     expected_code = json.loads(MANIFEST.read_text())[name]
     out = tmp_path / name
-    code = cli.main(_argv(surface, field, nodes, out))
+    code = cli.main(_argv(*run, out))
     capsys.readouterr()
     assert code == expected_code
-    golden = json.loads((GOLDEN_DIR / name).read_text())
-    actual = json.loads(out.read_text())
-    assert golden_mismatches(golden, actual) == []
+    assert golden_mismatches(_load(GOLDEN_DIR / name), _load(out)) == []
 
 
-def regenerate():
-    """Rewrite every golden report and the exit-code manifest."""
+_CASE_IDS = [f"{s}-{f}-{n}" for s, f, n in CASES]
+
+
+@pytest.mark.parametrize("surface,field,nodes", CASES, ids=_CASE_IDS)
+def test_verify_matches_golden(tmp_path, capsys, surface, field, nodes):
+    _check_golden(tmp_path, capsys, ("verify", surface, field, nodes, "json"))
+
+
+@pytest.mark.parametrize("surface,field,nodes", CASES, ids=_CASE_IDS)
+def test_compute_matches_golden(tmp_path, capsys, surface, field, nodes):
+    _check_golden(tmp_path, capsys, ("compute", surface, field, nodes, "json"))
+
+
+@pytest.mark.parametrize("run", CSV_RUNS, ids=[_report_name(*r) for r in CSV_RUNS])
+def test_csv_matches_golden(tmp_path, capsys, run):
+    _check_golden(tmp_path, capsys, run)
+
+
+def regenerate(runs=RUNS):
+    """Rewrite the golden reports of ``runs`` and their manifest entries."""
     GOLDEN_DIR.mkdir(exist_ok=True)
-    codes = {}
-    for surface, field, nodes in CASES:
-        name = _report_name(surface, field, nodes)
-        codes[name] = cli.main(_argv(surface, field, nodes, GOLDEN_DIR / name))
+    codes = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    for run in runs:
+        name = _report_name(*run)
+        codes[name] = cli.main(_argv(*run, GOLDEN_DIR / name))
     MANIFEST.write_text(json.dumps(codes, indent=2) + "\n")
     return codes
 
