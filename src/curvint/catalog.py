@@ -289,65 +289,22 @@ class CatalogEntry:
     name: str
     n: int
     betti: tuple[int, ...]
-    build: Callable[[], ChartedHypersurface]
+    chart: Callable[[], Chart]
     fields: tuple[str, ...]
-    volume: float | None  # closed form where known
 
 
-def _surface(key, name, n, betti, chart_builder):
-    def build():
-        return ChartedHypersurface(
-            n_intrinsic=n,
-            charts=(chart_builder(),),
-            orientation_sign=1,
-            metadata=SurfaceMetadata(key=key, name=name, betti=betti,
-                                     euler_characteristic=0),
-        )
-    return build
-
-
-_SURFACES: dict[str, CatalogEntry] = {
-    "torus2": CatalogEntry(
-        key="torus2", name="tube torus in R^3 (R=2, r=1)", n=1,
-        betti=(1, 2, 1),
-        build=_surface("torus2", "tube torus in R^3 (R=2, r=1)", 1,
-                       (1, 2, 1), _torus2_chart),
-        fields=("theta",),
-        volume=4.0 * np.pi ** 2 * _TORUS_R * _TORUS_r,
-    ),
-    "sphere3": CatalogEntry(
-        key="sphere3", name="unit 3-sphere in R^4", n=2,
-        betti=(1, 0, 0, 1),
-        build=_surface("sphere3", "unit 3-sphere in R^4", 2,
-                       (1, 0, 0, 1), _sphere3_chart),
-        fields=("hopf",),
-        volume=2.0 * np.pi ** 2,
-    ),
-    "ellipsoid3": CatalogEntry(
-        key="ellipsoid3", name="ellipsoid diag(2,1,1,1)*S^3 in R^4", n=2,
-        betti=(1, 0, 0, 1),
-        build=_surface("ellipsoid3", "ellipsoid diag(2,1,1,1)*S^3 in R^4", 2,
-                       (1, 0, 0, 1), _ellipsoid3_chart),
-        fields=("hopf",),
-        volume=None,
-    ),
-    "tube-t3": CatalogEntry(
-        key="tube-t3", name="3-torus tube boundary in R^4 (rho=0.3)", n=2,
-        betti=(1, 3, 3, 1),
-        build=_surface("tube-t3", "3-torus tube boundary in R^4 (rho=0.3)", 2,
-                       (1, 3, 3, 1), _tube_t3_chart),
-        fields=("fiber",),
-        volume=8.0 * np.pi ** 3 * _TORUS_R * _TUBE_RHO * _TORUS_r,
-    ),
-    "revs1s2": CatalogEntry(
-        key="revs1s2", name="S^1 x S^2 of revolution in R^4 (R=2, r=1)", n=2,
-        betti=(1, 1, 1, 1),
-        build=_surface("revs1s2", "S^1 x S^2 of revolution in R^4 (R=2, r=1)", 2,
-                       (1, 1, 1, 1), _revs1s2_chart),
-        fields=("theta",),
-        volume=16.0 * np.pi ** 2,
-    ),
-}
+_SURFACES: dict[str, CatalogEntry] = {e.key: e for e in (
+    CatalogEntry("torus2", "tube torus in R^3 (R=2, r=1)", 1,
+                 (1, 2, 1), _torus2_chart, ("theta",)),
+    CatalogEntry("sphere3", "unit 3-sphere in R^4", 2,
+                 (1, 0, 0, 1), _sphere3_chart, ("hopf",)),
+    CatalogEntry("ellipsoid3", "ellipsoid diag(2,1,1,1)*S^3 in R^4", 2,
+                 (1, 0, 0, 1), _ellipsoid3_chart, ("hopf",)),
+    CatalogEntry("tube-t3", "3-torus tube boundary in R^4 (rho=0.3)", 2,
+                 (1, 3, 3, 1), _tube_t3_chart, ("fiber",)),
+    CatalogEntry("revs1s2", "S^1 x S^2 of revolution in R^4 (R=2, r=1)", 2,
+                 (1, 1, 1, 1), _revs1s2_chart, ("theta",)),
+)}
 
 
 def surface_names() -> tuple[str, ...]:
@@ -362,7 +319,13 @@ def surface_entry(key: str) -> CatalogEntry:
 
 
 def get_surface(key: str) -> ChartedHypersurface:
-    return surface_entry(key).build()
+    e = surface_entry(key)
+    return ChartedHypersurface(
+        n_intrinsic=e.n,
+        charts=(e.chart(),),
+        metadata=SurfaceMetadata(key=e.key, name=e.name, betti=e.betti,
+                                 euler_characteristic=0),
+    )
 
 
 def field_names(surface_key: str) -> tuple[str, ...]:

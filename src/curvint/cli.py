@@ -35,7 +35,7 @@ from .degree import (
     verify_integral_formula,
 )
 from .errors import CurvintError
-from .quadrature import QuadratureGrid, integrate_eta
+from .quadrature import QuadratureGrid, _select_ks, integrate_eta
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -184,13 +184,23 @@ def _parse_grid(text, dim: int) -> tuple[int, ...]:
     return counts
 
 
-def _parse_k(text):
+def _parse_k(text, n: int):
     if text is None or text == "all":
         return "all"
     try:
-        return [int(p) for p in str(text).split(",")]
+        return _select_ks(n, [int(p) for p in str(text).split(",")])
     except ValueError:
-        raise UsageError(f"bad k selection {text!r}")
+        raise UsageError(f"bad k selection {text!r}; indices lie in [0, {n}]")
+
+
+def _parse_betti(text) -> tuple[int, ...]:
+    try:
+        betti = tuple(int(b) for b in str(text).split(","))
+    except ValueError:
+        raise UsageError(f"bad betti list {text!r}")
+    if any(b < 0 for b in betti):
+        raise UsageError(f"Betti numbers must be non-negative, got {text!r}")
+    return betti
 
 
 def _parse_workers(args, config) -> int:
@@ -235,8 +245,30 @@ def _get_field(key: str, surface):
         raise UsageError(str(exc))
 
 
+def _setup(args, config, field=True):
+    """Catalog surface, its bound field (None unless ``field``) and grid."""
+    surface = _get_surface(_resolve(args, config, "surface"))
+    bound = None
+    if field:
+        field_key = _resolve(args, config, "field")
+        if field_key is None:
+            raise UsageError(f"{args.command} requires --field")
+        bound = _get_field(field_key, surface)
+    counts = _parse_grid(_resolve(args, config, "grid"), surface.dim)
+    return surface, bound, QuadratureGrid.build(surface, counts)
+
+
 # ---------------------------------------------------------------------------
 # report assembly
+
+def _header(surface, field, grid):
+    head = {"surface": surface.metadata.key}
+    if field is not None:
+        head["field"] = field.key
+    head["n"] = surface.n_intrinsic
+    head["grid"] = list(grid.counts)
+    return head
+
 
 def _degree_dict(deg):
     return {"raw": deg.raw, "rounded": deg.rounded, "residual": deg.residual}
@@ -299,21 +331,16 @@ def cmd_list(args, config) -> int:
 
 
 def cmd_verify(args, config) -> int:
-    surface = _get_surface(_resolve(args, config, "surface"))
-    field_key = _resolve(args, config, "field")
-    if field_key is None:
-        raise UsageError("verify requires --field")
-    field = _get_field(field_key, surface)
-    counts = _parse_grid(_resolve(args, config, "grid"), surface.dim)
+    t0 = time.perf_counter()
+    surface, field, grid = _setup(args, config)
     workers = _parse_workers(args, config)
     rel_tol = _positive_float(args, config, "tol", 1e-5)
     abs_tol = _positive_float(args, config, "abs-tol", None)
+    ks = _parse_k(_resolve(args, config, "k"), surface.n_intrinsic)
 
-    t0 = time.perf_counter()
-    grid = QuadratureGrid.build(surface, counts)
     rep = verify_integral_formula(
         surface, field, grid, rel_tol=rel_tol, abs_tol=abs_tol,
-        k=_parse_k(_resolve(args, config, "k")), workers=workers,
+        k=ks, workers=workers,
     )
 
     milnor = None
@@ -321,16 +348,13 @@ def cmd_verify(args, config) -> int:
         milnor = milnor_constraints(MilnorInput(
             d=rep.degree.rounded, betti=surface.metadata.betti, oriented=True))
 
-    sample_counts = tuple(min(c, _FOLIATION_SUMMARY_NODES) for c in counts)
+    sample_counts = tuple(min(c, _FOLIATION_SUMMARY_NODES) for c in grid.counts)
     fol = foliation_obstruction_report(
         surface, field, QuadratureGrid.build(surface, sample_counts),
         workers=workers)
 
     report = {
-        "surface": surface.metadata.key,
-        "field": field.key,
-        "n": surface.n_intrinsic,
-        "grid": list(counts),
+        **_header(surface, field, grid),
         "degree": _degree_dict(rep.degree),
         "eta": [
             {
@@ -367,22 +391,14 @@ def cmd_verify(args, config) -> int:
 
 
 def cmd_compute(args, config) -> int:
-    surface = _get_surface(_resolve(args, config, "surface"))
-    field_key = _resolve(args, config, "field")
-    if field_key is None:
-        raise UsageError("compute requires --field")
-    field = _get_field(field_key, surface)
-    counts = _parse_grid(_resolve(args, config, "grid"), surface.dim)
     t0 = time.perf_counter()
-    grid = QuadratureGrid.build(surface, counts)
+    surface, field, grid = _setup(args, config)
     results = integrate_eta(surface, field, grid,
-                            k=_parse_k(_resolve(args, config, "k")),
+                            k=_parse_k(_resolve(args, config, "k"),
+                                       surface.n_intrinsic),
                             workers=_parse_workers(args, config))
     report = {
-        "surface": surface.metadata.key,
-        "field": field.key,
-        "n": surface.n_intrinsic,
-        "grid": list(counts),
+        **_header(surface, field, grid),
         "eta": [
             {"k": k, "integral": r.value, "est_err": r.estimated_error}
             for k, r in sorted(results.items())
@@ -397,15 +413,11 @@ def cmd_compute(args, config) -> int:
 
 
 def cmd_degree(args, config) -> int:
-    surface = _get_surface(_resolve(args, config, "surface"))
-    counts = _parse_grid(_resolve(args, config, "grid"), surface.dim)
     t0 = time.perf_counter()
-    grid = QuadratureGrid.build(surface, counts)
+    surface, _, grid = _setup(args, config, field=False)
     deg = gauss_degree(surface, grid, workers=_parse_workers(args, config))
     report = {
-        "surface": surface.metadata.key,
-        "n": surface.n_intrinsic,
-        "grid": list(counts),
+        **_header(surface, None, grid),
         "degree": _degree_dict(deg),
         "timings_ms": None,
         "version": __version__,
@@ -424,17 +436,15 @@ def cmd_milnor(args, config) -> int:
     if d_arg is None:
         if surface_key is None:
             raise UsageError("milnor requires --d or --surface")
-        surface = _get_surface(surface_key)
-        counts = _parse_grid(_resolve(args, config, "grid"), surface.dim)
-        grid = QuadratureGrid.build(surface, counts)
-        d = gauss_degree(surface, grid,
-                         workers=_parse_workers(args, config)).rounded
+        surface, _, grid = _setup(args, config, field=False)
         if betti_arg is None:
             betti = surface.metadata.betti
             if betti is None:
                 raise UsageError("surface has no Betti data; pass --betti")
         else:
-            betti = tuple(int(b) for b in str(betti_arg).split(","))
+            betti = _parse_betti(betti_arg)
+        d = gauss_degree(surface, grid,
+                         workers=_parse_workers(args, config)).rounded
     else:
         try:
             d = int(d_arg)
@@ -442,10 +452,7 @@ def cmd_milnor(args, config) -> int:
             raise UsageError(f"bad degree {d_arg!r}")
         if betti_arg is None:
             raise UsageError("milnor with --d requires --betti")
-        try:
-            betti = tuple(int(b) for b in str(betti_arg).split(","))
-        except ValueError:
-            raise UsageError(f"bad betti list {betti_arg!r}")
+        betti = _parse_betti(betti_arg)
 
     rep = milnor_constraints(MilnorInput(d=d, betti=betti,
                                          oriented=not args.unoriented))
@@ -462,21 +469,12 @@ def cmd_milnor(args, config) -> int:
 
 
 def cmd_foliation(args, config) -> int:
-    surface = _get_surface(_resolve(args, config, "surface"))
-    field_key = _resolve(args, config, "field")
-    if field_key is None:
-        raise UsageError("foliation requires --field")
-    field = _get_field(field_key, surface)
-    counts = _parse_grid(_resolve(args, config, "grid"), surface.dim)
     t0 = time.perf_counter()
-    grid = QuadratureGrid.build(surface, counts)
+    surface, field, grid = _setup(args, config)
     rep = foliation_obstruction_report(
         surface, field, grid, workers=_parse_workers(args, config))
     report = {
-        "surface": surface.metadata.key,
-        "field": field.key,
-        "n": surface.n_intrinsic,
-        "grid": list(counts),
+        **_header(surface, field, grid),
         "foliation": _foliation_dict(rep),
         "version": __version__,
     }
@@ -494,16 +492,11 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, field=True, grid=True):
+    def add_common(p, field=True):
         p.add_argument("--surface", help="catalog surface identifier")
         if field:
             p.add_argument("--field", help="catalog field identifier")
-        if grid:
-            p.add_argument("--grid", help="nodes per coordinate, e.g. 48 or 48,48,48")
-        p.add_argument("--k", help='invariant selection: "all" or e.g. 0,2')
-        p.add_argument("--tol", help="relative tolerance (default 1e-5)")
-        p.add_argument("--abs-tol", dest="abs_tol",
-                       help="absolute tolerance (default 1e-6 * surface volume)")
+        p.add_argument("--grid", help="nodes per coordinate, e.g. 48 or 48,48,48")
         p.add_argument("--workers", help="thread count (env CURVINT_WORKERS, "
                                          "default: machine parallelism)")
         p.add_argument("--out", help="report file (default: stdout)")
@@ -513,11 +506,14 @@ def _build_parser() -> _Parser:
 
     sub.add_parser("list", help="list catalog surfaces and fields")
 
-    p = sub.add_parser("verify", help="verify the invariant integral identity")
-    add_common(p)
-
-    p = sub.add_parser("compute", help="compute invariant integrals")
-    add_common(p)
+    verify = sub.add_parser("verify", help="verify the invariant integral identity")
+    compute = sub.add_parser("compute", help="compute invariant integrals")
+    for p in (verify, compute):
+        add_common(p)
+        p.add_argument("--k", help='invariant selection: "all" or e.g. 0,2')
+    verify.add_argument("--tol", help="relative tolerance (default 1e-5)")
+    verify.add_argument("--abs-tol", dest="abs_tol",
+                        help="absolute tolerance (default 1e-6 * surface volume)")
 
     p = sub.add_parser("degree", help="normal-map degree")
     add_common(p, field=False)

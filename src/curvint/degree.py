@@ -16,15 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvintError, IndexOutOfRange, NonIntegerDegree
+from .errors import IndexOutOfRange, NonIntegerDegree
 from .fields import TangentField, shape_data_batch
-from .invariants import ColumnSystem, eta_all
+from .invariants import eta_all  # noqa: F401  perfbench's tracer wraps it here
 from .manifold import ChartedHypersurface, shape_determinant_batch
 from .quadrature import (
-    BLOCK,
     QuadratureGrid,
-    _block_tasks,
-    _check_grid,
+    _block_jobs,
+    _eta_integrals,
     _integrate_vector,
     _run_blocks,
     _select_ks,
@@ -157,14 +156,7 @@ def verify_integral_formula(
     n = surface.n_intrinsic
     ks = _select_ks(n, k)
 
-    def func(ci, U):
-        batch = shape_data_batch(surface, field, ci, U)
-        vals = eta_all(ColumnSystem.from_shape_data(batch.data)).values
-        ones = np.ones((vals.shape[0], 1))
-        return np.concatenate([ones, vals], axis=1), batch.volume_factor
-
-    values = _integrate_vector(surface, func, grid, workers)
-    halves = _integrate_vector(surface, func, grid.half(surface), workers)
+    values, halves = _eta_integrals(surface, field, grid, workers)
 
     volume = float(values[0])
     if abs_tol is None:
@@ -296,48 +288,38 @@ def foliation_obstruction_report(
     field: TangentField,
     grid: QuadratureGrid,
     workers: int | None = None,
-    defect_tol: float = FOLIATION_DEFECT_TOL,
-    rank_rel_tol: float = RANK_REL_TOL,
-    rank_abs_tol: float = RANK_ABS_TOL,
-    cross_check: bool = True,
 ) -> FoliationReport:
     """Sample the field's tangential derivative matrix over a grid.
 
     At each sample point the integrability defect (max-entry norm of
     a - a^T) and the numerical rank of a are computed; ranks count
-    singular values above rank_rel_tol times the largest, with rank 0
-    when all fall below rank_abs_tol absolutely.
+    singular values above RANK_REL_TOL times the largest, with rank 0
+    when all fall below RANK_ABS_TOL absolutely.  When the hypothesis
+    holds, the degree is cross-checked on the same grid.
     """
-    _check_grid(surface, grid)
     n = surface.n_intrinsic
 
-    def worker(task):
-        ci, start = task
-        pts = grid.charts[ci].points[start:start + BLOCK]
-        try:
-            batch = shape_data_batch(surface, field, ci, pts)
-        except CurvintError as exc:
-            raise type(exc)(f"chart {ci}: {exc}") from exc
-        a = batch.data.a
+    def kernel(ci, pts, _weights):
+        a = shape_data_batch(surface, field, ci, pts).data.a
         defect = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
         sv = np.linalg.svd(a, compute_uv=False)
         smax = sv[..., 0]
-        rank = np.sum(sv > rank_rel_tol * smax[..., None], axis=-1)
-        rank = np.where(smax < rank_abs_tol, 0, rank)
+        rank = np.sum(sv > RANK_REL_TOL * smax[..., None], axis=-1)
+        rank = np.where(smax < RANK_ABS_TOL, 0, rank)
         return np.array([np.max(defect), float(np.max(rank))])
 
-    parts = _run_blocks(_block_tasks(grid), worker, workers)
+    parts = _run_blocks(*_block_jobs(surface, grid, kernel), workers)
     maxes = np.max(np.stack(parts, axis=0), axis=0)
     max_defect = float(maxes[0])
     max_rank = int(maxes[1])
 
-    integrable = max_defect < defect_tol
+    integrable = max_defect < FOLIATION_DEFECT_TOL
     threshold = n - 2
     hypothesis = integrable and max_rank <= threshold
 
     deg = None
     consistent = True
-    if hypothesis and cross_check:
+    if hypothesis:
         deg = gauss_degree(surface, grid, workers=workers)
         consistent = deg.rounded == 0
 

@@ -232,12 +232,7 @@ def shape_data_batch(
 
     ct = np.swapaxes(manifold.tangent_coefficients(geo, frame), -1, -2)
     Dv = ct @ dv                                       # derivative of v along frame
-    DN = ct @ dN
-
-    h_raw = DN @ frame_t
-    h_t = np.swapaxes(h_raw, -1, -2)
-    h_asym = np.max(np.abs(h_raw - h_t), axis=(-2, -1))
-    h = 0.5 * (h_raw + h_t)
+    h, h_asym = manifold.second_fundamental_form(ct @ dN, frame_t)
 
     # <D_m v, frame_k>: a, vvec and both <nabla v, v> residuals in one product
     dv_frame = Dv @ frame_t

@@ -61,24 +61,20 @@ def _subset_matrix(cols: ColumnSystem, subset) -> np.ndarray:
 def eta(k: int, cols: ColumnSystem) -> np.ndarray:
     """Sum over k-subsets S of {1..n} of det(columns: V_j if j in S else H_j).
 
-    Column n+1 is always H_{n+1}.  Subsets are enumerated in lexicographic
-    order and summed with Kahan compensation, so the result is
-    bit-reproducible.
+    Column n+1 is always H_{n+1}.  The k-th entry of ``eta_all``.
     """
     n = cols.n
     if not 0 <= k <= n:
         raise IndexOutOfRange(f"k={k} outside [0, {n}]")
-    subsets = list(combinations(range(n), k))
-    mats = np.stack([_subset_matrix(cols, s) for s in subsets], axis=0)
-    dets = np.linalg.det(mats)
-    acc = KahanAccumulator(dets.shape[1:])
-    for i in range(len(subsets)):
-        acc.add(dets[i])
-    return acc.total
+    return eta_all(cols)[k]
 
 
 def eta_all(cols: ColumnSystem) -> EtaVector:
-    """All eta_k at once, reusing one pass of subset enumeration."""
+    """All eta_k at once, reusing one pass of subset enumeration.
+
+    Subsets are enumerated in lexicographic order and each eta_k is summed
+    with Kahan compensation, so the result is bit-reproducible.
+    """
     n = cols.n
     order = [(k, s) for k in range(n + 1) for s in combinations(range(n), k)]
     mats = np.stack([_subset_matrix(cols, s) for _, s in order], axis=0)

@@ -280,25 +280,17 @@ def tangent_coefficients(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:
     return geo.metric_inv @ rhs
 
 
-def normal_derivative(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:
-    """Ambient directional derivative of the unit normal along tangent X.
-
-    ``X`` shape (B, m, q) -> (B, m, q), chain rule through the chart.
-    """
-    c = tangent_coefficients(geo, X)
-    return np.swapaxes(c, -1, -2) @ geo.dnormal
-
-
 def second_fundamental_form(
-    geo: GeometryBatch, frame: np.ndarray
+    dnormal_frame: np.ndarray, frame_t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matrix <D_{E_A} N, E_B> over an orthonormal tangent frame.
 
-    ``frame`` has shape (B, p, q) with the frame vectors as rows.  Returns
-    the symmetrized matrix and the max-entry asymmetry of the raw one.
+    ``dnormal_frame`` (B, p, q) holds the derivatives D_{E_A} N of the unit
+    normal as rows, ``frame_t`` (B, q, p) the frame vectors E_B as columns.
+    Returns the symmetrized matrix and the max-entry asymmetry of the raw
+    one.
     """
-    DN = normal_derivative(geo, frame)
-    h_raw = DN @ np.swapaxes(frame, -1, -2)
+    h_raw = dnormal_frame @ frame_t
     h_t = np.swapaxes(h_raw, -1, -2)
     asym = np.max(np.abs(h_raw - h_t), axis=(-2, -1))
     return 0.5 * (h_raw + h_t), asym
@@ -351,7 +343,8 @@ def shape_operator(
     if np.max(np.abs(gram - np.eye(p))) > _FRAME_ORTHO_TOL:
         raise FrameNotOrthonormal("frame fails orthonormality tolerance 1e-10")
     geo = geometry_batch(surface, chart_index, U, second=True)
-    h, asym = second_fundamental_form(geo, E)
+    ct = np.swapaxes(tangent_coefficients(geo, E), -1, -2)
+    h, asym = second_fundamental_form(ct @ geo.dnormal, np.swapaxes(E, -1, -2))
     if return_asymmetry:
         return h[0], float(asym[0])
     return h[0]

@@ -143,19 +143,34 @@ def _check_grid(surface: ChartedHypersurface, grid: QuadratureGrid):
             raise ValueError("grid domains do not match the surface charts")
 
 
-def _block_tasks(grid: QuadratureGrid):
-    tasks = []
-    for ci, cg in enumerate(grid.charts):
-        for start in range(0, cg.points.shape[0], BLOCK):
-            tasks.append((ci, start))
-    return tasks
-
-
 def _run_blocks(tasks, worker, workers):
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(worker, tasks))
     return [worker(t) for t in tasks]
+
+
+def _block_jobs(surface, grid, kernel):
+    """The ``(tasks, worker)`` pair of one pass over the grid, for _run_blocks.
+
+    A task is one fixed-size slice of a chart's flattened grid; the worker
+    calls ``kernel(ci, points, weights)`` on it and names the chart in any
+    evaluation error.
+    """
+    _check_grid(surface, grid)
+    tasks = [(ci, start) for ci, cg in enumerate(grid.charts)
+             for start in range(0, cg.points.shape[0], BLOCK)]
+
+    def worker(task):
+        ci, start = task
+        cg = grid.charts[ci]
+        try:
+            return kernel(ci, cg.points[start:start + BLOCK],
+                          cg.weights[start:start + BLOCK])
+        except CurvintError as exc:
+            raise type(exc)(f"chart {ci}: {exc}") from exc
+
+    return tasks, worker
 
 
 def _integrate_vector(surface, func, grid, workers) -> np.ndarray:
@@ -166,24 +181,15 @@ def _integrate_vector(surface, func, grid, workers) -> np.ndarray:
     are fixed-size slices of the flattened grid, combined by a pairwise
     tree.
     """
-    _check_grid(surface, grid)
-
-    def worker(task):
-        ci, start = task
-        cg = grid.charts[ci]
-        pts = cg.points[start:start + BLOCK]
-        w = cg.weights[start:start + BLOCK]
-        try:
-            vals, volf = func(ci, pts)
-        except CurvintError as exc:
-            raise type(exc)(f"chart {ci}: {exc}") from exc
+    def kernel(ci, pts, w):
+        vals, volf = func(ci, pts)
         wf = surface.charts[ci].weight_fraction
         terms = vals * (wf * w * volf)[:, None]
         # exactly rounded per-block partial: immune to term ordering
         return np.array([math.fsum(terms[:, j].tolist())
                          for j in range(terms.shape[1])])
 
-    parts = _run_blocks(_block_tasks(grid), worker, workers)
+    parts = _run_blocks(*_block_jobs(surface, grid, kernel), workers)
     return np.atleast_1d(tree_reduce_compensated(parts))
 
 
@@ -235,13 +241,19 @@ def _select_ks(n: int, k) -> list[int]:
     return ks
 
 
-def _eta_func(surface, field):
+def _eta_integrals(surface, field, grid, workers):
+    """Full- and half-grid integrals of (1, eta_0, ..., eta_n).
+
+    Column 0 is the surface volume, column 1 + k the eta_k integral.
+    """
     def func(ci, U):
         batch = shape_data_batch(surface, field, ci, U)
-        values = eta_all(ColumnSystem.from_shape_data(batch.data)).values
-        return values, batch.volume_factor
+        vals = eta_all(ColumnSystem.from_shape_data(batch.data)).values
+        ones = np.ones((vals.shape[0], 1))
+        return np.concatenate([ones, vals], axis=1), batch.volume_factor
 
-    return func
+    return (_integrate_vector(surface, func, grid, workers),
+            _integrate_vector(surface, func, grid.half(surface), workers))
 
 
 def integrate_eta(
@@ -258,14 +270,12 @@ def integrate_eta(
     IntegralResult.
     """
     ks = _select_ks(surface.n_intrinsic, k)
-    func = _eta_func(surface, field)
-    values = _integrate_vector(surface, func, grid, workers)
-    halves = _integrate_vector(surface, func, grid.half(surface), workers)
+    values, halves = _eta_integrals(surface, field, grid, workers)
     return {
         i: IntegralResult(
-            value=float(values[i]),
+            value=float(values[1 + i]),
             nodes=grid.total_points,
-            estimated_error=float(abs(values[i] - halves[i])),
+            estimated_error=float(abs(values[1 + i] - halves[1 + i])),
         )
         for i in ks
     }

@@ -151,6 +151,35 @@ def test_usage_errors(capsys):
                "--grid", "16,16")[0] == 64
 
 
+def test_k_outside_range_exits_64(capsys):
+    code, out, err = run(capsys, "compute", "--surface", "torus2", "--field",
+                         "theta", "--grid", "16,16", "--k", "0,2")
+    assert code == 64 and out == ""
+    assert "[0, 1]" in err
+    assert run(capsys, "verify", "--surface", "sphere3", "--field", "hopf",
+               "--grid", "8", "--k", "3")[0] == 64
+
+
+def test_milnor_bad_betti_exits_64(capsys):
+    code, out, _ = run(capsys, "milnor", "--surface", "sphere3", "--grid", "8",
+                       "--betti", "1,x")
+    assert code == 64 and out == ""
+    assert run(capsys, "milnor", "--d", "1", "--betti=-1,2")[0] == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ("degree", "--surface", "torus2", "--grid", "16", "--tol", "1"),
+    ("compute", "--surface", "torus2", "--field", "theta", "--abs-tol", "1"),
+    ("foliation", "--surface", "torus2", "--field", "theta", "--k", "0"),
+    ("milnor", "--d", "0", "--betti", "1,2,1", "--k", "0"),
+], ids=["degree-tol", "compute-abs-tol", "foliation-k", "milnor-k"])
+def test_flags_a_subcommand_does_not_read_exit_64(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 64
+    capsys.readouterr()
+
+
 def test_unknown_subcommand_exits_64(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
