@@ -1,27 +1,11 @@
 """Deterministic summation helpers.
 
-Results must not depend on how work was scheduled, so every reduction here
-has a fixed shape: Kahan compensation walks terms in a caller-fixed order,
-and partial results from parallel blocks are combined by a pairwise tree
-whose layout depends only on the number of blocks.
+Results must not depend on how work was scheduled, so partial results
+from parallel blocks are combined by a pairwise tree whose layout depends
+only on the number of blocks.
 """
 
 import numpy as np
-
-
-class KahanAccumulator:
-    """Compensated running sum; add() order defines the result bits."""
-
-    def __init__(self, shape=()):
-        self.total = np.zeros(shape)
-        self._comp = np.zeros(shape)
-
-    def add(self, term):
-        y = np.asarray(term) - self._comp
-        t = self.total + y
-        self._comp = (t - self.total) - y
-        self.total = t
-        return self
 
 
 def _two_sum(a, b):

@@ -140,10 +140,11 @@ def _ellipsoid3_chart() -> Chart:
         return base.position(U) @ A.T
 
     def jac(U):
-        return np.einsum("ij,xjp->xip", A, base.first_partials(U))
+        return A @ base.first_partials(U)
 
     def hess(U):
-        return np.einsum("ij,xjab->xiab", A, base.second_partials(U))
+        H = base.second_partials(U)
+        return (A @ H.reshape(H.shape[0], H.shape[1], -1)).reshape(H.shape)
 
     return Chart(lo=base.lo, hi=base.hi, periodic=base.periodic,
                  position=pos, first_partials=jac, second_partials=hess)
@@ -351,7 +352,7 @@ def _matrix_field(key: str, surface: ChartedHypersurface, B: np.ndarray) -> Tang
         return charts[ci].position(U) @ B.T
 
     def jacobian(ci, U):
-        return np.einsum("ij,xjp->xip", B, charts[ci].first_partials(U))
+        return B @ charts[ci].first_partials(U)
 
     return TangentField(ambient_value=value, ambient_jacobian=jacobian, key=key)
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__, catalog
 from .degree import (
+    DEFAULT_REL_TOL,
     MilnorInput,
     foliation_obstruction_report,
     gauss_degree,
@@ -138,11 +139,32 @@ def _write_report(text: str, out_path: str | None):
 # ---------------------------------------------------------------------------
 # configuration
 
-_CONFIG_KEYS = ("surface", "field", "grid", "k", "tol", "abs-tol", "workers",
-                "out", "format")
+# The value flags of each subcommand.  The parser is built from this table
+# and a --config file may set exactly these keys, so a key the subcommand
+# does not read is a usage error in the file as on the command line.
+_FLAGS = {
+    "verify": ("surface", "field", "grid", "k", "tol", "abs-tol", "workers",
+               "out", "format"),
+    "compute": ("surface", "field", "grid", "k", "workers", "out", "format"),
+    "degree": ("surface", "grid", "workers", "out", "format"),
+    "milnor": ("surface", "grid", "workers", "out", "format"),
+    "foliation": ("surface", "field", "grid", "workers", "out", "format"),
+}
+
+_FLAG_HELP = {
+    "surface": "catalog surface identifier",
+    "field": "catalog field identifier",
+    "grid": "nodes per coordinate, e.g. 48 or 48,48,48",
+    "k": 'invariant selection: "all" or e.g. 0,2',
+    "tol": f"relative tolerance (default {DEFAULT_REL_TOL:g})",
+    "abs-tol": "absolute tolerance (default 1e-6 * surface volume)",
+    "workers": "thread count (env CURVINT_WORKERS, default: machine parallelism)",
+    "out": "report file (default: stdout)",
+    "format": "report format (default json)",
+}
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, command: str) -> dict:
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -153,8 +175,9 @@ def _read_config(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in _FLAGS[command]:
+                raise UsageError(
+                    f"{path}:{lineno}: unknown key {key!r} for {command}")
             values[key] = val.strip()
     return values
 
@@ -334,7 +357,7 @@ def cmd_verify(args, config) -> int:
     t0 = time.perf_counter()
     surface, field, grid = _setup(args, config)
     workers = _parse_workers(args, config)
-    rel_tol = _positive_float(args, config, "tol", 1e-5)
+    rel_tol = _positive_float(args, config, "tol", DEFAULT_REL_TOL)
     abs_tol = _positive_float(args, config, "abs-tol", None)
     ks = _parse_k(_resolve(args, config, "k"), surface.n_intrinsic)
 
@@ -492,41 +515,26 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, field=True):
-        p.add_argument("--surface", help="catalog surface identifier")
-        if field:
-            p.add_argument("--field", help="catalog field identifier")
-        p.add_argument("--grid", help="nodes per coordinate, e.g. 48 or 48,48,48")
-        p.add_argument("--workers", help="thread count (env CURVINT_WORKERS, "
-                                         "default: machine parallelism)")
-        p.add_argument("--out", help="report file (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), dest="format",
-                       help="report format (default json)")
+    helps = {
+        "verify": "verify the invariant integral identity",
+        "compute": "compute invariant integrals",
+        "degree": "normal-map degree",
+        "milnor": "Betti constraints on the degree",
+        "foliation": "foliation obstruction report",
+    }
+    sub.add_parser("list", help="list catalog surfaces and fields")
+    for command, keys in _FLAGS.items():
+        p = sub.add_parser(command, help=helps[command])
+        for key in keys:
+            choices = ("json", "csv") if key == "format" else None
+            p.add_argument(f"--{key}", choices=choices, help=_FLAG_HELP[key])
         p.add_argument("--config", help="key=value config file; flags win")
 
-    sub.add_parser("list", help="list catalog surfaces and fields")
-
-    verify = sub.add_parser("verify", help="verify the invariant integral identity")
-    compute = sub.add_parser("compute", help="compute invariant integrals")
-    for p in (verify, compute):
-        add_common(p)
-        p.add_argument("--k", help='invariant selection: "all" or e.g. 0,2')
-    verify.add_argument("--tol", help="relative tolerance (default 1e-5)")
-    verify.add_argument("--abs-tol", dest="abs_tol",
-                        help="absolute tolerance (default 1e-6 * surface volume)")
-
-    p = sub.add_parser("degree", help="normal-map degree")
-    add_common(p, field=False)
-
-    p = sub.add_parser("milnor", help="Betti constraints on the degree")
-    add_common(p, field=False)
+    p = sub.choices["milnor"]
     p.add_argument("--d", help="degree value (skips the surface run)")
     p.add_argument("--betti", help="comma-separated Betti numbers")
     p.add_argument("--unoriented", action="store_true",
                    help="skip the oriented two-sided bound")
-
-    p = sub.add_parser("foliation", help="foliation obstruction report")
-    add_common(p)
     return parser
 
 
@@ -547,7 +555,7 @@ def main(argv=None) -> int:
         config = {}
         cfg_path = getattr(args, "config", None)
         if cfg_path:
-            config = _read_config(cfg_path)
+            config = _read_config(cfg_path, args.command)
         if args.command != "list" and args.command != "milnor":
             if _resolve(args, config, "surface") is None:
                 raise UsageError(f"{args.command} requires --surface")

@@ -12,9 +12,9 @@ from itertools import combinations
 
 import numpy as np
 
-from ._reduction import KahanAccumulator
 from .errors import IndexOutOfRange
 from .fields import ShapeData
+from .manifold import _det
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,6 @@ class EtaVector:
         return self.values[..., k]
 
 
-def _subset_matrix(cols: ColumnSystem, subset) -> np.ndarray:
-    M = np.array(cols.H, copy=True)
-    for j in subset:
-        M[..., :, j] = cols.V[..., :, j]
-    return M
-
-
 def eta(k: int, cols: ColumnSystem) -> np.ndarray:
     """Sum over k-subsets S of {1..n} of det(columns: V_j if j in S else H_j).
 
@@ -70,20 +63,23 @@ def eta(k: int, cols: ColumnSystem) -> np.ndarray:
 
 
 def eta_all(cols: ColumnSystem) -> EtaVector:
-    """All eta_k at once, reusing one pass of subset enumeration.
+    """All eta_k at once from one determinant pass over the 2^n subsets.
 
-    Subsets are enumerated in lexicographic order and each eta_k is summed
-    with Kahan compensation, so the result is bit-reproducible.
+    Every subset matrix is gathered from [H | V] with one index (column j
+    from V when j is in the subset, else from H), all determinants come
+    from one ``manifold._det`` call, and each eta_k is summed left to right
+    in lexicographic subset order, so the result is bit-reproducible.
     """
     n = cols.n
+    p = n + 1
     order = [(k, s) for k in range(n + 1) for s in combinations(range(n), k)]
-    mats = np.stack([_subset_matrix(cols, s) for _, s in order], axis=0)
-    dets = np.linalg.det(mats)
-    accs = [KahanAccumulator(dets.shape[1:]) for _ in range(n + 1)]
-    for i, (k, _) in enumerate(order):
-        accs[k].add(dets[i])
-    values = np.stack([acc.total for acc in accs], axis=-1)
-    return EtaVector(values=values)
+    picks = np.array([[p + j if j in s else j for j in range(p)] for _, s in order])
+    HV = np.concatenate([cols.H, cols.V], axis=-1)
+    dets = _det(HV[..., np.arange(p)[:, None], picks[:, None, :]])
+    sums = [0.0] * (n + 1)
+    for (k, _), d in zip(order, np.moveaxis(dets, -1, 0)):
+        sums[k] = sums[k] + d
+    return EtaVector(values=np.stack(sums, axis=-1))
 
 
 def tilt_jacobian(cols: ColumnSystem, t: float) -> tuple[np.ndarray, np.ndarray]:

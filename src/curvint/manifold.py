@@ -172,8 +172,9 @@ def _det(M: np.ndarray) -> np.ndarray:
     """Determinant over the trailing (p, p) axes.
 
     Cofactor expansion down to closed-form 2x2 blocks: for the p <= 5
-    matrices of chart geometry this is a few dozen vector operations per
-    batch, where batched LAPACK pays a call per matrix.
+    matrices of chart geometry and of the eta subset sums this is a few
+    dozen vector operations per batch, where batched LAPACK pays a call
+    per matrix.
     """
     idx = tuple(range(M.shape[-1]))
     return _minor_det(M, idx, idx)

@@ -215,6 +215,31 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("command,line", [
+    ("degree", "tol=1"),
+    ("degree", "k=5"),
+    ("degree", "field=theta"),
+    ("compute", "abs-tol=1"),
+    ("compute", "tol=1"),
+    ("foliation", "k=0"),
+    ("milnor", "abs-tol=1"),
+])
+def test_config_key_a_subcommand_does_not_read_exits_64(tmp_path, capsys,
+                                                        command, line):
+    base = "surface=torus2\ngrid=8\n"
+    if command in ("compute", "foliation"):
+        base += "field=theta\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(base)
+    code, _, _ = run(capsys, command, "--config", str(cfg))
+    assert code in (0, 1)
+    cfg.write_text(base + line + "\n")
+    code, _, err = run(capsys, command, "--config", str(cfg))
+    assert code == 64
+    lineno = base.count("\n") + 1
+    assert f"{cfg}:{lineno}:" in err
+
+
 def test_workers_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("CURVINT_WORKERS", "2")
     code, out, _ = run(capsys, "degree", "--surface", "torus2",

@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 
 import curvint as cv
 from curvint.errors import IndexOutOfRange
+from curvint.manifold import _det
+
+
+def assert_close_to_lapack(value, H):
+    """|value - LAPACK det H| within 1e-14 of Hadamard's bound prod_j ||H_j||."""
+    assert abs(value - np.linalg.det(H)) <= 1e-14 * np.prod(np.linalg.norm(H, axis=0))
 
 
 def random_system(rng, n):
@@ -39,7 +45,8 @@ def test_eta_zero_field_columns():
     cols = cv.ColumnSystem(H=cols.H, V=np.zeros_like(cols.V))
     for k in range(1, 4):
         assert cv.eta(k, cols) == 0.0
-    assert cv.eta(0, cols) == np.linalg.det(cols.H)
+    assert cv.eta(0, cols) == _det(cols.H)
+    assert_close_to_lapack(cv.eta(0, cols), cols.H)
 
 
 def test_eta_n1_single_summand():
@@ -60,8 +67,9 @@ def test_eta0_is_direct_determinant():
     rng = np.random.default_rng(2)
     for n in (1, 2, 3, 4):
         cols = random_system(rng, n)
-        assert cv.eta(0, cols) == np.linalg.det(cols.H)
-        assert cv.eta_all(cols).values[0] == np.linalg.det(cols.H)
+        assert cv.eta(0, cols) == _det(cols.H)
+        assert cv.eta_all(cols).values[0] == _det(cols.H)
+        assert_close_to_lapack(cv.eta(0, cols), cols.H)
 
 
 def test_eta_all_matches_eta_bitwise():
@@ -132,7 +140,7 @@ def interpolated_eta(cols):
 
 def test_eta_against_interpolation_oracle():
     rng = np.random.default_rng(6)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for _ in range(20):
             cols = random_system(rng, n)
             np.testing.assert_allclose(cv.eta_all(cols).values,
@@ -140,9 +148,10 @@ def test_eta_against_interpolation_oracle():
                                        atol=1e-9, rtol=1e-9)
 
 
-def test_eta_batched_matches_single():
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eta_batched_matches_single(n):
     rng = np.random.default_rng(7)
-    n, p, B = 2, 3, 17
+    p, B = n + 1, 17
     H = rng.uniform(-1, 1, (B, p, p))
     H = 0.5 * (H + np.swapaxes(H, 1, 2))
     V = rng.uniform(-1, 1, (B, p, n))
