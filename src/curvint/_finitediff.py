@@ -10,18 +10,18 @@ import numpy as np
 REL_STEP = 1e-5
 
 
-def partial_stack(fun, lo, hi, rel_step=REL_STEP):
+def partial_stack(fun, lo, hi):
     """Differentiate a batched map with respect to its parameters.
 
     ``fun`` maps parameter points ``U`` of shape (B, p) to arrays of shape
     (B, ...).  Returns a callable producing the partial derivatives stacked
     on a trailing axis, shape (B, ..., p): central differences at step
-    ``rel_step * (hi - lo)`` combined with the half-step evaluation via one
+    ``REL_STEP * (hi - lo)`` combined with the half-step evaluation via one
     Richardson level, (4*D(h/2) - D(h)) / 3.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    steps = rel_step * (hi - lo)
+    steps = REL_STEP * (hi - lo)
 
     def deriv(U):
         U = np.asarray(U, dtype=float)

@@ -59,10 +59,18 @@ class DegreeResult:
         return self.residual <= _DEGREE_RESIDUAL_MAX
 
 
-def _degree_from_raw(raw: float) -> DegreeResult:
+def _degree_from_integral(integral: float, n: int) -> DegreeResult:
+    """Degree from the det(h) integral over an (n+1)-surface; NonIntegerDegree if off."""
+    raw = integral / sphere_volume(n + 1)
     rounded = int(np.rint(raw))
-    return DegreeResult(raw=float(raw), rounded=rounded,
-                        residual=float(abs(raw - rounded)))
+    result = DegreeResult(raw=float(raw), rounded=rounded,
+                          residual=float(abs(raw - rounded)))
+    if not result.valid:
+        raise NonIntegerDegree(
+            f"degree integral {result.raw:.6g} is {result.residual:.3g} "
+            "away from the nearest integer"
+        )
+    return result
 
 
 def gauss_degree(
@@ -82,13 +90,7 @@ def gauss_degree(
         return det[:, None], volume_factor
 
     total = _integrate_vector(surface, func, grid, workers)[0]
-    result = _degree_from_raw(total / sphere_volume(surface.dim))
-    if not result.valid:
-        raise NonIntegerDegree(
-            f"degree integral {result.raw:.6g} is {result.residual:.3g} "
-            "away from the nearest integer"
-        )
-    return result
+    return _degree_from_integral(total, surface.n_intrinsic)
 
 
 def predicted_integral(n: int, k: int, degree: int) -> float:
@@ -162,12 +164,7 @@ def verify_integral_formula(
     if abs_tol is None:
         abs_tol = DEFAULT_ABS_TOL_VOLUME_FACTOR * volume
 
-    deg = _degree_from_raw(values[1] / sphere_volume(n + 1))
-    if not deg.valid:
-        raise NonIntegerDegree(
-            f"degree integral {deg.raw:.6g} is {deg.residual:.3g} "
-            "away from the nearest integer"
-        )
+    deg = _degree_from_integral(values[1], n)
 
     rows = []
     for i in ks:

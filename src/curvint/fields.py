@@ -103,8 +103,8 @@ def project_field_batch(
     geo: GeometryBatch,
     chart_index: int,
     U: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw field values, tangential part and its norm at a batch."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Raw field values, their normal component, tangential part and its norm."""
     raw = np.asarray(field.ambient_value(chart_index, U), dtype=float)
     rn = np.einsum("xq,xq->x", raw, geo.normal)
     P = raw - rn[:, None] * geo.normal
@@ -114,7 +114,7 @@ def project_field_batch(
         raise VanishingField(
             f"tangential part of field vanishes at u={np.asarray(U)[idx].tolist()}"
         )
-    return raw, P, Pn
+    return raw, rn, P, Pn
 
 
 def normalize_and_project(
@@ -124,7 +124,7 @@ def normalize_and_project(
     _check_field_allowed(surface)
     U, single = manifold._as_batch(u)
     geo = geometry_batch(surface, chart_index, U, second=False)
-    _, P, Pn = project_field_batch(field, geo, chart_index, U)
+    _, _, P, Pn = project_field_batch(field, geo, chart_index, U)
     v = P / Pn[:, None]
     return v[0] if single else v
 
@@ -212,14 +212,13 @@ def shape_data_batch(
     geo = geometry_batch(surface, chart_index, U, second=True)
     n = surface.n_intrinsic
 
-    raw, P, Pn = project_field_batch(field, geo, chart_index, U)
+    raw, rn, P, Pn = project_field_batch(field, geo, chart_index, U)
     v = P / Pn[:, None]
 
     rawJ = _field_jacobian(field, surface, chart_index, U)
     draw = np.swapaxes(rawJ, -1, -2)               # (B, p, q)
     N = geo.normal
     dN = geo.dnormal
-    rn = np.einsum("xq,xq->x", raw, N)
     drn = np.einsum("xaq,xq->xa", draw, N) + np.einsum("xq,xaq->xa", raw, dN)
     dP = (draw
           - drn[:, :, None] * N[:, None, :]

@@ -130,13 +130,11 @@ class PointGeometry:
 
 
 class GeometryBatch(NamedTuple):
-    position: np.ndarray       # (B, q)
     jacobian: np.ndarray       # (B, q, p)
     metric: np.ndarray         # (B, p, p)
     metric_inv: np.ndarray     # (B, p, p)
     volume_factor: np.ndarray  # (B,)
     normal: np.ndarray         # (B, q)
-    second: np.ndarray | None   # (B, q, p, p)
     second_form: np.ndarray | None  # (B, p, p), <N, d2F/du_a du_b>
 
     @property
@@ -235,16 +233,16 @@ def geometry_batch(
 ) -> GeometryBatch:
     """Evaluate chart geometry at a batch of parameter points.
 
-    With ``second=True`` the second partials and ``second_form`` are
-    included, from which ``GeometryBatch.dnormal`` gives the derivative of
-    the unit normal.  The metric inverse is formed once per batch, after
-    the degeneracy check.
+    Only the chart partials are evaluated, not the position.  With
+    ``second=True`` the second partials are contracted with the normal into
+    ``second_form``, from which ``GeometryBatch.dnormal`` gives the
+    derivative of the unit normal.  The metric inverse is formed once per
+    batch, after the degeneracy check.
     """
     chart = surface.charts[chart_index]
     U = np.asarray(U, dtype=float)
     sgn = float(surface.orientation_sign)
 
-    F = np.asarray(chart.position(U), dtype=float)
     J = np.asarray(chart.first_partials(U), dtype=float)
     tangents = np.swapaxes(J, -1, -2)  # (B, p, q)
 
@@ -262,13 +260,12 @@ def geometry_batch(
     volume_factor = np.sqrt(det_g)
     metric_inv = _inverse(g, det_g)
 
-    H2 = None
     L = None
     if second:
         H2 = np.asarray(chart.second_partials(U), dtype=float)
         L = np.einsum("xq,xqab->xab", normal, H2)
 
-    return GeometryBatch(F, J, g, metric_inv, volume_factor, normal, H2, L)
+    return GeometryBatch(J, g, metric_inv, volume_factor, normal, L)
 
 
 def tangent_coefficients(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:
@@ -313,8 +310,9 @@ def point_geometry(surface: ChartedHypersurface, chart_index: int, u) -> PointGe
     """Bundle position, tangent basis, metric, volume factor and normal."""
     U, _ = _as_batch(u)
     geo = geometry_batch(surface, chart_index, U, second=False)
+    position = np.asarray(surface.charts[chart_index].position(U), dtype=float)
     return PointGeometry(
-        position=geo.position[0],
+        position=position[0],
         tangent_basis=np.swapaxes(geo.jacobian[0], -1, -2),
         metric=geo.metric[0],
         volume_factor=float(geo.volume_factor[0]),

@@ -1,5 +1,7 @@
 """Degree extraction, formula verification, Milnor bounds, foliation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,29 @@ def test_one_geometry_evaluation_per_point(surfaces, geometry_points):
     geometry_points.clear()
     cv.gauss_degree(surface, grid)
     assert sum(geometry_points) == 8**3
+
+
+def test_verify_reads_chart_partials_not_position(surfaces):
+    """Geometry and field each read J and d2F once per point; nothing reads F."""
+    base = surfaces["sphere3"]
+    counted = {"position": [], "first_partials": [], "second_partials": []}
+
+    def counting(name, fn):
+        def wrapper(U):
+            counted[name].append(len(U))
+            return fn(U)
+        return wrapper
+
+    chart = base.charts[0]
+    surface = dataclasses.replace(base, charts=(dataclasses.replace(
+        chart, **{name: counting(name, getattr(chart, name)) for name in counted}),))
+    for calls in counted.values():
+        calls.clear()  # building the surface probes the chart
+    cv.verify_integral_formula(surface, cv.get_field("hopf", surface),
+                               QuadratureGrid.build(surface, 8))
+    points = 8**3 + 4**3  # full grid plus half grid
+    assert {name: sum(calls) for name, calls in counted.items()} == {
+        "position": 0, "first_partials": 2 * points, "second_partials": 2 * points}
 
 
 def test_predicted_integral_table():

@@ -25,6 +25,32 @@ def test_hopf_raw_already_unit_tangent(surfaces):
     np.testing.assert_allclose(raw, [-x[1], x[0], -x[3], x[2]], atol=1e-15)
 
 
+# (-x2, x1, -x4, x3): the unit Killing field along the Hopf circles of S^3
+_HOPF = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
+_ELL_A = np.diag([2.0, 1.0, 1.0, 1.0])
+
+
+def _ambient_field(skey, chart, U):
+    """Value and jacobian of each catalog field from its ambient formula."""
+    if skey in ("sphere3", "ellipsoid3"):
+        # linear field y -> M y; on the ellipsoid y = A x, pushed forward by A
+        M = _HOPF if skey == "sphere3" else _ELL_A @ _HOPF @ np.linalg.inv(_ELL_A)
+        return chart.position(U) @ M.T, M @ chart.first_partials(U)
+    a = 1 if skey == "tube-t3" else 0  # fiber is the w circle, theta the th one
+    return chart.first_partials(U)[:, :, a], chart.second_partials(U)[:, :, a, :]
+
+
+@pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
+def test_catalog_field_matches_ambient_formula(surfaces, skey, fkey):
+    surface = surfaces[skey]
+    field = cv.get_field(fkey, surface)
+    U = domain_samples(surface, N_SAMPLES)
+    value, jac = _ambient_field(skey, surface.charts[0], U)
+    np.testing.assert_allclose(field.ambient_value(0, U), value, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(field.ambient_jacobian(0, U), jac, rtol=0, atol=1e-14)
+
+
 def test_normal_field_vanishes(surfaces):
     surface = surfaces["sphere3"]
     field = cv.TangentField(
@@ -103,10 +129,10 @@ def test_pivoted_frame_rank_loss_names_the_point():
     v = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     J = np.swapaxes(tangents, 1, 2)
     geo = GeometryBatch(
-        position=np.zeros((2, 4)), jacobian=J, metric=tangents @ J,
+        jacobian=J, metric=tangents @ J,
         metric_inv=np.full((2, 3, 3), np.nan),  # the metric is singular at point 1
         volume_factor=np.zeros(2), normal=np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)),
-        second=None, second_form=None,
+        second_form=None,
     )
     U = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
     with pytest.raises(cv.DegenerateImmersion, match=r"at u=\[0\.4, 0\.5, 0\.6\]"):
