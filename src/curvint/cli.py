@@ -452,8 +452,8 @@ def cmd_degree(args, config) -> int:
 
 
 def cmd_milnor(args, config) -> int:
-    betti_arg = _resolve(args, config, "betti")
-    d_arg = _resolve(args, config, "d")
+    betti_arg = args.betti
+    d_arg = args.d
     surface_key = _resolve(args, config, "surface")
 
     if d_arg is None:

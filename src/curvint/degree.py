@@ -19,15 +19,9 @@ import numpy as np
 from .errors import IndexOutOfRange, NonIntegerDegree
 from .fields import TangentField, shape_data_batch
 from .invariants import eta_all  # noqa: F401  perfbench's tracer wraps it here
-from .manifold import ChartedHypersurface, shape_determinant_batch
-from .quadrature import (
-    QuadratureGrid,
-    _block_jobs,
-    _eta_integrals,
-    _integrate_vector,
-    _run_blocks,
-    _select_ks,
-)
+from .manifold import ChartedHypersurface, _det, shape_determinant_batch
+from .quadrature import QuadratureGrid, _eta_integrals, _integrate_vector, _select_ks
+from .quadrature import _run_blocks  # noqa: F401  perfbench's tracer wraps it here
 
 _DEGREE_RESIDUAL_MAX = 0.1
 
@@ -87,9 +81,9 @@ def gauss_degree(
 
     def func(ci, U):
         det, volume_factor = shape_determinant_batch(surface, ci, U)
-        return det[:, None], volume_factor
+        return det[:, None], volume_factor, np.empty((len(U), 0))
 
-    total = _integrate_vector(surface, func, grid, workers)[0]
+    (total,), _ = _integrate_vector(surface, func, grid, workers)
     return _degree_from_integral(total, surface.n_intrinsic)
 
 
@@ -253,8 +247,8 @@ class FoliationReport:
     The hypothesis flag is set when the orthogonal distribution of the
     field is integrable (max defect below the tolerance) and the rank of
     the tangential derivative matrix never exceeds n - 2; in that case the
-    normal-map degree must vanish, and the cross-checked degree is
-    reported alongside.
+    normal-map degree must vanish, and the degree read off the det(h)
+    integral over the same samples is reported alongside as a cross-check.
     """
 
     surface_key: str
@@ -267,7 +261,7 @@ class FoliationReport:
     integrable: bool
     hypothesis: bool
     degree_zero_concluded: bool
-    degree: DegreeResult | None  # cross-check, only run when hypothesis holds
+    degree: DegreeResult | None  # cross-check, only when hypothesis holds
     consistent: bool             # hypothesis implies degree 0
 
     @property
@@ -288,27 +282,31 @@ def foliation_obstruction_report(
 ) -> FoliationReport:
     """Sample the field's tangential derivative matrix over a grid.
 
-    At each sample point the integrability defect (max-entry norm of
-    a - a^T) and the numerical rank of a are computed; ranks count
-    singular values above RANK_REL_TOL times the largest, with rank 0
-    when all fall below RANK_ABS_TOL absolutely.  When the hypothesis
-    holds, the degree is cross-checked on the same grid.
+    One pass over the grid evaluates the shape data once per sample.  At
+    each sample the integrability defect (max-entry norm of a - a^T) and
+    the numerical rank of a are peaks, reduced to their maxima; ranks
+    count singular values above RANK_REL_TOL times the largest, with rank
+    0 when all fall below RANK_ABS_TOL absolutely.  The same pass
+    integrates det(h), the eta_0 that ``verify_integral_formula``
+    integrates, and when the hypothesis holds the cross-check degree is
+    read off that integral.
     """
     n = surface.n_intrinsic
 
-    def kernel(ci, pts, _weights):
-        a = shape_data_batch(surface, field, ci, pts).data.a
+    def func(ci, U):
+        batch = shape_data_batch(surface, field, ci, U)
+        a = batch.data.a
         defect = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
         sv = np.linalg.svd(a, compute_uv=False)
         smax = sv[..., 0]
         rank = np.sum(sv > RANK_REL_TOL * smax[..., None], axis=-1)
         rank = np.where(smax < RANK_ABS_TOL, 0, rank)
-        return np.array([np.max(defect), float(np.max(rank))])
+        return (_det(batch.data.h)[:, None], batch.volume_factor,
+                np.stack([defect, rank], axis=-1))
 
-    parts = _run_blocks(*_block_jobs(surface, grid, kernel), workers)
-    maxes = np.max(np.stack(parts, axis=0), axis=0)
-    max_defect = float(maxes[0])
-    max_rank = int(maxes[1])
+    (det_integral,), peaks = _integrate_vector(surface, func, grid, workers)
+    max_defect = float(peaks[0])
+    max_rank = int(peaks[1])
 
     integrable = max_defect < FOLIATION_DEFECT_TOL
     threshold = n - 2
@@ -317,7 +315,7 @@ def foliation_obstruction_report(
     deg = None
     consistent = True
     if hypothesis:
-        deg = gauss_degree(surface, grid, workers=workers)
+        deg = _degree_from_integral(det_integral, n)
         consistent = deg.rounded == 0
 
     return FoliationReport(

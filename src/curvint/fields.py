@@ -43,7 +43,7 @@ class TangentField:
 def _field_jacobian(field: TangentField, surface: ChartedHypersurface,
                     chart_index: int, U: np.ndarray) -> np.ndarray:
     if field.ambient_jacobian is not None:
-        return np.asarray(field.ambient_jacobian(chart_index, U), dtype=float)
+        return np.ascontiguousarray(field.ambient_jacobian(chart_index, U), dtype=float)
     chart = surface.charts[chart_index]
     fd = partial_stack(lambda V: np.asarray(field.ambient_value(chart_index, V)),
                        chart.lo, chart.hi)
@@ -105,7 +105,8 @@ def project_field_batch(
     U: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Raw field values, their normal component, tangential part and its norm."""
-    raw = np.asarray(field.ambient_value(chart_index, U), dtype=float)
+    # C order: einsum's summation order, and so the bits, follow the strides
+    raw = np.ascontiguousarray(field.ambient_value(chart_index, U), dtype=float)
     rn = np.einsum("xq,xq->x", raw, geo.normal)
     P = raw - rn[:, None] * geo.normal
     Pn = np.linalg.norm(P, axis=-1)

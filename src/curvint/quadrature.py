@@ -7,11 +7,14 @@ Grid nodes never touch the chart domain boundary, so coordinate
 degeneracies on the boundary are avoided.
 
 Point evaluations are independent and may be dispatched to a thread
-pool.  Work is split into fixed-size index blocks that do not depend on
-the worker count, each block is summed exactly (fsum), and block results
-are combined by a fixed-shape pairwise tree with compensated nodes.  The
-module guarantee is: same inputs give bit-identical results for any
-number of workers, with total summation error at the few-ulp level.
+pool.  Every pass over a grid runs one block kernel that returns values
+to integrate and per-point peaks.  Work is split into fixed-size index
+blocks that do not depend on the worker count; each block's values are
+summed exactly (fsum) and the block sums combined by a fixed-shape
+pairwise tree with compensated nodes, while peaks are reduced by max,
+which does not depend on order.  The module guarantee is: same inputs
+give bit-identical results for any number of workers, with total
+summation error at the few-ulp level.
 
 Each integration also runs its half-resolution companion grid; the
 difference is reported as the estimated error.
@@ -150,12 +153,15 @@ def _run_blocks(tasks, worker, workers):
     return [worker(t) for t in tasks]
 
 
-def _block_jobs(surface, grid, kernel):
-    """The ``(tasks, worker)`` pair of one pass over the grid, for _run_blocks.
+def _integrate_vector(surface, func, grid, workers):
+    """Sums and maxima of one pass over the grid.
 
-    A task is one fixed-size slice of a chart's flattened grid; the worker
-    calls ``kernel(ci, points, weights)`` on it and names the chart in any
-    evaluation error.
+    ``func(ci, U)`` returns the (B, m) values, the (B,) volume factor of
+    the geometry it evaluated and (B, j) peaks.  Values are weighted by
+    volume factor and quadrature weight, summed exactly per fixed-size
+    block and the blocks combined by a pairwise tree; peaks are reduced by
+    max.  Returns the (m,) sums and the (j,) maxima, whose bits do not
+    depend on the worker count.
     """
     _check_grid(surface, grid)
     tasks = [(ci, start) for ci, cg in enumerate(grid.charts)
@@ -165,32 +171,18 @@ def _block_jobs(surface, grid, kernel):
         ci, start = task
         cg = grid.charts[ci]
         try:
-            return kernel(ci, cg.points[start:start + BLOCK],
-                          cg.weights[start:start + BLOCK])
+            vals, volf, peaks = func(ci, cg.points[start:start + BLOCK])
         except CurvintError as exc:
             raise type(exc)(f"chart {ci}: {exc}") from exc
-
-    return tasks, worker
-
-
-def _integrate_vector(surface, func, grid, workers) -> np.ndarray:
-    """Sum values * volume_factor * weight over all grid points.
-
-    ``func(ci, U)`` returns the (B, m) values together with the (B,)
-    volume factor of the geometry it evaluated; result is (m,).  Blocks
-    are fixed-size slices of the flattened grid, combined by a pairwise
-    tree.
-    """
-    def kernel(ci, pts, w):
-        vals, volf = func(ci, pts)
         wf = surface.charts[ci].weight_fraction
-        terms = vals * (wf * w * volf)[:, None]
+        terms = vals * (wf * cg.weights[start:start + BLOCK] * volf)[:, None]
         # exactly rounded per-block partial: immune to term ordering
-        return np.array([math.fsum(terms[:, j].tolist())
-                         for j in range(terms.shape[1])])
+        sums = np.array([math.fsum(col.tolist()) for col in terms.T])
+        return sums, np.max(peaks, axis=0)
 
-    parts = _run_blocks(*_block_jobs(surface, grid, kernel), workers)
-    return np.atleast_1d(tree_reduce_compensated(parts))
+    parts = _run_blocks(tasks, worker, workers)
+    sums = np.atleast_1d(tree_reduce_compensated([s for s, _ in parts]))
+    return sums, np.max([p for _, p in parts], axis=0)
 
 
 def integrate(
@@ -220,10 +212,11 @@ def integrate(
     """
     def vec(ci, U):
         vals = np.asarray(integrand(ci, U), dtype=float)[:, None]
-        return vals, geometry_batch(surface, ci, U, second=False).volume_factor
+        geo = geometry_batch(surface, ci, U, second=False)
+        return vals, geo.volume_factor, np.empty((len(U), 0))
 
-    value = _integrate_vector(surface, vec, grid, workers)[0]
-    half = _integrate_vector(surface, vec, grid.half(surface), workers)[0]
+    (value,), _ = _integrate_vector(surface, vec, grid, workers)
+    (half,), _ = _integrate_vector(surface, vec, grid.half(surface), workers)
     return IntegralResult(
         value=float(value),
         nodes=grid.total_points,
@@ -250,10 +243,11 @@ def _eta_integrals(surface, field, grid, workers):
         batch = shape_data_batch(surface, field, ci, U)
         vals = eta_all(ColumnSystem.from_shape_data(batch.data)).values
         ones = np.ones((vals.shape[0], 1))
-        return np.concatenate([ones, vals], axis=1), batch.volume_factor
+        return (np.concatenate([ones, vals], axis=1), batch.volume_factor,
+                np.empty((vals.shape[0], 0)))
 
-    return (_integrate_vector(surface, func, grid, workers),
-            _integrate_vector(surface, func, grid.half(surface), workers))
+    return (_integrate_vector(surface, func, grid, workers)[0],
+            _integrate_vector(surface, func, grid.half(surface), workers)[0])
 
 
 def integrate_eta(

@@ -82,6 +82,12 @@ def test_one_geometry_evaluation_per_point(surfaces, geometry_points):
     geometry_points.clear()
     cv.gauss_degree(surface, grid)
     assert sum(geometry_points) == 8**3
+    geometry_points.clear()
+    surface = surfaces["revs1s2"]  # the hypothesis holds: the degree is checked
+    rep = cv.foliation_obstruction_report(surface, cv.get_field("theta", surface),
+                                          QuadratureGrid.build(surface, 12))
+    assert rep.degree is not None
+    assert sum(geometry_points) == 12**3
 
 
 def test_verify_reads_chart_partials_not_position(surfaces):
@@ -212,13 +218,15 @@ def test_foliation_revs1s2_totally_geodesic(surfaces):
     """a == 0 everywhere: hypothesis holds and the degree check passes."""
     surface = surfaces["revs1s2"]
     field = cv.get_field("theta", surface)
-    rep = cv.foliation_obstruction_report(surface, field,
-                                          QuadratureGrid.build(surface, 12))
+    grid = QuadratureGrid.build(surface, 12)
+    rep = cv.foliation_obstruction_report(surface, field, grid)
     assert rep.max_defect < 1e-12
     assert rep.max_rank == 0
     assert rep.hypothesis
     assert rep.degree_zero_concluded
     assert rep.degree is not None and rep.degree.rounded == 0
+    # det h over the samples against the frame-free shape determinant
+    assert abs(rep.degree.raw - cv.gauss_degree(surface, grid).raw) <= 1e-14
     assert rep.consistent
 
 

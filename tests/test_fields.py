@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import curvint as cv
 from curvint.fields import _pivoted_frame, shape_data_batch
 from curvint.manifold import GeometryBatch, geometry_batch
+from curvint.quadrature import BLOCK, QuadratureGrid
 from conftest import CATALOG_PAIRS, domain_samples
 
 N_SAMPLES = 100
@@ -200,6 +201,41 @@ def test_finite_difference_field_jacobian(surfaces, skey, fkey):
     approx = shape_data_batch(surface, fd_field, 0, U).data
     assert np.max(np.abs(exact.a - approx.a)) < 1e-6
     assert np.max(np.abs(exact.vvec - approx.vvec)) < 1e-6
+
+
+def _shape_data_arrays(batch):
+    """Every array of a ShapeDataBatch plus its eta values, flattened."""
+    d, f = batch.data, batch.frame
+    eta = cv.eta_all(cv.ColumnSystem.from_shape_data(d)).values
+    return [x.ravel() for x in (d.h, d.a, d.vvec, f.e, f.v, f.normal,
+                                batch.h_asymmetry, batch.dv_e_dot_v,
+                                batch.dv_v_dot_v, batch.volume_factor, eta)]
+
+
+def test_field_bits_do_not_depend_on_value_layout(surfaces):
+    """A field returning strided views gives the bits of one returning copies."""
+    surface = surfaces["tube-t3"]
+
+    def fiber(copy):
+        def value(ci, U):
+            x = surface.charts[ci].first_partials(U)[:, :, 1]
+            return x.copy() if copy else x
+
+        def jacobian(ci, U):
+            x = surface.charts[ci].second_partials(U)[:, :, :, 1]
+            return x.copy() if copy else x
+        return cv.TangentField(value, jacobian, key="fiber")
+
+    strided, contiguous = fiber(copy=False), fiber(copy=True)
+    assert not strided.ambient_value(0, domain_samples(surface, 4)).flags.c_contiguous
+    grid = QuadratureGrid.build(surface, 48)
+    for ci, cg in enumerate(grid.charts):
+        for start in range(0, len(cg.points), BLOCK):
+            U = cg.points[start:start + BLOCK]
+            got = _shape_data_arrays(shape_data_batch(surface, strided, ci, U))
+            want = _shape_data_arrays(shape_data_batch(surface, contiguous, ci, U))
+            for x, y in zip(got, want):
+                np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 @settings(max_examples=30, deadline=None)

@@ -87,7 +87,7 @@ def test_gauss_panels_split():
         assert abs(np.sum(rule.weights) - np.pi / 2) < 1e-12
 
 
-@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("workers", [1, 2, 4, 8])
 def test_worker_count_bitwise_invariance(surfaces, workers):
     surface = surfaces["ellipsoid3"]
     field = cv.get_field("hopf", surface)
@@ -97,6 +97,14 @@ def test_worker_count_bitwise_invariance(surfaces, workers):
     for k in base:
         assert res[k].value == base[k].value
         assert res[k].estimated_error == base[k].estimated_error
+    # block maxima: the foliation peaks over 4 blocks of a 24^3 grid
+    surface = surfaces["sphere3"]
+    field = cv.get_field("hopf", surface)
+    grid = QuadratureGrid.build(surface, 24)
+    base = cv.foliation_obstruction_report(surface, field, grid, workers=None)
+    res = cv.foliation_obstruction_report(surface, field, grid, workers=workers)
+    assert res.max_defect.hex() == base.max_defect.hex()
+    assert res.max_rank == base.max_rank
 
 
 def test_integrate_eta_sphere3(surfaces):
