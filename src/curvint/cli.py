@@ -19,6 +19,7 @@ always null.  Floats are printed with 17 significant digits.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -510,6 +511,7 @@ def cmd_foliation(args, config) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process: parse_args keeps no state on it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="curvint", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)

@@ -5,6 +5,9 @@ projected onto the tangent space and normalized.  Around a unit field v
 this module builds the adapted orthonormal frame {e_1, ..., e_n, v} (v is
 always placed last) and computes the frame components of the covariant
 derivative of v together with the second fundamental form in that frame.
+The integral passes need neither frame: ``chart_forms_batch`` gives the
+same two forms in the chart basis, whose determinants over det g are the
+frame ones.
 """
 
 from dataclasses import dataclass
@@ -249,6 +252,42 @@ def shape_data_batch(
         dv_v_dot_v=dv_v_dot_v,
         volume_factor=geo.volume_factor,
     )
+
+
+def chart_forms_batch(
+    surface: ChartedHypersurface,
+    field: TangentField,
+    chart_index: int,
+    U: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """h and the field derivative as chart-basis forms, frame-free.
+
+    Returns ``h[a, b] = h(F_a, F_b) = -<N, F_ab>``, ``D[a, b] = <d_a v,
+    F_b>``, det g and the volume factor at a batch of chart points, F_a
+    being the chart partials.  A bilinear form's determinant in an
+    orthonormal frame is its chart-basis determinant over det g, so
+    ``det(h + t D) / det g`` is ``sum_k eta_k t^k``.  D is p x p chart
+    algebra, with no normal derivative and no frame: by the Weingarten
+    equation ``K = <d_a P, F_b>`` is ``(d raw)^T J + <raw, N> L`` for the
+    tangential part P of the raw field; with ``s = J^T raw``, ``w = g^-1 s
+    / |P|`` are the chart coordinates of v = P / |P| and ``D = (K - (K w)
+    s^T / |P|) / |P|``.  The field and geometry checks are those of
+    ``shape_data_batch``: Euler characteristic, ``DegenerateImmersion``
+    and ``VanishingField``, each naming the point.
+    """
+    _check_field_allowed(surface)
+    U = np.asarray(U, dtype=float)
+    geo = geometry_batch(surface, chart_index, U, second=True)
+    raw, rn, _, Pn = project_field_batch(field, geo, chart_index, U)
+    rawJ = _field_jacobian(field, surface, chart_index, U)
+
+    L = geo.second_form
+    K = np.swapaxes(geo.tangents @ rawJ, -1, -2) + rn[:, None, None] * L
+    s = geo.tangents @ raw[:, :, None]                # (B, p, 1), J^T raw
+    Kw = K @ (geo.metric_inv @ s) / (Pn * Pn)[:, None, None]  # K w / |P|
+    D = (K - Kw * np.swapaxes(s, -1, -2)) / Pn[:, None, None]
+    vf = geo.volume_factor
+    return -L, D, vf * vf, vf
 
 
 def shape_data(

@@ -131,6 +131,7 @@ class PointGeometry:
 
 class GeometryBatch(NamedTuple):
     jacobian: np.ndarray       # (B, q, p)
+    tangents: np.ndarray       # (B, p, q), C-contiguous transpose of jacobian
     metric: np.ndarray         # (B, p, p)
     metric_inv: np.ndarray     # (B, p, p)
     volume_factor: np.ndarray  # (B,)
@@ -244,7 +245,8 @@ def geometry_batch(
     sgn = float(surface.orientation_sign)
 
     J = np.asarray(chart.first_partials(U), dtype=float)
-    tangents = np.swapaxes(J, -1, -2)  # (B, p, q)
+    # a strided transpose sends matmul down its slow loop; the bits are the same
+    tangents = np.ascontiguousarray(np.swapaxes(J, -1, -2))  # (B, p, q)
 
     G = generalized_cross(tangents)  # (B, q)
     Gnorm = np.linalg.norm(G, axis=-1)
@@ -265,7 +267,7 @@ def geometry_batch(
         H2 = np.asarray(chart.second_partials(U), dtype=float)
         L = np.einsum("xq,xqab->xab", normal, H2)
 
-    return GeometryBatch(J, g, metric_inv, volume_factor, normal, L)
+    return GeometryBatch(J, tangents, g, metric_inv, volume_factor, normal, L)
 
 
 def tangent_coefficients(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:

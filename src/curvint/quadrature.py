@@ -28,7 +28,8 @@ import numpy as np
 
 from ._reduction import tree_reduce_compensated
 from .errors import CurvintError
-from .fields import TangentField, shape_data_batch
+from .fields import TangentField, chart_forms_batch
+from .fields import shape_data_batch  # noqa: F401  perfbench's tracer wraps it here
 from .invariants import ColumnSystem, eta_all
 from .manifold import ChartedHypersurface, geometry_batch
 
@@ -147,7 +148,8 @@ def _check_grid(surface: ChartedHypersurface, grid: QuadratureGrid):
 
 
 def _run_blocks(tasks, worker, workers):
-    if workers is not None and workers > 1:
+    # one task gains nothing from a pool and would pay for starting it
+    if workers is not None and workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(worker, tasks))
     return [worker(t) for t in tasks]
@@ -237,13 +239,14 @@ def _select_ks(n: int, k) -> list[int]:
 def _eta_integrals(surface, field, grid, workers):
     """Full- and half-grid integrals of (1, eta_0, ..., eta_n).
 
-    Column 0 is the surface volume, column 1 + k the eta_k integral.
+    Column 0 is the surface volume, column 1 + k the eta_k integral.  The
+    eta_k come from the chart-basis forms, with no adapted frame.
     """
     def func(ci, U):
-        batch = shape_data_batch(surface, field, ci, U)
-        vals = eta_all(ColumnSystem.from_shape_data(batch.data)).values
+        h, dv, det_g, volume_factor = chart_forms_batch(surface, field, ci, U)
+        vals = eta_all(ColumnSystem(H=h, V=dv)).values / det_g[:, None]
         ones = np.ones((vals.shape[0], 1))
-        return (np.concatenate([ones, vals], axis=1), batch.volume_factor,
+        return (np.concatenate([ones, vals], axis=1), volume_factor,
                 np.empty((vals.shape[0], 0)))
 
     return (_integrate_vector(surface, func, grid, workers)[0],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,12 @@ def domain_samples(surface, count, seed=None, margin=0.05):
     lo_eff = np.where(per, lo, lo + margin * (hi - lo))
     hi_eff = np.where(per, hi, hi - margin * (hi - lo))
     return lo_eff + t * (hi_eff - lo_eff)
+
+
+def without_second_partials(surface):
+    """The surface with its charts rebuilt without analytic second partials."""
+    return dataclasses.replace(surface, charts=tuple(
+        dataclasses.replace(ch, second_partials=None) for ch in surface.charts))
 
 
 @pytest.fixture(scope="session")

@@ -90,6 +90,25 @@ def test_one_geometry_evaluation_per_point(surfaces, geometry_points):
     assert sum(geometry_points) == 12**3
 
 
+def test_verify_builds_no_adapted_frame(surfaces, monkeypatch):
+    """The eta passes take chart-basis forms; only the foliation needs a frame."""
+    original = curvint.fields._pivoted_frame
+    framed = []
+
+    def counting(geo, v, U):
+        framed.append(len(U))
+        return original(geo, v, U)
+
+    monkeypatch.setattr(curvint.fields, "_pivoted_frame", counting)
+    surface = surfaces["sphere3"]
+    field = cv.get_field("hopf", surface)
+    grid = QuadratureGrid.build(surface, 8)
+    cv.verify_integral_formula(surface, field, grid)
+    assert framed == []
+    cv.foliation_obstruction_report(surface, field, grid)
+    assert sum(framed) == 8**3
+
+
 def test_verify_reads_chart_partials_not_position(surfaces):
     """Geometry and field each read J and d2F once per point; nothing reads F."""
     base = surfaces["sphere3"]

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvint as cv
-from curvint.fields import _pivoted_frame, shape_data_batch
+from curvint.fields import _pivoted_frame, chart_forms_batch, shape_data_batch
 from curvint.manifold import GeometryBatch, geometry_batch
 from curvint.quadrature import BLOCK, QuadratureGrid
-from conftest import CATALOG_PAIRS, domain_samples
+from conftest import CATALOG_PAIRS, domain_samples, without_second_partials
 
 N_SAMPLES = 100
 
@@ -130,7 +130,7 @@ def test_pivoted_frame_rank_loss_names_the_point():
     v = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     J = np.swapaxes(tangents, 1, 2)
     geo = GeometryBatch(
-        jacobian=J, metric=tangents @ J,
+        jacobian=J, tangents=tangents, metric=tangents @ J,
         metric_inv=np.full((2, 3, 3), np.nan),  # the metric is singular at point 1
         volume_factor=np.zeros(2), normal=np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)),
         second_form=None,
@@ -190,26 +190,78 @@ def test_shape_data_invariants(surfaces, skey, fkey):
     assert np.max(batch.h_asymmetry) < 1e-8
 
 
+def chart_eta(surface, field, chart_index, U):
+    """eta_k as the integral passes compute them: chart forms, no frame."""
+    h, dv, det_g, _ = chart_forms_batch(surface, field, chart_index, U)
+    return cv.eta_all(cv.ColumnSystem(H=h, V=dv)).values / det_g[:, None]
+
+
+def frame_eta(surface, field, chart_index, U):
+    """eta_k of the reference route: adapted frame, then h, a and vvec."""
+    batch = shape_data_batch(surface, field, chart_index, U)
+    return cv.eta_all(cv.ColumnSystem.from_shape_data(batch.data)).values
+
+
+def grid_blocks(grid):
+    """(chart index, points) of every integration block of a grid."""
+    for ci, cg in enumerate(grid.charts):
+        for start in range(0, len(cg.points), BLOCK):
+            yield ci, cg.points[start:start + BLOCK]
+
+
 @pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
-def test_finite_difference_field_jacobian(surfaces, skey, fkey):
-    """Dropping the analytic jacobian reproduces a and vvec within 1e-6."""
+def test_chart_forms_match_frame_reference(surfaces, skey, fkey):
+    """The frame-free eta agrees with the adapted-frame route on every block
+    of the 48^k grid (128^2 for torus2), within 1e-13 * max(1, |eta|)."""
     surface = surfaces[skey]
     field = cv.get_field(fkey, surface)
+    grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 48)
+    for ci, U in grid_blocks(grid):
+        want = frame_eta(surface, field, ci, U)
+        got = chart_eta(surface, field, ci, U)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_chart_forms_exact_near_collapsed_hopf_circles(surfaces):
+    """eta = (1, 0, 1) on the unit sphere also where a chart circle collapses."""
+    surface = surfaces["sphere3"]
+    field = cv.get_field("hopf", surface)
+    for t in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        U = np.array([[t, 0.3, 1.1], [np.pi / 2 - t, 2.0, 4.0]])
+        np.testing.assert_allclose(chart_eta(surface, field, 0, U),
+                                   [[1.0, 0.0, 1.0]] * 2, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("skey,fkey", [*CATALOG_PAIRS, ("torus2-fd", "theta")])
+def test_finite_difference_field_jacobian(surfaces, skey, fkey):
+    """Dropping the analytic jacobian reproduces a, vvec and eta within 1e-6.
+
+    torus2-fd also drops the chart's second partials; eta comes from the
+    frame-free chart forms and is compared with the analytic frame route.
+    """
+    surface = surfaces[skey.removesuffix("-fd")]
+    field = cv.get_field(fkey, surface)
+    fd_surface = without_second_partials(surface) if skey.endswith("-fd") else surface
     fd_field = cv.TangentField(ambient_value=field.ambient_value, key=field.key)
     U = domain_samples(surface, 10)
     exact = shape_data_batch(surface, field, 0, U).data
-    approx = shape_data_batch(surface, fd_field, 0, U).data
+    approx = shape_data_batch(fd_surface, fd_field, 0, U).data
     assert np.max(np.abs(exact.a - approx.a)) < 1e-6
     assert np.max(np.abs(exact.vvec - approx.vvec)) < 1e-6
+    eta = frame_eta(surface, field, 0, U)
+    assert np.max(np.abs(chart_eta(fd_surface, fd_field, 0, U) - eta)) < 1e-6
 
 
-def _shape_data_arrays(batch):
-    """Every array of a ShapeDataBatch plus its eta values, flattened."""
+def _field_arrays(surface, field, ci, U):
+    """Every array of a ShapeDataBatch, of the chart forms and both etas."""
+    batch = shape_data_batch(surface, field, ci, U)
     d, f = batch.data, batch.frame
     eta = cv.eta_all(cv.ColumnSystem.from_shape_data(d)).values
     return [x.ravel() for x in (d.h, d.a, d.vvec, f.e, f.v, f.normal,
                                 batch.h_asymmetry, batch.dv_e_dot_v,
-                                batch.dv_v_dot_v, batch.volume_factor, eta)]
+                                batch.dv_v_dot_v, batch.volume_factor, eta,
+                                *chart_forms_batch(surface, field, ci, U),
+                                chart_eta(surface, field, ci, U))]
 
 
 def test_field_bits_do_not_depend_on_value_layout(surfaces):
@@ -228,14 +280,11 @@ def test_field_bits_do_not_depend_on_value_layout(surfaces):
 
     strided, contiguous = fiber(copy=False), fiber(copy=True)
     assert not strided.ambient_value(0, domain_samples(surface, 4)).flags.c_contiguous
-    grid = QuadratureGrid.build(surface, 48)
-    for ci, cg in enumerate(grid.charts):
-        for start in range(0, len(cg.points), BLOCK):
-            U = cg.points[start:start + BLOCK]
-            got = _shape_data_arrays(shape_data_batch(surface, strided, ci, U))
-            want = _shape_data_arrays(shape_data_batch(surface, contiguous, ci, U))
-            for x, y in zip(got, want):
-                np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
+    for ci, U in grid_blocks(QuadratureGrid.build(surface, 48)):
+        got = _field_arrays(surface, strided, ci, U)
+        want = _field_arrays(surface, contiguous, ci, U)
+        for x, y in zip(got, want):
+            np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 @settings(max_examples=30, deadline=None)

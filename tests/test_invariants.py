@@ -15,12 +15,15 @@ def assert_close_to_lapack(value, H):
     assert abs(value - np.linalg.det(H)) <= 1e-14 * np.prod(np.linalg.norm(H, axis=0))
 
 
-def random_system(rng, n):
-    """Random column data: symmetric H, free V, entries uniform in [-1, 1]."""
+def random_system(rng, n, chart=False):
+    """Random column data: symmetric H, free V, entries uniform in [-1, 1].
+
+    V has n columns (frame form), or p = n + 1 with ``chart``.
+    """
     p = n + 1
     h = rng.uniform(-1.0, 1.0, (p, p))
     h = 0.5 * (h + h.T)
-    V = rng.uniform(-1.0, 1.0, (p, n))
+    V = rng.uniform(-1.0, 1.0, (p, p if chart else n))
     return cv.ColumnSystem(H=h, V=V)
 
 
@@ -94,6 +97,8 @@ def test_tilt_jacobian_t0_gives_eta0():
     cols = random_system(rng, 2)
     _, det = cv.tilt_jacobian(cols, 0.0)
     assert det == pytest.approx(cv.eta(0, cols), rel=1e-14)
+    with pytest.raises(ValueError, match="frame-form"):
+        cv.tilt_jacobian(random_system(rng, 2, chart=True), 0.0)
 
 
 def test_tilt_jacobian_hopf_t1():
@@ -129,23 +134,32 @@ def test_eta_multilinear_scaling(seed, n):
 
 
 def interpolated_eta(cols):
-    """Independent oracle: polynomial interpolation of det/sqrt(1+t^2)."""
-    n = cols.n
-    ts = 0.25 + 0.5 * np.arange(n + 1)
-    samples = [cv.tilt_jacobian(cols, t)[1] / np.sqrt(1.0 + t * t) for t in ts]
+    """Independent oracle: polynomial interpolation of the tilt determinant.
+
+    Frame form samples det/sqrt(1+t^2) of ``tilt_jacobian``, a polynomial
+    of degree n.  Chart form samples LAPACK's det(H + t V), of degree p;
+    its t^p coefficient, det V, is not an eta and is dropped.
+    """
+    n, m = cols.n, cols.V.shape[-1]
+    ts = 0.25 + 0.5 * np.arange(m + 1)
+    if m == n:
+        samples = [cv.tilt_jacobian(cols, t)[1] / np.sqrt(1.0 + t * t) for t in ts]
+    else:
+        samples = [np.linalg.det(cols.H + t * cols.V) for t in ts]
     # solve the Vandermonde system for the coefficients
-    Vm = np.vander(ts, n + 1, increasing=True)
-    return np.linalg.solve(Vm, np.array(samples))
+    Vm = np.vander(ts, m + 1, increasing=True)
+    return np.linalg.solve(Vm, np.array(samples))[:n + 1]
 
 
 def test_eta_against_interpolation_oracle():
-    rng = np.random.default_rng(6)
-    for n in (1, 2, 3, 4):
-        for _ in range(20):
-            cols = random_system(rng, n)
-            np.testing.assert_allclose(cv.eta_all(cols).values,
-                                       interpolated_eta(cols),
-                                       atol=1e-9, rtol=1e-9)
+    for chart in (False, True):
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 3, 4):
+            for _ in range(20):
+                cols = random_system(rng, n, chart)
+                np.testing.assert_allclose(cv.eta_all(cols).values,
+                                           interpolated_eta(cols),
+                                           atol=1e-9, rtol=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -154,8 +168,10 @@ def test_eta_batched_matches_single(n):
     p, B = n + 1, 17
     H = rng.uniform(-1, 1, (B, p, p))
     H = 0.5 * (H + np.swapaxes(H, 1, 2))
-    V = rng.uniform(-1, 1, (B, p, n))
-    batch = cv.eta_all(cv.ColumnSystem(H=H, V=V)).values
-    for i in range(B):
-        single = cv.eta_all(cv.ColumnSystem(H=H[i], V=V[i])).values
-        assert np.array_equal(batch[i], single)
+    for m in (n, p):  # frame form, then chart form
+        V = rng.uniform(-1, 1, (B, p, m))
+        batch = cv.eta_all(cv.ColumnSystem(H=H, V=V)).values
+        assert batch.shape == (B, n + 1)
+        for i in range(B):
+            single = cv.eta_all(cv.ColumnSystem(H=H[i], V=V[i])).values
+            assert np.array_equal(batch[i], single)

@@ -5,7 +5,7 @@ import pytest
 
 import curvint as cv
 from curvint.manifold import _det, _inverse, generalized_cross, geometry_batch
-from conftest import domain_samples
+from conftest import domain_samples, without_second_partials
 
 N_SAMPLES = 100
 
@@ -301,7 +301,7 @@ def test_analytic_second_partials_match_finite_differences(surfaces, name):
 
 def test_finite_difference_chart_shape_operator(surfaces):
     """A chart built without analytic second partials stays accurate."""
-    fd_surface = _fd_only_torus2(surfaces)
+    fd_surface = without_second_partials(surfaces["torus2"])
     u = domain_samples(surfaces["torus2"], 1, seed=5)[0]
     frame = _orthonormal_chart_frame(fd_surface, 0, u)
     h_fd = cv.shape_operator(fd_surface, 0, u, frame)
@@ -309,19 +309,12 @@ def test_finite_difference_chart_shape_operator(surfaces):
     np.testing.assert_allclose(h_fd, h, atol=1e-6)
 
 
-def _fd_only_torus2(surfaces):
-    """torus2 rebuilt without analytic second partials."""
-    base = surfaces["torus2"].charts[0]
-    chart = cv.Chart(lo=base.lo, hi=base.hi, periodic=base.periodic,
-                     position=base.position, first_partials=base.first_partials)
-    return cv.ChartedHypersurface(n_intrinsic=1, charts=(chart,))
-
-
 @pytest.mark.parametrize("name", [*cv.surface_names(), "torus2-fd"])
 def test_dnormal_matches_finite_difference_of_unit_normal(surfaces, name):
     """Independent route: differentiate unit_normal, which uses first partials only."""
     sample_surface = surfaces[name.removesuffix("-fd")]
-    surface = _fd_only_torus2(surfaces) if name == "torus2-fd" else sample_surface
+    surface = (without_second_partials(sample_surface) if name.endswith("-fd")
+               else sample_surface)
     chart = surface.charts[0]
     U = domain_samples(sample_surface, 20, seed=6)
     geo = geometry_batch(surface, 0, U, second=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import curvint as cv
+import curvint.quadrature
 from curvint.quadrature import QuadratureGrid
 
 
@@ -167,3 +168,34 @@ def test_error_carries_chart_point(surfaces):
     surface = surfaces["torus2"]
     with pytest.raises(cv.DegenerateImmersion, match="chart 0"):
         cv.integrate(surface, bad, QuadratureGrid.build(surface, 8))
+
+
+def test_one_block_pass_starts_no_pool(surfaces, monkeypatch):
+    """A pass with one block runs inline, whatever the worker count."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool started for a one-block pass")
+
+    monkeypatch.setattr(curvint.quadrature, "ThreadPoolExecutor", no_pool)
+    surface = surfaces["torus2"]
+    grid = QuadratureGrid.build(surface, 16)  # 256 points: one block
+
+    def func(ci, U):
+        return np.ones((len(U), 1)), np.ones(len(U)), np.zeros((len(U), 1))
+
+    (total,), _ = curvint.quadrature._integrate_vector(surface, func, grid, 4)
+    assert total == pytest.approx(4.0 * np.pi**2, rel=1e-14)
+
+
+def test_vanishing_user_field_names_chart_and_point(surfaces):
+    """A field that vanishes at a grid node stops integrate_eta there."""
+    surface = surfaces["torus2"]
+    grid = QuadratureGrid.build(surface, 8)
+    theta0 = grid.charts[0].rules[0].nodes[0]
+
+    def value(ci, U):
+        # the theta direction scaled by theta - theta0: zero on a node row
+        return surface.charts[ci].first_partials(U)[:, :, 0] * (U[:, :1] - theta0)
+
+    field = cv.TangentField(ambient_value=value, key="pinched")
+    with pytest.raises(cv.VanishingField, match=r"^chart 0: .* at u=\[[^]]+\]$"):
+        cv.integrate_eta(surface, field, grid)
