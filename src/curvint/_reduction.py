@@ -1,11 +1,71 @@
 """Deterministic summation helpers.
 
-Results must not depend on how work was scheduled, so partial results
+Results must not depend on how work was scheduled.  Each block's values
+are summed exactly rounded by ``exact_row_sums``, and the partial results
 from parallel blocks are combined by a pairwise tree whose layout depends
 only on the number of blocks.
 """
 
+import math
+
 import numpy as np
+
+_MIN_NORMAL = 2.0 ** -1022
+# ceil(log2(B+1)) bits of headroom per round; two of them must fit in a
+# float64 significand for the subnormal remainders to sum exactly
+_MAX_HEADROOM = 26
+
+
+def _fsum_rows(x):
+    return np.array([math.fsum(row.tolist()) for row in x])
+
+
+def exact_row_sums(x: np.ndarray) -> np.ndarray:
+    """Exactly rounded sum of each row of a C-contiguous (m, B) array.
+
+    Error-free vector extraction (Rump, Ogita & Oishi, "Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008,
+    ExtractVector): with ``sigma = 2^(e + M)``, ``2^e > max|r|`` and ``2^M >
+    B + 1``, ``q = (r + sigma) - sigma`` splits every remainder exactly into
+    multiples of ``eps * sigma`` whose plain sum is exact, and ``r - q``
+    keeps about 53 - M fewer bits of range.  Rows whose remainders are all
+    below ``2^(-1021 - M)`` (subnormal multiples of the smallest step) sum
+    exactly as they are.  Each row's few exact round sums are then given to
+    ``math.fsum``; an exactly rounded sum is unique, so the bits are those
+    of ``math.fsum`` over the row, signed zeros included.
+
+    Falls back to ``math.fsum`` over the raw rows when a value is not
+    finite, when ``sigma`` would overflow or when B is too large for the
+    headroom; the fallback keeps fsum's values and exceptions.
+    """
+    m, B = x.shape
+    M = (B + 1).bit_length()
+    if M > _MAX_HEADROOM:
+        return _fsum_rows(x)
+    tiny = 2.0 ** (-1021 - M)
+    r = x.copy()
+    parts = [[] for _ in range(m)]
+    while True:
+        peak = np.max(np.abs(r), axis=1)
+        if not np.isfinite(peak).all():
+            return _fsum_rows(x)
+        live = np.flatnonzero(peak)
+        if live.size == 0:
+            break
+        _, e = np.frexp(np.maximum(peak, _MIN_NORMAL))
+        if e.max() + M > 1023:
+            return _fsum_rows(x)
+        # sigma = 0 takes a row of tiny remainders whole: q = r
+        sigma = np.where(peak > tiny, np.ldexp(1.0, e + M), 0.0)[:, None]
+        q = r + sigma
+        q -= sigma
+        r -= q
+        sums = q.sum(axis=1)
+        for i in live:
+            parts[i].append(sums[i])
+    # a row of zeros sums to -0.0 only when every entry is -0.0, as numpy's sum does
+    return np.array([math.fsum(p if p else [x[i].sum()])
+                     for i, p in enumerate(parts)])
 
 
 def _two_sum(a, b):

@@ -14,9 +14,10 @@ Surfaces:
     tube-t3     T^3 in R^4, radius-0.3 tube around torus2 (n = 2)
     revs1s2     S^1 x S^2 of revolution in R^4, R=2, r=1  (n = 2)
 
-Fields are constant-coefficient chart-coordinate fields sum_a c_a dF/du_a,
-so their value is first_partials(U) @ c and their jacobian is
-second_partials(U) @ c; each catalog entry lists the coefficients c:
+Fields are constant-coefficient chart-coordinate fields sum_a c_a dF/du_a
+(``fields.coordinate_field``), so their value is first_partials(U) @ c and
+their jacobian is second_partials(U) @ c, which the grid passes read off
+the block's geometry; each catalog entry lists the coefficients c:
     hopf    d/dx1 + d/dx2 in Hopf coordinates: the unit Killing field
             (-x2, x1, -x4, x3) on sphere3 and its pushforward on ellipsoid3
     theta   first-coordinate circle direction (torus2, revs1s2)
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import TangentField
+from .fields import TangentField, coordinate_field
 from .manifold import Chart, ChartedHypersurface, SurfaceMetadata
 
 TWO_PI = 2.0 * np.pi
@@ -328,29 +329,6 @@ def field_names(surface_key: str) -> tuple[str, ...]:
     return tuple(surface_entry(surface_key).fields)
 
 
-def _dot_last(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """A @ c over the last axis as one matrix-vector product.
-
-    A stacked ``A @ c`` runs one small product per matrix and is about an
-    order of magnitude slower on a block.
-    """
-    return (A.reshape(-1, A.shape[-1]) @ c).reshape(A.shape[:-1])
-
-
-def _coordinate_field(key: str, surface: ChartedHypersurface, c) -> TangentField:
-    """The field sum_a c_a dF/du_a for constant chart-coordinate coefficients c."""
-    charts = surface.charts
-    c = np.asarray(c, dtype=float)
-
-    def value(ci, U):
-        return _dot_last(charts[ci].first_partials(U), c)
-
-    def jacobian(ci, U):
-        return _dot_last(charts[ci].second_partials(U), c)
-
-    return TangentField(ambient_value=value, ambient_jacobian=jacobian, key=key)
-
-
 def get_field(key: str, surface: ChartedHypersurface) -> TangentField:
     """Catalog field by identifier, bound to a catalog surface."""
     skey = surface.metadata.key
@@ -360,4 +338,4 @@ def get_field(key: str, surface: ChartedHypersurface) -> TangentField:
             f"field {key!r} not available on surface {skey!r}; "
             f"known: {', '.join(fields)}"
         )
-    return _coordinate_field(key, surface, fields[key])
+    return coordinate_field(surface, fields[key], key=key)

@@ -7,7 +7,8 @@ always placed last) and computes the frame components of the covariant
 derivative of v together with the second fundamental form in that frame.
 The integral passes need neither frame: ``chart_forms_batch`` gives the
 same two forms in the chart basis, whose determinants over det g are the
-frame ones.
+frame ones.  Every pass evaluates a field through ``field_batch``, which
+reads a coordinate field off the block's chart partials.
 """
 
 from dataclasses import dataclass
@@ -36,21 +37,83 @@ class TangentField:
     derivatives (B, q, p).  Without the jacobian, central finite
     differences with one Richardson level are used.  Raw values may be
     mildly non-tangent (up to ~1e-6); projection enforces exact tangency.
+
+    ``coefficients`` marks a chart-coordinate field ``sum_a c_a dF/du_a``
+    (build one with ``coordinate_field``): the passes then read ``J @ c``
+    and ``d2F @ c`` off the block's geometry and never call the two
+    callables, which must describe the same field.
     """
 
     ambient_value: Callable[[int, np.ndarray], np.ndarray]
     ambient_jacobian: Callable[[int, np.ndarray], np.ndarray] | None = None
     key: str = ""
+    coefficients: tuple[float, ...] | None = None
 
 
-def _field_jacobian(field: TangentField, surface: ChartedHypersurface,
-                    chart_index: int, U: np.ndarray) -> np.ndarray:
+def _dot_last(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """A @ c over the last axis as one matrix-vector product.
+
+    A stacked ``A @ c`` runs one small product per matrix and is about an
+    order of magnitude slower on a block.
+    """
+    return (A.reshape(-1, A.shape[-1]) @ c).reshape(A.shape[:-1])
+
+
+def coordinate_field(surface: ChartedHypersurface, c, key: str = "") -> TangentField:
+    """The field sum_a c_a dF/du_a for constant chart-coordinate coefficients c.
+
+    Its value is ``first_partials(U) @ c`` and its jacobian
+    ``second_partials(U) @ c``.  Raises ValueError unless c holds one
+    coefficient per chart coordinate.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.shape != (surface.dim,):
+        raise ValueError(
+            f"coordinate field needs {surface.dim} coefficients, got shape {c.shape}")
+    charts = surface.charts
+
+    def value(ci, U):
+        return _dot_last(charts[ci].first_partials(U), c)
+
+    def jacobian(ci, U):
+        return _dot_last(charts[ci].second_partials(U), c)
+
+    return TangentField(ambient_value=value, ambient_jacobian=jacobian, key=key,
+                        coefficients=tuple(c.tolist()))
+
+
+def field_batch(
+    field: TangentField,
+    surface: ChartedHypersurface,
+    geo: GeometryBatch,
+    chart_index: int,
+    U: np.ndarray,
+    jacobian: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Raw field values (B, q) and their parameter derivatives (B, q, p).
+
+    The one place a pass evaluates a field.  A coordinate field is read off
+    the block's chart partials (its derivative needs ``second=True``
+    geometry); any other field calls ``ambient_value`` and
+    ``ambient_jacobian`` once each, or takes finite differences of the value
+    when it has no jacobian.  Both come back C-contiguous: einsum's
+    summation order, and so the bits, follow the strides.  The derivative
+    is None when ``jacobian`` is False.
+    """
+    if field.coefficients is not None:
+        c = np.asarray(field.coefficients, dtype=float)
+        dv = _dot_last(geo.second_partials, c) if jacobian else None
+        return _dot_last(geo.jacobian, c), dv
+    raw = np.ascontiguousarray(field.ambient_value(chart_index, U), dtype=float)
+    if not jacobian:
+        return raw, None
     if field.ambient_jacobian is not None:
-        return np.ascontiguousarray(field.ambient_jacobian(chart_index, U), dtype=float)
+        return raw, np.ascontiguousarray(field.ambient_jacobian(chart_index, U),
+                                         dtype=float)
     chart = surface.charts[chart_index]
     fd = partial_stack(lambda V: np.asarray(field.ambient_value(chart_index, V)),
                        chart.lo, chart.hi)
-    return fd(U)
+    return raw, fd(U)
 
 
 @dataclass(frozen=True)
@@ -102,14 +165,9 @@ def _check_field_allowed(surface: ChartedHypersurface):
 
 
 def project_field_batch(
-    field: TangentField,
-    geo: GeometryBatch,
-    chart_index: int,
-    U: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Raw field values, their normal component, tangential part and its norm."""
-    # C order: einsum's summation order, and so the bits, follow the strides
-    raw = np.ascontiguousarray(field.ambient_value(chart_index, U), dtype=float)
+    raw: np.ndarray, geo: GeometryBatch, U: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normal component, tangential part and its norm of raw field values."""
     rn = np.einsum("xq,xq->x", raw, geo.normal)
     P = raw - rn[:, None] * geo.normal
     Pn = np.linalg.norm(P, axis=-1)
@@ -118,7 +176,7 @@ def project_field_batch(
         raise VanishingField(
             f"tangential part of field vanishes at u={np.asarray(U)[idx].tolist()}"
         )
-    return raw, rn, P, Pn
+    return rn, P, Pn
 
 
 def normalize_and_project(
@@ -128,7 +186,8 @@ def normalize_and_project(
     _check_field_allowed(surface)
     U, single = manifold._as_batch(u)
     geo = geometry_batch(surface, chart_index, U, second=False)
-    _, _, P, Pn = project_field_batch(field, geo, chart_index, U)
+    raw, _ = field_batch(field, surface, geo, chart_index, U, jacobian=False)
+    _, P, Pn = project_field_batch(raw, geo, U)
     v = P / Pn[:, None]
     return v[0] if single else v
 
@@ -216,10 +275,10 @@ def shape_data_batch(
     geo = geometry_batch(surface, chart_index, U, second=True)
     n = surface.n_intrinsic
 
-    raw, rn, P, Pn = project_field_batch(field, geo, chart_index, U)
+    raw, rawJ = field_batch(field, surface, geo, chart_index, U)
+    rn, P, Pn = project_field_batch(raw, geo, U)
     v = P / Pn[:, None]
 
-    rawJ = _field_jacobian(field, surface, chart_index, U)
     draw = np.swapaxes(rawJ, -1, -2)               # (B, p, q)
     N = geo.normal
     dN = geo.dnormal
@@ -278,8 +337,8 @@ def chart_forms_batch(
     _check_field_allowed(surface)
     U = np.asarray(U, dtype=float)
     geo = geometry_batch(surface, chart_index, U, second=True)
-    raw, rn, _, Pn = project_field_batch(field, geo, chart_index, U)
-    rawJ = _field_jacobian(field, surface, chart_index, U)
+    raw, rawJ = field_batch(field, surface, geo, chart_index, U)
+    rn, _, Pn = project_field_batch(raw, geo, U)
 
     L = geo.second_form
     K = np.swapaxes(geo.tangents @ rawJ, -1, -2) + rn[:, None, None] * L

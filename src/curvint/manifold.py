@@ -130,6 +130,14 @@ class PointGeometry:
 
 
 class GeometryBatch(NamedTuple):
+    """Chart geometry of one block, from one evaluation of the chart partials.
+
+    ``jacobian`` and ``second_partials`` are the arrays the chart returned,
+    so a field built from chart partials reads them instead of calling the
+    chart again; ``second_partials`` and ``second_form`` are None when the
+    block was evaluated with ``second=False``.
+    """
+
     jacobian: np.ndarray       # (B, q, p)
     tangents: np.ndarray       # (B, p, q), C-contiguous transpose of jacobian
     metric: np.ndarray         # (B, p, p)
@@ -137,6 +145,7 @@ class GeometryBatch(NamedTuple):
     volume_factor: np.ndarray  # (B,)
     normal: np.ndarray         # (B, q)
     second_form: np.ndarray | None  # (B, p, p), <N, d2F/du_a du_b>
+    second_partials: np.ndarray | None = None  # (B, q, p, p), d2F/du_a du_b
 
     @property
     def dnormal(self) -> np.ndarray | None:
@@ -234,8 +243,9 @@ def geometry_batch(
 ) -> GeometryBatch:
     """Evaluate chart geometry at a batch of parameter points.
 
-    Only the chart partials are evaluated, not the position.  With
-    ``second=True`` the second partials are contracted with the normal into
+    Only the chart partials are evaluated, not the position, each once.
+    With ``second=True`` the second partials are kept as
+    ``second_partials`` and contracted with the normal into
     ``second_form``, from which ``GeometryBatch.dnormal`` gives the
     derivative of the unit normal.  The metric inverse is formed once per
     batch, after the degeneracy check.
@@ -262,12 +272,12 @@ def geometry_batch(
     volume_factor = np.sqrt(det_g)
     metric_inv = _inverse(g, det_g)
 
-    L = None
+    L = H2 = None
     if second:
         H2 = np.asarray(chart.second_partials(U), dtype=float)
         L = np.einsum("xq,xqab->xab", normal, H2)
 
-    return GeometryBatch(J, tangents, g, metric_inv, volume_factor, normal, L)
+    return GeometryBatch(J, tangents, g, metric_inv, volume_factor, normal, L, H2)
 
 
 def tangent_coefficients(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:

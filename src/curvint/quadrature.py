@@ -2,7 +2,8 @@
 
 Periodic coordinates use the midpoint-shifted uniform rule, which is
 spectrally accurate for smooth periodic integrands; non-periodic
-coordinates use composite Gauss-Legendre panels of (at most) 16 nodes.
+coordinates use composite Gauss-Legendre panels of (at most) 16 nodes,
+whose rules are computed once per panel size and cached read-only.
 Grid nodes never touch the chart domain boundary, so coordinate
 degeneracies on the boundary are avoided.
 
@@ -10,23 +11,25 @@ Point evaluations are independent and may be dispatched to a thread
 pool.  Every pass over a grid runs one block kernel that returns values
 to integrate and per-point peaks.  Work is split into fixed-size index
 blocks that do not depend on the worker count; each block's values are
-summed exactly (fsum) and the block sums combined by a fixed-shape
-pairwise tree with compensated nodes, while peaks are reduced by max,
-which does not depend on order.  The module guarantee is: same inputs
-give bit-identical results for any number of workers, with total
-summation error at the few-ulp level.
+summed exactly rounded (``_reduction.exact_row_sums``: error-free vector
+extraction in numpy, the same bits as ``math.fsum`` without holding the
+GIL over the data) and the block sums combined by a fixed-shape pairwise
+tree with compensated nodes, while peaks are reduced by max, which does
+not depend on order.  The module guarantee is: same inputs give
+bit-identical results for any number of workers, with total summation
+error at the few-ulp level.
 
 Each integration also runs its half-resolution companion grid; the
 difference is reported as the estimated error.
 """
 
-import math
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._reduction import tree_reduce_compensated
+from ._reduction import exact_row_sums, tree_reduce_compensated
 from .errors import CurvintError
 from .fields import TangentField, chart_forms_batch
 from .fields import shape_data_batch  # noqa: F401  perfbench's tracer wraps it here
@@ -54,6 +57,14 @@ def _periodic_rule(lo: float, hi: float, count: int) -> CoordinateRule:
     return CoordinateRule(nodes, weights, True)
 
 
+@functools.cache
+def _legendre(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and cached."""
+    x, w = np.polynomial.legendre.leggauss(size)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_rule(lo: float, hi: float, count: int) -> CoordinateRule:
     """Composite Gauss-Legendre: ceil(count/16) panels, larger panels first."""
     n_panels = -(-count // _GL_PANEL)
@@ -62,7 +73,7 @@ def _gauss_rule(lo: float, hi: float, count: int) -> CoordinateRule:
     edges = np.linspace(lo, hi, n_panels + 1)
     nodes, weights = [], []
     for i, size in enumerate(sizes):
-        x, w = np.polynomial.legendre.leggauss(size)
+        x, w = _legendre(size)
         a, b = edges[i], edges[i + 1]
         half = 0.5 * (b - a)
         nodes.append(0.5 * (a + b) + half * x)
@@ -160,10 +171,10 @@ def _integrate_vector(surface, func, grid, workers):
 
     ``func(ci, U)`` returns the (B, m) values, the (B,) volume factor of
     the geometry it evaluated and (B, j) peaks.  Values are weighted by
-    volume factor and quadrature weight, summed exactly per fixed-size
-    block and the blocks combined by a pairwise tree; peaks are reduced by
-    max.  Returns the (m,) sums and the (j,) maxima, whose bits do not
-    depend on the worker count.
+    volume factor and quadrature weight into (m, B), summed exactly
+    rounded per fixed-size block and the blocks combined by a pairwise
+    tree; peaks are reduced by max.  Returns the (m,) sums and the (j,)
+    maxima, whose bits do not depend on the worker count.
     """
     _check_grid(surface, grid)
     tasks = [(ci, start) for ci, cg in enumerate(grid.charts)
@@ -177,10 +188,10 @@ def _integrate_vector(surface, func, grid, workers):
         except CurvintError as exc:
             raise type(exc)(f"chart {ci}: {exc}") from exc
         wf = surface.charts[ci].weight_fraction
-        terms = vals * (wf * cg.weights[start:start + BLOCK] * volf)[:, None]
+        terms = np.multiply(vals.T, wf * cg.weights[start:start + BLOCK] * volf,
+                            order="C")
         # exactly rounded per-block partial: immune to term ordering
-        sums = np.array([math.fsum(col.tolist()) for col in terms.T])
-        return sums, np.max(peaks, axis=0)
+        return exact_row_sums(terms), np.max(peaks, axis=0)
 
     parts = _run_blocks(tasks, worker, workers)
     sums = np.atleast_1d(tree_reduce_compensated([s for s, _ in parts]))

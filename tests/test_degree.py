@@ -110,7 +110,10 @@ def test_verify_builds_no_adapted_frame(surfaces, monkeypatch):
 
 
 def test_verify_reads_chart_partials_not_position(surfaces):
-    """Geometry and field each read J and d2F once per point; nothing reads F."""
+    """The chart's J and d2F are evaluated once per point; nothing reads F.
+
+    The catalog field reads J @ c and d2F @ c off the block's geometry.
+    """
     base = surfaces["sphere3"]
     counted = {"position": [], "first_partials": [], "second_partials": []}
 
@@ -129,7 +132,7 @@ def test_verify_reads_chart_partials_not_position(surfaces):
                                QuadratureGrid.build(surface, 8))
     points = 8**3 + 4**3  # full grid plus half grid
     assert {name: sum(calls) for name, calls in counted.items()} == {
-        "position": 0, "first_partials": 2 * points, "second_partials": 2 * points}
+        "position": 0, "first_partials": points, "second_partials": points}
 
 
 def test_predicted_integral_table():

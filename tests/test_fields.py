@@ -1,12 +1,15 @@
 """Field projection, adapted frames, and derivative components."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvint as cv
-from curvint.fields import _pivoted_frame, chart_forms_batch, shape_data_batch
+from curvint.fields import (
+    _pivoted_frame, chart_forms_batch, coordinate_field, field_batch, shape_data_batch)
 from curvint.manifold import GeometryBatch, geometry_batch
 from curvint.quadrature import BLOCK, QuadratureGrid
 from conftest import CATALOG_PAIRS, domain_samples, without_second_partials
@@ -329,3 +332,63 @@ def test_chi_nonzero_metadata_rejected():
         ambient_value=lambda ci, U: np.ones((len(U), 4)), key="const")
     with pytest.raises(ValueError):
         cv.shape_data(surface, field, 0, np.array([0.7, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
+def test_geometry_route_matches_catalog_callables(surfaces, skey, fkey):
+    """A catalog field read off the block's geometry has the bits of its
+    callables, on every block of the 48^k grid (128^2 for torus2)."""
+    surface = surfaces[skey]
+    field = cv.get_field(fkey, surface)
+    grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 48)
+    for ci, U in grid_blocks(grid):
+        geo = geometry_batch(surface, ci, U, second=True)
+        raw, rawJ = field_batch(field, surface, geo, ci, U)
+        for got, want in ((raw, field.ambient_value(ci, U)),
+                          (rawJ, field.ambient_jacobian(ci, U))):
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _counting_field(field, calls):
+    def counting(name, fn):
+        def wrapper(ci, U):
+            calls[name] += 1
+            return fn(ci, U)
+        return wrapper
+    return dataclasses.replace(
+        field, ambient_value=counting("value", field.ambient_value),
+        ambient_jacobian=counting("jacobian", field.ambient_jacobian))
+
+
+def test_replaced_coordinate_field_never_calls_its_callables(surfaces):
+    """dataclasses.replace keeps the coefficients, so verify and the
+    foliation report read the geometry and give the same reports."""
+    surface = surfaces["sphere3"]
+    field = cv.get_field("hopf", surface)
+    calls = {"value": 0, "jacobian": 0}
+    wrapped = _counting_field(field, calls)
+    grid = QuadratureGrid.build(surface, 12)
+    for report in (cv.verify_integral_formula, cv.foliation_obstruction_report):
+        assert repr(report(surface, wrapped, grid)) == repr(report(surface, field, grid))
+    assert calls == {"value": 0, "jacobian": 0}
+
+
+def test_user_field_calls_its_callables_once_per_block(surfaces):
+    """Without coefficients the callables run once per block, and the same
+    callables give the catalog field's integrals bit for bit."""
+    surface = surfaces["sphere3"]
+    field = cv.get_field("hopf", surface)
+    calls = {"value": 0, "jacobian": 0}
+    user = _counting_field(dataclasses.replace(field, coefficients=None), calls)
+    grid = QuadratureGrid.build(surface, 24)  # 4 blocks, and 1 for the 12^3 half
+    got = cv.integrate_eta(surface, user, grid, workers=2)
+    want = cv.integrate_eta(surface, field, grid, workers=2)
+    assert calls == {"value": 5, "jacobian": 5}
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("c", [(1.0, 0.0), (0.0, 1.0, 1.0, 0.0), [[0.0, 1.0, 1.0]]])
+def test_coordinate_field_needs_one_coefficient_per_coordinate(surfaces, c):
+    with pytest.raises(ValueError, match="3 coefficients"):
+        coordinate_field(surfaces["sphere3"], c)

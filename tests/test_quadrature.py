@@ -1,10 +1,15 @@
 """Grid construction, volumes, refinement, and reduction determinism."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvint as cv
 import curvint.quadrature
+from curvint._reduction import exact_row_sums
 from curvint.quadrature import QuadratureGrid
 
 
@@ -199,3 +204,87 @@ def test_vanishing_user_field_names_chart_and_point(surfaces):
     field = cv.TangentField(ambient_value=value, key="pinched")
     with pytest.raises(cv.VanishingField, match=r"^chart 0: .* at u=\[[^]]+\]$"):
         cv.integrate_eta(surface, field, grid)
+
+
+def test_gauss_rules_cached_read_only():
+    """Each panel size's rule is leggauss's, computed once and read-only."""
+    for size in range(1, 17):
+        x, w = curvint.quadrature._legendre(size)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(size)
+        np.testing.assert_array_equal(x.view(np.uint64), ref_x.view(np.uint64))
+        np.testing.assert_array_equal(w.view(np.uint64), ref_w.view(np.uint64))
+        assert curvint.quadrature._legendre(size)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+def _fsum_rows(x):
+    return np.array([math.fsum(row.tolist()) for row in x])
+
+
+def _adversarial_rows(seed, m, B):
+    """Rows mixing magnitudes 1e-310..1e300, cancelling pairs and signed zeros."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, B)) * 10.0 ** rng.uniform(-310, 300, (m, B))
+    pairs = rng.random((m, B)) < 0.3         # cancel x[j] against a later entry
+    x[:, 1:][pairs[:, 1:]] = -x[:, :-1][pairs[:, 1:]] * (1.0 + 2.0**-52 * rng.integers(-2, 3))
+    zeros = rng.random((m, B)) < 0.1
+    x[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    if seed % 4 == 0:
+        x[0] = rng.choice([0.0, -0.0], size=B)  # a row of zeros keeps fsum's sign
+    if seed % 4 == 1:
+        x[-1] *= 1e-300                          # a row of subnormals
+    if seed % 4 == 2:
+        x[:, : B // 2] = 10.0 ** rng.integers(-20, 20)  # exact equal terms
+        x[:, B // 2:] = -x[:, : B - B // 2]
+    if seed % 4 == 3:
+        # same-sign terms just under a power of two fill every round's headroom
+        x[0] = np.ldexp(1.0 - rng.random(B) * 2.0**-40, int(rng.integers(-1000, 990)))
+    return np.ascontiguousarray(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), B=st.integers(1, 5000))
+def test_exact_row_sums_match_fsum_bitwise(seed, m, B):
+    x = _adversarial_rows(seed, m, B)
+    got = exact_row_sums(x)
+    np.testing.assert_array_equal(got.view(np.uint64), _fsum_rows(x).view(np.uint64))
+
+
+@pytest.mark.parametrize("row", [
+    [1.0, np.inf, 2.0],
+    [np.nan, 1.0],
+    [-np.inf, 1e300],
+    [np.inf, -np.inf],           # fsum raises ValueError
+    [1e308, 1e308],              # fsum raises OverflowError
+    [1e308, -1e308, 1.0],        # sigma would overflow; the sum does not
+    [8e307, 8e307, -1e-300],
+])
+def test_exact_row_sums_non_finite_and_overflow_follow_fsum(row):
+    x = np.array([row, [1.0] * len(row)])
+    try:
+        want = _fsum_rows(x)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            exact_row_sums(x)
+        return
+    got = exact_row_sums(x)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_eta_pass_hands_fsum_few_values(surfaces, monkeypatch):
+    """Block sums extract in numpy; fsum only adds a few exact round sums."""
+    lengths = []
+    fsum = math.fsum
+
+    def counting(values):
+        values = list(values)
+        lengths.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    surface = surfaces["sphere3"]
+    grid = QuadratureGrid.build(surface, 48)
+    curvint.quadrature._eta_integrals(surface, cv.get_field("hopf", surface), grid, 1)
+    assert lengths and max(lengths) <= 64
