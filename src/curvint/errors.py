@@ -10,7 +10,7 @@ class DegenerateImmersion(CurvintError):
 
 
 class FrameNotOrthonormal(CurvintError):
-    """A supplied frame fails the orthonormality tolerance."""
+    """A supplied frame is not orthonormal and tangent within tolerance."""
 
 
 class VanishingField(CurvintError):

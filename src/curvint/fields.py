@@ -1,14 +1,16 @@
 """Unit tangent fields, adapted frames, and their derivative components.
 
 A field is specified ambiently: a raw vector at each chart point, which is
-projected onto the tangent space and normalized.  Around a unit field v
-this module builds the adapted orthonormal frame {e_1, ..., e_n, v} (v is
-always placed last) and computes the frame components of the covariant
-derivative of v together with the second fundamental form in that frame.
-The integral passes need neither frame: ``chart_forms_batch`` gives the
-same two forms in the chart basis, whose determinants over det g are the
-frame ones.  Every pass evaluates a field through ``field_batch``, which
-reads a coordinate field off the block's chart partials.
+projected onto the tangent space and normalized.  One kernel forms the
+second fundamental form h and the derivative D of the unit field v, as
+the p x p chart-basis forms that ``chart_forms_batch`` returns.  The
+integral passes use these forms directly, since their determinants over
+det g are the orthonormal-frame ones.  ``shape_data_batch`` builds the
+adapted orthonormal frame {e_1, ..., e_n, v} (v always last) only to read
+the same forms in orthonormal components; tests check both against a
+test-local route that assembles the derivatives in the ambient space.
+Every pass evaluates a field through ``field_batch``, which reads a
+coordinate field off the block's chart partials.
 """
 
 from dataclasses import dataclass
@@ -258,6 +260,32 @@ def adapted_frame(
     return AdaptedFramePoint(e=e[0], v=vb[0], normal=geo.normal[0])
 
 
+def _chart_forms(
+    surface: ChartedHypersurface,
+    field: TangentField,
+    chart_index: int,
+    U: np.ndarray,
+) -> tuple[GeometryBatch, np.ndarray, np.ndarray, np.ndarray]:
+    """Geometry, unit field v, and the chart-basis forms -L and D of a block.
+
+    The one place h and the field derivative are computed; see
+    ``chart_forms_batch`` for the forms and ``shape_data_batch`` for their
+    frame components.
+    """
+    _check_field_allowed(surface)
+    U = np.asarray(U, dtype=float)
+    geo = geometry_batch(surface, chart_index, U, second=True)
+    raw, rawJ = field_batch(field, surface, geo, chart_index, U)
+    rn, P, Pn = project_field_batch(raw, geo, U)
+
+    L = geo.second_form
+    K = np.swapaxes(geo.tangents @ rawJ, -1, -2) + rn[:, None, None] * L
+    s = geo.tangents @ raw[:, :, None]                # (B, p, 1), J^T raw
+    Kw = K @ (geo.metric_inv @ s) / (Pn * Pn)[:, None, None]  # K w / |P|
+    D = (K - Kw * np.swapaxes(s, -1, -2)) / Pn[:, None, None]
+    return geo, P / Pn[:, None], -L, D
+
+
 def shape_data_batch(
     surface: ChartedHypersurface,
     field: TangentField,
@@ -266,38 +294,22 @@ def shape_data_batch(
 ) -> ShapeDataBatch:
     """Adapted frame plus h, a, vvec at a batch of chart points.
 
-    The ambient derivative of the normalized projected field is assembled
-    analytically from the field jacobian and the normal derivative, then
-    contracted against the frame via the chart chain rule.
+    The frame is built only to read the chart forms of
+    ``chart_forms_batch`` in orthonormal components: with C the chart
+    coordinates of the frame vectors as columns, ``h`` is the symmetrized
+    ``C^T (-L) C`` and ``C^T D C`` holds ``<D_{E_A} v, E_B>``, whose blocks
+    are a, vvec and the two ``<nabla v, v>`` residuals.
     """
-    _check_field_allowed(surface)
-    U = np.asarray(U, dtype=float)
-    geo = geometry_batch(surface, chart_index, U, second=True)
+    geo, v, minus_L, D = _chart_forms(surface, field, chart_index, U)
     n = surface.n_intrinsic
 
-    raw, rawJ = field_batch(field, surface, geo, chart_index, U)
-    rn, P, Pn = project_field_batch(raw, geo, U)
-    v = P / Pn[:, None]
-
-    draw = np.swapaxes(rawJ, -1, -2)               # (B, p, q)
-    N = geo.normal
-    dN = geo.dnormal
-    drn = np.einsum("xaq,xq->xa", draw, N) + np.einsum("xq,xaq->xa", raw, dN)
-    dP = (draw
-          - drn[:, :, None] * N[:, None, :]
-          - rn[:, None, None] * dN)
-    dv = (dP - np.einsum("xq,xaq->xa", v, dP)[:, :, None] * v[:, None, :]) / Pn[:, None, None]
-
     e = _pivoted_frame(geo, v, U)
-    frame = np.concatenate([e, v[:, None, :]], axis=1)  # (B, p, q), v last
-    frame_t = np.ascontiguousarray(np.swapaxes(frame, -1, -2))  # matmul runs faster on it
+    C = manifold.tangent_coefficients(geo, np.concatenate([e, v[:, None, :]], axis=1))
+    Ct = np.ascontiguousarray(np.swapaxes(C, -1, -2))  # matmul runs faster on it
+    h, h_asym = manifold._symmetrized(Ct @ minus_L @ C)
 
-    ct = np.swapaxes(manifold.tangent_coefficients(geo, frame), -1, -2)
-    Dv = ct @ dv                                       # derivative of v along frame
-    h, h_asym = manifold.second_fundamental_form(ct @ dN, frame_t)
-
-    # <D_m v, frame_k>: a, vvec and both <nabla v, v> residuals in one product
-    dv_frame = Dv @ frame_t
+    # <D_{E_A} v, E_B>: a, vvec and both <nabla v, v> residuals in one product
+    dv_frame = Ct @ D @ C
     a = dv_frame[:, :n, :n]
     vvec = dv_frame[:, n, :n]
     dv_e_dot_v = dv_frame[:, :n, n]
@@ -305,7 +317,7 @@ def shape_data_batch(
 
     return ShapeDataBatch(
         data=ShapeData(h=h, a=a, vvec=vvec),
-        frame=FrameBatch(e=e, v=v, normal=N),
+        frame=FrameBatch(e=e, v=v, normal=geo.normal),
         h_asymmetry=h_asym,
         dv_e_dot_v=dv_e_dot_v,
         dv_v_dot_v=dv_v_dot_v,
@@ -330,23 +342,13 @@ def chart_forms_batch(
     equation ``K = <d_a P, F_b>`` is ``(d raw)^T J + <raw, N> L`` for the
     tangential part P of the raw field; with ``s = J^T raw``, ``w = g^-1 s
     / |P|`` are the chart coordinates of v = P / |P| and ``D = (K - (K w)
-    s^T / |P|) / |P|``.  The field and geometry checks are those of
-    ``shape_data_batch``: Euler characteristic, ``DegenerateImmersion``
+    s^T / |P|) / |P|``.  ``shape_data_batch`` reads these same forms, so it
+    makes the same checks: Euler characteristic, ``DegenerateImmersion``
     and ``VanishingField``, each naming the point.
     """
-    _check_field_allowed(surface)
-    U = np.asarray(U, dtype=float)
-    geo = geometry_batch(surface, chart_index, U, second=True)
-    raw, rawJ = field_batch(field, surface, geo, chart_index, U)
-    rn, _, Pn = project_field_batch(raw, geo, U)
-
-    L = geo.second_form
-    K = np.swapaxes(geo.tangents @ rawJ, -1, -2) + rn[:, None, None] * L
-    s = geo.tangents @ raw[:, :, None]                # (B, p, 1), J^T raw
-    Kw = K @ (geo.metric_inv @ s) / (Pn * Pn)[:, None, None]  # K w / |P|
-    D = (K - Kw * np.swapaxes(s, -1, -2)) / Pn[:, None, None]
+    geo, _, h, D = _chart_forms(surface, field, chart_index, U)
     vf = geo.volume_factor
-    return -L, D, vf * vf, vf
+    return h, D, vf * vf, vf
 
 
 def shape_data(

@@ -4,8 +4,9 @@ A hypersurface of dimension n+1 sits in Euclidean space of dimension n+2
 and is described by one or more charts.  Each chart supplies a vectorized
 position map together with first (and ideally second) partial derivatives.
 From those this module derives the induced metric, the chart volume
-factor, the unit normal (the normal map into the sphere), the derivative
-of the normal, and the second fundamental form in any orthonormal frame.
+factor, the unit normal (the normal map into the sphere) and the second
+fundamental form, as the chart-basis form ``-<N, d2F/du_a du_b>`` and in
+any orthonormal tangent frame.
 
 Evaluation contracts are batched: parameter points are arrays of shape
 (B, p) with p = n+1, positions are (B, q) with q = n+2.  The public
@@ -147,18 +148,6 @@ class GeometryBatch(NamedTuple):
     second_form: np.ndarray | None  # (B, p, p), <N, d2F/du_a du_b>
     second_partials: np.ndarray | None = None  # (B, q, p, p), d2F/du_a du_b
 
-    @property
-    def dnormal(self) -> np.ndarray | None:
-        """(B, p, q), row a = dN/du_a = -sum_{b,c} <N, F_ab> g^{bc} F_c.
-
-        The Weingarten equation; None when second partials were not
-        evaluated.  Formed on each access, so bind it once.
-        """
-        if self.second_form is None:
-            return None
-        coeff = np.swapaxes(self.metric_inv @ self.second_form, -1, -2)
-        return -coeff @ np.swapaxes(self.jacobian, -1, -2)
-
 
 def _minor_det(M: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
     """det M[..., rows, cols] by cofactor expansion along rows[0]."""
@@ -246,9 +235,10 @@ def geometry_batch(
     Only the chart partials are evaluated, not the position, each once.
     With ``second=True`` the second partials are kept as
     ``second_partials`` and contracted with the normal into
-    ``second_form``, from which ``GeometryBatch.dnormal`` gives the
-    derivative of the unit normal.  The metric inverse is formed once per
-    batch, after the degeneracy check.
+    ``second_form``.  By the Weingarten equation ``<dN/du_a, F_b>`` is
+    ``-second_form[a, b]``, so no ambient derivative of the normal is
+    formed.  The metric inverse is formed once per batch, after the
+    degeneracy check.
     """
     chart = surface.charts[chart_index]
     U = np.asarray(U, dtype=float)
@@ -284,23 +274,14 @@ def tangent_coefficients(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:
     """Chart-basis coefficients of tangent directions.
 
     ``X`` has shape (B, m, q); returns c of shape (B, p, m) solving
-    J c = X in the least-squares sense via the metric (exact for tangent X).
+    J c = X^T in the least-squares sense via the metric (exact for tangent X).
     """
-    rhs = np.swapaxes(geo.jacobian, -1, -2) @ np.swapaxes(X, -1, -2)
-    return geo.metric_inv @ rhs
+    X_t = np.ascontiguousarray(np.swapaxes(X, -1, -2))  # matmul runs faster on it
+    return geo.metric_inv @ (geo.tangents @ X_t)
 
 
-def second_fundamental_form(
-    dnormal_frame: np.ndarray, frame_t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix <D_{E_A} N, E_B> over an orthonormal tangent frame.
-
-    ``dnormal_frame`` (B, p, q) holds the derivatives D_{E_A} N of the unit
-    normal as rows, ``frame_t`` (B, q, p) the frame vectors E_B as columns.
-    Returns the symmetrized matrix and the max-entry asymmetry of the raw
-    one.
-    """
-    h_raw = dnormal_frame @ frame_t
+def _symmetrized(h_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric part of (B, p, p) matrices and the max-entry asymmetry."""
     h_t = np.swapaxes(h_raw, -1, -2)
     asym = np.max(np.abs(h_raw - h_t), axis=(-2, -1))
     return 0.5 * (h_raw + h_t), asym
@@ -341,9 +322,12 @@ def shape_operator(
 ):
     """Second fundamental form h_AB = <D_{E_A} N, E_B> in the given frame.
 
-    ``frame`` is (p, q), rows orthonormal and tangent within 1e-10.  The
-    returned matrix is explicitly symmetrized; pass ``return_asymmetry``
-    to also obtain the max-entry asymmetry of the raw matrix.
+    ``frame`` is (p, q), rows orthonormal and tangent within 1e-10, else
+    ``FrameNotOrthonormal``.  With C the chart coordinates of the rows as
+    columns, h is ``C^T (-L) C`` for the chart-basis form
+    ``L = <N, d2F/du_a du_b>`` (the Weingarten equation).  The returned
+    matrix is explicitly symmetrized; pass ``return_asymmetry`` to also
+    obtain the max-entry asymmetry of the raw matrix.
     """
     U, _ = _as_batch(u)
     E = np.asarray(frame, dtype=float)[None, :, :]
@@ -354,8 +338,11 @@ def shape_operator(
     if np.max(np.abs(gram - np.eye(p))) > _FRAME_ORTHO_TOL:
         raise FrameNotOrthonormal("frame fails orthonormality tolerance 1e-10")
     geo = geometry_batch(surface, chart_index, U, second=True)
-    ct = np.swapaxes(tangent_coefficients(geo, E), -1, -2)
-    h, asym = second_fundamental_form(ct @ geo.dnormal, np.swapaxes(E, -1, -2))
+    if np.max(np.abs(E[0] @ geo.normal[0])) > _FRAME_ORTHO_TOL:
+        raise FrameNotOrthonormal(
+            "frame fails tangency tolerance 1e-10: a row has a normal component")
+    C = tangent_coefficients(geo, E)
+    h, asym = _symmetrized(np.swapaxes(C, -1, -2) @ -geo.second_form @ C)
     if return_asymmetry:
         return h[0], float(asym[0])
     return h[0]

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 import curvint as cv
+from curvint.fields import (
+    FrameBatch, ShapeData, ShapeDataBatch, _pivoted_frame, field_batch,
+    project_field_batch)
+from curvint.manifold import geometry_batch
 
 # every catalog (surface, field) pair
 CATALOG_PAIRS = [
@@ -42,6 +46,61 @@ def without_second_partials(surface):
     """The surface with its charts rebuilt without analytic second partials."""
     return dataclasses.replace(surface, charts=tuple(
         dataclasses.replace(ch, second_partials=None) for ch in surface.charts))
+
+
+def weingarten_dnormal(geo):
+    """(B, p, q), row a = dN/du_a = -sum_{b,c} <N, F_ab> g^{bc} F_c."""
+    coeff = np.swapaxes(geo.metric_inv @ geo.second_form, -1, -2)
+    return -coeff @ np.swapaxes(geo.jacobian, -1, -2)
+
+
+def ambient_shape_data(surface, field, ci, U):
+    """Reference ShapeDataBatch assembled in the ambient space.
+
+    The derivative of the normalized projected field is formed as ambient
+    vectors from the field jacobian and the Weingarten derivative of the
+    normal, then contracted against the adapted frame via the chart chain
+    rule.  It shares only the geometry, the field values and the frame with
+    ``shape_data_batch``, which reads the chart forms instead.
+    """
+    U = np.asarray(U, dtype=float)
+    geo = geometry_batch(surface, ci, U, second=True)
+    n = surface.n_intrinsic
+
+    raw, rawJ = field_batch(field, surface, geo, ci, U)
+    rn, P, Pn = project_field_batch(raw, geo, U)
+    v = P / Pn[:, None]
+
+    draw = np.swapaxes(rawJ, -1, -2)               # (B, p, q)
+    N = geo.normal
+    dN = weingarten_dnormal(geo)
+    drn = np.einsum("xaq,xq->xa", draw, N) + np.einsum("xq,xaq->xa", raw, dN)
+    dP = (draw
+          - drn[:, :, None] * N[:, None, :]
+          - rn[:, None, None] * dN)
+    dv = (dP - np.einsum("xq,xaq->xa", v, dP)[:, :, None] * v[:, None, :]) / Pn[:, None, None]
+
+    e = _pivoted_frame(geo, v, U)
+    frame = np.concatenate([e, v[:, None, :]], axis=1)  # (B, p, q), v last
+    frame_t = np.ascontiguousarray(np.swapaxes(frame, -1, -2))
+
+    # chart coordinates of the frame vectors, through the metric
+    coeff = geo.metric_inv @ (np.swapaxes(geo.jacobian, -1, -2) @ np.swapaxes(frame, -1, -2))
+    ct = np.swapaxes(coeff, -1, -2)
+    Dv = ct @ dv                                       # derivative of v along frame
+    h_raw = (ct @ dN) @ frame_t
+    h_t = np.swapaxes(h_raw, -1, -2)
+
+    dv_frame = Dv @ frame_t
+    return ShapeDataBatch(
+        data=ShapeData(h=0.5 * (h_raw + h_t), a=dv_frame[:, :n, :n],
+                       vvec=dv_frame[:, n, :n]),
+        frame=FrameBatch(e=e, v=v, normal=N),
+        h_asymmetry=np.max(np.abs(h_raw - h_t), axis=(-2, -1)),
+        dv_e_dot_v=dv_frame[:, :n, n],
+        dv_v_dot_v=dv_frame[:, n, n],
+        volume_factor=geo.volume_factor,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -15,10 +15,9 @@ import pytest
 
 import curvint as cv
 from curvint import cli
-from curvint.fields import shape_data_batch
 from curvint.manifold import geometry_batch
 from curvint.quadrature import QuadratureGrid
-from conftest import CATALOG_PAIRS, domain_samples
+from conftest import CATALOG_PAIRS, ambient_shape_data, domain_samples
 
 VOL_S3 = 2.0 * np.pi**2
 WORKERS = 8
@@ -178,7 +177,7 @@ def test_criterion_6_frame_and_normal_invariants():
             np.linalg.norm(geo.normal, axis=1) - 1.0)))
         worst["tangent_n"] = max(worst["tangent_n"], np.max(np.abs(
             np.einsum("xq,xqa->xa", geo.normal, geo.jacobian))))
-        batch = shape_data_batch(surface, field, 0, U)
+        batch = ambient_shape_data(surface, field, 0, U)
         vecs = np.concatenate([batch.frame.e, batch.frame.v[:, None, :]], axis=1)
         gram = np.einsum("xiq,xjq->xij", vecs, vecs)
         p = surface.dim

@@ -12,7 +12,8 @@ from curvint.fields import (
     _pivoted_frame, chart_forms_batch, coordinate_field, field_batch, shape_data_batch)
 from curvint.manifold import GeometryBatch, geometry_batch
 from curvint.quadrature import BLOCK, QuadratureGrid
-from conftest import CATALOG_PAIRS, domain_samples, without_second_partials
+from conftest import (
+    CATALOG_PAIRS, ambient_shape_data, domain_samples, without_second_partials)
 
 N_SAMPLES = 100
 
@@ -200,8 +201,9 @@ def chart_eta(surface, field, chart_index, U):
 
 
 def frame_eta(surface, field, chart_index, U):
-    """eta_k of the reference route: adapted frame, then h, a and vvec."""
-    batch = shape_data_batch(surface, field, chart_index, U)
+    """eta_k of the reference route: ambient derivatives, adapted frame,
+    then h, a and vvec."""
+    batch = ambient_shape_data(surface, field, chart_index, U)
     return cv.eta_all(cv.ColumnSystem.from_shape_data(batch.data)).values
 
 
@@ -214,8 +216,8 @@ def grid_blocks(grid):
 
 @pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
 def test_chart_forms_match_frame_reference(surfaces, skey, fkey):
-    """The frame-free eta agrees with the adapted-frame route on every block
-    of the 48^k grid (128^2 for torus2), within 1e-13 * max(1, |eta|)."""
+    """The frame-free eta agrees with the ambient adapted-frame route on every
+    block of the 48^k grid (128^2 for torus2), within 1e-13 * max(1, |eta|)."""
     surface = surfaces[skey]
     field = cv.get_field(fkey, surface)
     grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 48)
@@ -223,6 +225,29 @@ def test_chart_forms_match_frame_reference(surfaces, skey, fkey):
         want = frame_eta(surface, field, ci, U)
         got = chart_eta(surface, field, ci, U)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
+def test_shape_data_matches_ambient_reference(surfaces, skey, fkey):
+    """Frame components read off the chart forms agree with the ambient route
+    on every block of the 48^k grid (128^2 for torus2): h, a, vvec and the
+    <nabla v, v> residuals within 1e-13 * max(1, |x|), and the frame, the
+    normal and the volume factor bit for bit."""
+    surface = surfaces[skey]
+    field = cv.get_field(fkey, surface)
+    grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 48)
+    for ci, U in grid_blocks(grid):
+        got = shape_data_batch(surface, field, ci, U)
+        want = ambient_shape_data(surface, field, ci, U)
+        for x, y in ((got.data.h, want.data.h), (got.data.a, want.data.a),
+                     (got.data.vvec, want.data.vvec),
+                     (got.dv_e_dot_v, want.dv_e_dot_v),
+                     (got.dv_v_dot_v, want.dv_v_dot_v)):
+            assert np.all(np.abs(x - y) <= 1e-13 * np.maximum(1.0, np.abs(y)))
+        for x, y in ((got.frame.e, want.frame.e), (got.frame.v, want.frame.v),
+                     (got.frame.normal, want.frame.normal),
+                     (got.volume_factor, want.volume_factor)):
+            np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def test_chart_forms_exact_near_collapsed_hopf_circles(surfaces):
@@ -239,15 +264,16 @@ def test_chart_forms_exact_near_collapsed_hopf_circles(surfaces):
 def test_finite_difference_field_jacobian(surfaces, skey, fkey):
     """Dropping the analytic jacobian reproduces a, vvec and eta within 1e-6.
 
-    torus2-fd also drops the chart's second partials; eta comes from the
-    frame-free chart forms and is compared with the analytic frame route.
+    torus2-fd also drops the chart's second partials.  a and vvec come from
+    ``shape_data_batch``, eta from the frame-free chart forms; both are
+    compared with the analytic ambient route.
     """
     surface = surfaces[skey.removesuffix("-fd")]
     field = cv.get_field(fkey, surface)
     fd_surface = without_second_partials(surface) if skey.endswith("-fd") else surface
     fd_field = cv.TangentField(ambient_value=field.ambient_value, key=field.key)
     U = domain_samples(surface, 10)
-    exact = shape_data_batch(surface, field, 0, U).data
+    exact = ambient_shape_data(surface, field, 0, U).data
     approx = shape_data_batch(fd_surface, fd_field, 0, U).data
     assert np.max(np.abs(exact.a - approx.a)) < 1e-6
     assert np.max(np.abs(exact.vvec - approx.vvec)) < 1e-6

@@ -5,7 +5,7 @@ import pytest
 
 import curvint as cv
 from curvint.manifold import _det, _inverse, generalized_cross, geometry_batch
-from conftest import domain_samples, without_second_partials
+from conftest import domain_samples, weingarten_dnormal, without_second_partials
 
 N_SAMPLES = 100
 
@@ -260,6 +260,17 @@ def test_frame_not_orthonormal_rejected(surfaces):
         cv.shape_operator(surface, 0, u, raw_frame)
 
 
+def test_frame_not_tangent_rejected(surfaces):
+    """An orthonormal frame with the unit normal as a row is refused."""
+    surface = surfaces["sphere3"]
+    u = np.array([0.6, 1.0, 2.5])
+    frame = _orthonormal_chart_frame(surface, 0, u)
+    frame[2] = cv.unit_normal(surface, 0, u)
+    np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-14)
+    with pytest.raises(cv.FrameNotOrthonormal, match="tangency"):
+        cv.shape_operator(surface, 0, u, frame)
+
+
 def test_degenerate_immersion_raised():
     # a chart collapsing one direction: F(u1, u2) = circle(u1), rank 1
     def pos(U):
@@ -311,7 +322,8 @@ def test_finite_difference_chart_shape_operator(surfaces):
 
 @pytest.mark.parametrize("name", [*cv.surface_names(), "torus2-fd"])
 def test_dnormal_matches_finite_difference_of_unit_normal(surfaces, name):
-    """Independent route: differentiate unit_normal, which uses first partials only."""
+    """The Weingarten derivative -(g^-1 L)^T J^T of the normal agrees with
+    differences of unit_normal, which uses first partials only."""
     sample_surface = surfaces[name.removesuffix("-fd")]
     surface = (without_second_partials(sample_surface) if name.endswith("-fd")
                else sample_surface)
@@ -320,8 +332,9 @@ def test_dnormal_matches_finite_difference_of_unit_normal(surfaces, name):
     geo = geometry_batch(surface, 0, U, second=True)
     fd = cv.finite_difference_jacobian(
         lambda V: cv.unit_normal(surface, 0, V), chart.lo, chart.hi)(U)
-    np.testing.assert_allclose(geo.dnormal, np.swapaxes(fd, -1, -2), atol=1e-8)
-    along_normal = np.einsum("xaq,xq->xa", geo.dnormal, geo.normal)
+    dN = weingarten_dnormal(geo)
+    np.testing.assert_allclose(dN, np.swapaxes(fd, -1, -2), atol=1e-8)
+    along_normal = np.einsum("xaq,xq->xa", dN, geo.normal)
     assert np.max(np.abs(along_normal)) < 1e-12
 
 
