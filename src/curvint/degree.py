@@ -56,6 +56,8 @@ class DegreeResult:
 def _degree_from_integral(integral: float, n: int) -> DegreeResult:
     """Degree from the det(h) integral over an (n+1)-surface; NonIntegerDegree if off."""
     raw = integral / sphere_volume(n + 1)
+    if not np.isfinite(raw):
+        raise NonIntegerDegree(f"degree integral {raw} is not finite")
     rounded = int(np.rint(raw))
     result = DegreeResult(raw=float(raw), rounded=rounded,
                           residual=float(abs(raw - rounded)))

@@ -173,11 +173,10 @@ def project_field_batch(
     rn = np.einsum("xq,xq->x", raw, geo.normal)
     P = raw - rn[:, None] * geo.normal
     Pn = np.linalg.norm(P, axis=-1)
-    if np.any(Pn < _VANISHING_TOL):
-        idx = int(np.argmax(Pn < _VANISHING_TOL))
-        raise VanishingField(
-            f"tangential part of field vanishes at u={np.asarray(U)[idx].tolist()}"
-        )
+    low = ~(Pn >= _VANISHING_TOL)  # a NaN value counts as vanishing
+    if np.any(low):
+        pt = np.asarray(U)[int(np.argmax(low))]
+        raise VanishingField(f"tangential part of field vanishes at u={pt.tolist()}")
     return rn, P, Pn
 
 

@@ -4,29 +4,28 @@ Tilting the unit normal toward the unit field by t gives a sphere-valued
 map whose differential, written in adapted frames, has columns
 H_j + t V_j (j = 1..n) and sqrt(1+t^2) H_{n+1}.  Its determinant is
 sqrt(1+t^2) * sum_k eta_k t^k, and sum_k eta_k t^k = det(H + t [V | 0]).
-The coefficients eta_k are column replacement determinant sums and are
-what this module computes.
+This module computes the coefficients eta_k, all at once, from one table
+of the polynomial minors of H + t V (``manifold._minors``).
 
 The identity is frame-free: the determinant of a bilinear form in an
 orthonormal frame is its determinant in any basis over the Gram
-determinant.  So the same sums may be taken over the chart-basis forms
-h(F_a, F_b) and <d_a v, F_b>, with V then carrying p columns, and divided
-by det g (``fields.chart_forms_batch``).
+determinant.  So the same polynomial may be taken over the chart-basis
+forms h(F_a, F_b) and <d_a v, F_b>, with V then carrying p columns, and
+divided by det g (``fields.chart_forms_batch``).
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import IndexOutOfRange
 from .fields import ShapeData
-from .manifold import _det
+from .manifold import _minors
 
 
 @dataclass(frozen=True)
 class ColumnSystem:
-    """Column data for the invariant determinants.
+    """The two matrices of the invariant polynomial det(H + t V).
 
     ``H`` is the (p, p) symmetric curvature matrix whose j-th column is
     H_j.  ``V`` is either frame form, (p, n) with j-th column (a_1j, ...,
@@ -75,29 +74,20 @@ def eta(k: int, cols: ColumnSystem) -> np.ndarray:
 
 
 def eta_all(cols: ColumnSystem) -> EtaVector:
-    """All eta_k at once from one determinant pass over the column subsets.
+    """All eta_k at once: the first n + 1 t-coefficients of det(H + t V).
 
-    eta_k sums, over the k-subsets S of V's columns (n of them in frame
-    form, p in chart form), the determinant of the matrix whose column j
-    comes from V when j is in S and from H otherwise.  Every subset matrix
-    is gathered from [H | V] with one index, all determinants come from
-    one ``manifold._det`` call, and each eta_k is summed left to right in
-    lexicographic subset order, so the result is bit-reproducible.  In
-    chart form the sums are det(H + t V)'s coefficients, still to be
-    divided by det g; the t^p one, det V, is skipped: V times the chart
-    coordinates of v is <d_a v, v> = 0, so det V vanishes.
+    Frame-form V gets a zero column first, so both forms read one
+    ``manifold._minors`` table, whose single top entry holds the whole
+    polynomial.  The t^0 coefficient has the bits of ``_det(H)``.  The
+    t^p one, det V, is dropped: it vanishes in frame form, and in chart
+    form V times the chart coordinates of v is <d_a v, v> = 0.  In chart
+    form the coefficients are still to be divided by det g.
     """
-    n = cols.n
-    p = n + 1
-    m = cols.V.shape[-1]
-    order = [(k, s) for k in range(n + 1) for s in combinations(range(m), k)]
-    picks = np.array([[p + j if j in s else j for j in range(p)] for _, s in order])
-    HV = np.concatenate([cols.H, cols.V], axis=-1)
-    dets = _det(HV[..., np.arange(p)[:, None], picks[:, None, :]])
-    sums = [0.0] * (n + 1)
-    for (k, _), d in zip(order, np.moveaxis(dets, -1, 0)):
-        sums[k] = sums[k] + d
-    return EtaVector(values=np.stack(sums, axis=-1))
+    V = cols.V
+    if V.shape[-1] == cols.n:
+        V = np.concatenate([V, np.zeros(V.shape[:-1] + (1,))], axis=-1)
+    (poly,) = _minors(cols.H, V).values()
+    return EtaVector(values=np.stack(poly[:cols.n + 1], axis=-1))
 
 
 def tilt_jacobian(cols: ColumnSystem, t: float) -> tuple[np.ndarray, np.ndarray]:

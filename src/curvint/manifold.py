@@ -14,6 +14,7 @@ single-point operations wrap the batched kernels.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -149,42 +150,56 @@ class GeometryBatch(NamedTuple):
     second_partials: np.ndarray | None = None  # (B, q, p, p), d2F/du_a du_b
 
 
-def _minor_det(M: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
-    """det M[..., rows, cols] by cofactor expansion along rows[0]."""
-    if not rows:
-        return np.ones(M.shape[:-2])
-    if len(rows) == 1:
-        return M[..., rows[0], cols[0]]
-    if len(rows) == 2:
-        (r, s), (a, b) = rows, cols
-        return M[..., r, a] * M[..., s, b] - M[..., r, b] * M[..., s, a]
-    total = 0.0
-    for j, c in enumerate(cols):
-        term = M[..., rows[0], c] * _minor_det(M, rows[1:], cols[:j] + cols[j + 1:])
-        total = total - term if j % 2 else total + term
-    return total
+def _minors(M: np.ndarray, V: np.ndarray | None = None) -> dict:
+    """r x r minors of the (..., r, m) matrices M + tV, keyed by column subset.
+
+    Built bottom-up: each level expands along the row above, left to right
+    with alternating signs, and only one level is kept at a time.  A minor
+    is the list of its t-coefficients as (...,) arrays; without V, just
+    the constant term.  Constant terms have the bits of cofactor expansion
+    along the first row, whose ``0.0 +`` start above 2 x 2 fixes the sign
+    of a zero.  For p <= 5 that is a few dozen vector operations per
+    batch, where batched LAPACK pays a call per matrix.
+    """
+    r, m = M.shape[-2], M.shape[-1]
+    if r == 0:
+        return {(): [1.0]}
+    level = {(c,): [M[..., r - 1, c]] + ([] if V is None else [V[..., r - 1, c]])
+             for c in range(m)}
+    for i in range(r - 2, -1, -1):
+        below, level = level, {}
+        for cols in combinations(range(m), r - i):
+            total = None
+            for j, c in enumerate(cols):
+                s = below[cols[:j] + cols[j + 1:]]
+                term = [M[..., i, c] * x for x in s]
+                if V is not None:  # plus t V[i, c] times s
+                    b = V[..., i, c]
+                    term = term[:1] + [x + b * y for x, y in zip(term[1:], s)] + [b * s[-1]]
+                if total is None:
+                    total = term if len(cols) == 2 else [0.0 + x for x in term]
+                else:
+                    total = [x - y if j % 2 else x + y for x, y in zip(total, term)]
+            level[cols] = total
+    return level
 
 
 def _det(M: np.ndarray) -> np.ndarray:
-    """Determinant over the trailing (p, p) axes.
-
-    Cofactor expansion down to closed-form 2x2 blocks: for the p <= 5
-    matrices of chart geometry and of the eta subset sums this is a few
-    dozen vector operations per batch, where batched LAPACK pays a call
-    per matrix.
-    """
-    idx = tuple(range(M.shape[-1]))
-    return _minor_det(M, idx, idx)
+    """Determinant over the trailing (p, p) axes: the full minor of ``_minors``."""
+    return _minors(M)[tuple(range(M.shape[-1]))][0]
 
 
 def _inverse(M: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Inverse over the trailing (p, p) axes: adjugate over ``det`` = _det(M)."""
+    """Inverse over the trailing (p, p) axes: adjugate over ``det`` = _det(M).
+
+    Column j of the adjugate holds the signed minors of M without row j.
+    """
     p = M.shape[-1]
-    idx = tuple(range(p))
     adj = np.empty(M.shape)
-    for i in range(p):
-        for j in range(p):
-            minor = _minor_det(M, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:])
+    for j in range(p):
+        minors = _minors(M[..., np.arange(p) != j, :])
+        for i in range(p):
+            minor = minors[tuple(c for c in range(p) if c != i)][0]
             adj[..., i, j] = -minor if (i + j) % 2 else minor
     return adj / det[..., None, None]
 
@@ -216,14 +231,6 @@ def _as_batch(u: np.ndarray) -> tuple[np.ndarray, bool]:
     return u, False
 
 
-def _raise_degenerate(U, bad):
-    idx = int(np.argmax(bad))
-    pt = np.asarray(U)[idx]
-    raise DegenerateImmersion(
-        f"chart differential rank-deficient at u={pt.tolist()}"
-    )
-
-
 def geometry_batch(
     surface: ChartedHypersurface,
     chart_index: int,
@@ -253,9 +260,10 @@ def geometry_batch(
     g = tangents @ J
     # product of the tangent norms, read off the metric diagonal
     scale = np.sqrt(np.prod(np.diagonal(g, axis1=-2, axis2=-1), axis=-1))
-    bad = Gnorm <= _DEGENERACY_RTOL * scale
+    bad = ~(Gnorm > _DEGENERACY_RTOL * scale)  # a NaN partial counts as degenerate
     if np.any(bad):
-        _raise_degenerate(U, bad)
+        pt = U[int(np.argmax(bad))]
+        raise DegenerateImmersion(f"chart differential rank-deficient at u={pt.tolist()}")
     normal = sgn * G / Gnorm[:, None]
 
     det_g = _det(g)

@@ -48,6 +48,26 @@ def without_second_partials(surface):
         dataclasses.replace(ch, second_partials=None) for ch in surface.charts))
 
 
+def cofactor_det(M, rows, cols):
+    """det M[..., rows, cols] by cofactor expansion along rows[0].
+
+    The recursive expansion ``manifold._det`` and ``_inverse`` used before
+    the minor table, kept verbatim as the reference for their bits.
+    """
+    if not rows:
+        return np.ones(M.shape[:-2])
+    if len(rows) == 1:
+        return M[..., rows[0], cols[0]]
+    if len(rows) == 2:
+        (r, s), (a, b) = rows, cols
+        return M[..., r, a] * M[..., s, b] - M[..., r, b] * M[..., s, a]
+    total = 0.0
+    for j, c in enumerate(cols):
+        term = M[..., rows[0], c] * cofactor_det(M, rows[1:], cols[:j] + cols[j + 1:])
+        total = total - term if j % 2 else total + term
+    return total
+
+
 def weingarten_dnormal(geo):
     """(B, p, q), row a = dN/du_a = -sum_{b,c} <N, F_ab> g^{bc} F_c."""
     coeff = np.swapaxes(geo.metric_inv @ geo.second_form, -1, -2)

@@ -59,6 +59,57 @@ def test_non_integer_degree_raised(surfaces):
         cv.gauss_degree(surface, QuadratureGrid.build(surface, 16))
 
 
+def _nan_torus(surfaces, which):
+    """torus2 whose first or second partials are NaN for 3.0 < u0 < 3.1."""
+    chart = surfaces["torus2"].charts[0]
+
+    def poisoned(fn):
+        def partials(U):
+            out = np.array(fn(U), dtype=float)
+            out[(U[:, 0] > 3.0) & (U[:, 0] < 3.1)] = np.nan
+            return out
+        return partials
+
+    bad = {which: poisoned(getattr(chart, which))}
+    return dataclasses.replace(surfaces["torus2"],
+                               charts=(dataclasses.replace(chart, **bad),))
+
+
+def test_nan_first_partials_name_chart_and_point(surfaces):
+    surface = _nan_torus(surfaces, "first_partials")
+    grid = QuadratureGrid.build(surface, 32)
+    field = cv.get_field("theta", surface)
+    point = r"^chart 0: .* at u=\[3\.0\d*, [^]]+\]$"
+    with pytest.raises(cv.DegenerateImmersion, match=point):
+        cv.gauss_degree(surface, grid)
+    with pytest.raises(cv.DegenerateImmersion, match=point):
+        cv.verify_integral_formula(surface, field, grid)
+
+
+def test_nan_second_partials_give_non_integer_degree(surfaces):
+    surface = _nan_torus(surfaces, "second_partials")
+    grid = QuadratureGrid.build(surface, 32)
+    field = cv.get_field("theta", surface)
+    with pytest.raises(cv.NonIntegerDegree, match="nan is not finite"):
+        cv.gauss_degree(surface, grid)
+    with pytest.raises(cv.NonIntegerDegree, match="nan is not finite"):
+        cv.verify_integral_formula(surface, field, grid)
+
+
+def test_nan_field_value_names_chart_and_point(surfaces):
+    surface = surfaces["torus2"]
+    theta = cv.get_field("theta", surface)
+
+    def value(ci, U):
+        out = np.array(theta.ambient_value(ci, U))
+        out[(U[:, 0] > 3.0) & (U[:, 0] < 3.1)] = np.nan
+        return out
+
+    field = cv.TangentField(ambient_value=value, ambient_jacobian=theta.ambient_jacobian)
+    with pytest.raises(cv.VanishingField, match=r"^chart 0: .* at u=\[3\.0\d*, [^]]+\]$"):
+        cv.verify_integral_formula(surface, field, QuadratureGrid.build(surface, 32))
+
+
 @pytest.fixture
 def geometry_points(monkeypatch):
     """Count geometry_batch points under every name a caller looks it up by."""

@@ -1,13 +1,18 @@
 """Mixed invariants: determinant sums, the tilt-map identity, oracles."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 import curvint as cv
 from curvint.errors import IndexOutOfRange
+from curvint.fields import chart_forms_batch
 from curvint.manifold import _det
+from conftest import CATALOG_PAIRS, domain_samples
 
 
 def assert_close_to_lapack(value, H):
@@ -175,3 +180,52 @@ def test_eta_batched_matches_single(n):
         for i in range(B):
             single = cv.eta_all(cv.ColumnSystem(H=H[i], V=V[i])).values
             assert np.array_equal(batch[i], single)
+
+
+def mp_det(A):
+    """Laplace expansion of a list of mpf rows: no pivots, so singular A is fine."""
+    if not A:
+        return mp.mpf(1)
+    return mp.fsum((-1) ** j * A[0][j] * mp_det([row[:j] + row[j + 1:] for row in A[1:]])
+                   for j in range(len(A)))
+
+
+def mp_eta(H, V):
+    """eta_0..eta_n as 50-digit subset determinant sums of the float inputs.
+
+    eta_k sums, over the k-subsets S of V's columns, the determinant of
+    the matrix whose column j is V's when j is in S and H's otherwise.
+    """
+    p, m = V.shape
+    with mp.workdps(50):
+        return [mp.fsum(mp_det([[mp.mpf(float(V[a, j] if j in S else H[a, j]))
+                                 for j in range(p)] for a in range(p)])
+                        for S in combinations(range(m), k))
+                for k in range(p)]
+
+
+def assert_eta_matches_mp(H, V):
+    """eta_all within 1e-14 prod_j (|H_j|_1 + |V_j|_1) of the mp sums."""
+    got = cv.eta_all(cv.ColumnSystem(H=H, V=V)).values
+    Vp = np.pad(V, ((0, 0), (0, H.shape[1] - V.shape[1])))
+    bound = 1e-14 * np.prod(np.abs(H).sum(axis=0) + np.abs(Vp).sum(axis=0))
+    for value, ref in zip(got, mp_eta(H, V)):
+        assert abs(mp.mpf(float(value)) - ref) <= bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eta_all_matches_mp_reference(n):
+    rng = np.random.default_rng(30 + n)
+    for chart in (False, True):
+        for _ in range(6):
+            cols = random_system(rng, n, chart)
+            assert_eta_matches_mp(cols.H, cols.V)
+
+
+@pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
+def test_catalog_chart_forms_eta_matches_mp_reference(surfaces, skey, fkey):
+    surface = surfaces[skey]
+    U = domain_samples(surface, 4)
+    h, D, _, _ = chart_forms_batch(surface, cv.get_field(fkey, surface), 0, U)
+    for i in range(len(U)):
+        assert_eta_matches_mp(h[i], D[i])

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 import curvint as cv
-from curvint.manifold import _det, _inverse, generalized_cross, geometry_batch
-from conftest import domain_samples, weingarten_dnormal, without_second_partials
+import curvint.manifold
+from curvint.fields import shape_data_batch
+from curvint.manifold import (
+    _det, _inverse, generalized_cross, geometry_batch, shape_determinant_batch)
+from conftest import (
+    CATALOG_PAIRS, cofactor_det, domain_samples, weingarten_dnormal,
+    without_second_partials)
 
 N_SAMPLES = 100
 
@@ -69,6 +74,72 @@ def test_det_and_inverse_on_ill_conditioned_sphere3_metrics(surfaces):
     geo = geometry_batch(surfaces["sphere3"], 0, U, second=False)
     assert np.linalg.cond(geo.metric).max() > 1e11
     _assert_det_inverse_match_lapack(geo.metric)
+
+
+def _cofactor_full_det(M):
+    idx = tuple(range(M.shape[-1]))
+    return cofactor_det(M, idx, idx)
+
+
+def _cofactor_inverse(M, det):
+    """Adjugate of cofactor_det minors over ``det``."""
+    p = M.shape[-1]
+    idx = tuple(range(p))
+    adj = np.empty(M.shape)
+    for i in range(p):
+        for j in range(p):
+            minor = cofactor_det(M, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:])
+            adj[..., i, j] = -minor if (i + j) % 2 else minor
+    return adj / det[..., None, None]
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_det_and_inverse_bits_match_cofactor_expansion(p):
+    """The minor table gives cofactor expansion's bits, signed zeros too."""
+    rng = np.random.default_rng(20 + p)
+    M = rng.normal(size=(300, p, p))
+    zeros = M.copy()  # exact zeros of both signs make zero minors
+    zeros[rng.random(M.shape) < 0.3] = 0.0
+    zeros[rng.random(M.shape) < 0.15] = -0.0
+    for A in (M, zeros):
+        det = _det(A)
+        _assert_same_bits(det, _cofactor_full_det(A))
+        safe = np.where(det == 0.0, 1.0, det)
+        inv = _inverse(A, safe)
+        assert inv.flags.c_contiguous
+        _assert_same_bits(inv, _cofactor_inverse(A, safe))
+        _assert_same_bits(_det(A[0]), _cofactor_full_det(A[0]))
+
+
+@pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
+def test_geometry_bits_match_cofactor_expansion(surfaces, monkeypatch, skey, fkey):
+    """Metric determinants, inverses, normals, shape data and shape
+    determinants keep their bits with cofactor expansion swapped in."""
+    surface = surfaces[skey]
+    field = cv.get_field(fkey, surface)
+    U = domain_samples(surface, N_SAMPLES)
+    geo = geometry_batch(surface, 0, U)
+    det_g = _det(geo.metric)
+    _assert_same_bits(det_g, _cofactor_full_det(geo.metric))
+    _assert_same_bits(_inverse(geo.metric, det_g), _cofactor_inverse(geo.metric, det_g))
+
+    def outputs():
+        g = geometry_batch(surface, 0, U)
+        sd = shape_data_batch(surface, field, 0, U)
+        return (g.normal, g.metric_inv, g.volume_factor, sd.data.h, sd.data.a,
+                sd.data.vvec, shape_determinant_batch(surface, 0, U)[0])
+
+    table = outputs()
+    monkeypatch.setattr(curvint.manifold, "_det", _cofactor_full_det)
+    monkeypatch.setattr(curvint.manifold, "_inverse", _cofactor_inverse)
+    for got, want in zip(table, outputs()):
+        _assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("name", cv.surface_names())
