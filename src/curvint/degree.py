@@ -19,7 +19,7 @@ import numpy as np
 from .errors import IndexOutOfRange, NonIntegerDegree
 from .fields import TangentField, shape_data_batch
 from .invariants import eta_all  # noqa: F401  perfbench's tracer wraps it here
-from .manifold import ChartedHypersurface, _det, shape_determinant_batch
+from .manifold import ChartedHypersurface, _asymmetry, _det, shape_determinant_batch
 from .quadrature import QuadratureGrid, _eta_integrals, _integrate_vector, _select_ks
 from .quadrature import _run_blocks  # noqa: F401  perfbench's tracer wraps it here
 
@@ -276,6 +276,25 @@ class FoliationReport:
         )
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of (B, n, n) matrices, largest first.
+
+    Closed forms for n <= 2, so the rank does not depend on the LAPACK
+    build there: |a| for n = 1, and for a = [[p, q], [r, s]] the sum and
+    the absolute difference of hypot((p+s)/2, (r-q)/2) and
+    hypot((p-s)/2, (r+q)/2).  LAPACK's SVD for n >= 3.
+    """
+    n = a.shape[-1]
+    if n == 1:
+        return np.abs(a[..., 0])
+    if n > 2:
+        return np.linalg.svd(a, compute_uv=False)
+    p, q, r, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    x = np.hypot(0.5 * (p + s), 0.5 * (r - q))
+    y = np.hypot(0.5 * (p - s), 0.5 * (r + q))
+    return np.stack([x + y, np.abs(x - y)], axis=-1)
+
+
 def foliation_obstruction_report(
     surface: ChartedHypersurface,
     field: TangentField,
@@ -288,7 +307,10 @@ def foliation_obstruction_report(
     each sample the integrability defect (max-entry norm of a - a^T) and
     the numerical rank of a are peaks, reduced to their maxima; ranks
     count singular values above RANK_REL_TOL times the largest, with rank
-    0 when all fall below RANK_ABS_TOL absolutely.  The same pass
+    0 when all fall below RANK_ABS_TOL absolutely.  For n <= 2 the
+    singular values come in closed form (``_singular_values``), so no
+    sample calls LAPACK; a non-finite a cannot reach them, because the
+    shape data raise first, naming the point.  The same pass
     integrates det(h), the eta_0 that ``verify_integral_formula``
     integrates, and when the hypothesis holds the cross-check degree is
     read off that integral.
@@ -298,8 +320,8 @@ def foliation_obstruction_report(
     def func(ci, U):
         batch = shape_data_batch(surface, field, ci, U)
         a = batch.data.a
-        defect = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
-        sv = np.linalg.svd(a, compute_uv=False)
+        defect = _asymmetry(a)
+        sv = _singular_values(a)
         smax = sv[..., 0]
         rank = np.sum(sv > RANK_REL_TOL * smax[..., None], axis=-1)
         rank = np.where(smax < RANK_ABS_TOL, 0, rank)

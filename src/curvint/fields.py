@@ -9,6 +9,9 @@ det g are the orthonormal-frame ones.  ``shape_data_batch`` builds the
 adapted orthonormal frame {e_1, ..., e_n, v} (v always last) only to read
 the same forms in orthonormal components; tests check both against a
 test-local route that assembles the derivatives in the ambient space.
+Chart coordinates, of the field and of the frame, come from solves with
+the block's Cholesky factor of the metric; no metric inverse is formed,
+and the frame's Gram-Schmidt runs on batch-last vectors.
 Every pass evaluates a field through ``field_batch``, which reads a
 coordinate field off the block's chart partials.
 """
@@ -193,47 +196,42 @@ def normalize_and_project(
     return v[0] if single else v
 
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, as the root of a self dot product."""
-    return np.sqrt(np.einsum("...q,...q->...", x, x))
-
-
 def _pivoted_frame(geo: GeometryBatch, v: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the tangent complement of v, chart order.
 
     Gram-Schmidt over the chart tangent vectors with v removed first.
     Exactly one of the p projected vectors is discarded: the one whose
     sequential residual norm is smallest, ties going to the lowest index.
-    Deterministic by construction.
+    Deterministic by construction.  Vectors are held batch-last, (q, B)
+    each, so every step is a few operations on contiguous arrays, and the
+    kept vectors are selected by comparison with the discarded index.
+    Returns (B, n, q).
     """
-    tangents = np.swapaxes(geo.jacobian, -1, -2)  # (B, p, q)
-    B, p, q = tangents.shape
+    T = np.ascontiguousarray(np.transpose(geo.jacobian, (2, 1, 0)))  # (p, q, B)
+    vt = np.ascontiguousarray(v.T)                                   # (q, B)
+    p = T.shape[0]
     n = p - 1
-    w = tangents - np.einsum("xaq,xq->xa", tangents, v)[:, :, None] * v[:, None, :]
-    scale = np.max(_norm(w), axis=-1)  # (B,)
+    w = T - np.sum(T * vt, axis=1)[:, None, :] * vt
+    scale = np.max(np.sqrt(np.sum(w * w, axis=1)), axis=0)  # (B,)
 
     # Pass 1: modified Gram-Schmidt residual norms; near-zero residuals
     # become zero vectors so later projections are unaffected.
     r = w.copy()
-    res = np.empty((B, p))
+    res = np.empty((p, T.shape[-1]))
     for a in range(p):
-        ra = r[:, a, :]
-        nr = _norm(ra)
-        res[:, a] = nr
-        ok = nr > _GS_ZERO_RTOL * scale
-        e = np.where(ok[:, None], ra / np.where(ok, nr, 1.0)[:, None], 0.0)
+        nr = np.sqrt(np.sum(r[a] * r[a], axis=0))
+        res[a] = nr
         if a + 1 < p:
-            r[:, a + 1:, :] -= np.einsum("xbq,xq->xb", r[:, a + 1:, :], e)[:, :, None] * e[:, None, :]
-    discard = np.argmin(res, axis=1)
+            ok = nr > _GS_ZERO_RTOL * scale
+            e = np.where(ok, r[a] / np.where(ok, nr, 1.0), 0.0)
+            r[a + 1:] -= np.sum(r[a + 1:] * e, axis=1)[:, None, :] * e
+    discard = np.argmin(res, axis=0)
 
-    # Pass 2: clean MGS over the kept vectors in chart order.
-    keep = np.argsort(np.arange(p)[None, :] == discard[:, None],
-                      axis=1, kind="stable")[:, :n]
-    w2 = np.take_along_axis(w, keep[:, :, None], axis=1)
-    out = np.empty((B, n, q))
+    # Pass 2: clean MGS over the kept vectors in chart order; slot j holds
+    # w[j] before the discarded index and w[j + 1] from it on.
+    out = np.where(np.arange(n)[:, None, None] < discard, w[:-1], w[1:])
     for a in range(n):
-        ra = w2[:, a, :]
-        nr = _norm(ra)
+        nr = np.sqrt(np.sum(out[a] * out[a], axis=0))
         low = nr <= _GS_RANK_RTOL * scale
         if np.any(low):
             pt = np.asarray(U)[int(np.argmax(low))]
@@ -241,11 +239,10 @@ def _pivoted_frame(geo: GeometryBatch, v: np.ndarray, U: np.ndarray) -> np.ndarr
                 "tangent vectors do not span the field complement at "
                 f"u={pt.tolist()}"
             )
-        ea = ra / nr[:, None]
-        out[:, a, :] = ea
+        out[a] /= nr
         if a + 1 < n:
-            w2[:, a + 1:, :] -= np.einsum("xbq,xq->xb", w2[:, a + 1:, :], ea)[:, :, None] * ea[:, None, :]
-    return out
+            out[a + 1:] -= np.sum(out[a + 1:] * out[a], axis=1)[:, None, :] * out[a]
+    return np.ascontiguousarray(np.transpose(out, (2, 0, 1)))
 
 
 def adapted_frame(
@@ -279,9 +276,13 @@ def _chart_forms(
 
     L = geo.second_form
     K = np.swapaxes(geo.tangents @ rawJ, -1, -2) + rn[:, None, None] * L
-    s = geo.tangents @ raw[:, :, None]                # (B, p, 1), J^T raw
-    Kw = K @ (geo.metric_inv @ s) / (Pn * Pn)[:, None, None]  # K w / |P|
-    D = (K - Kw * np.swapaxes(s, -1, -2)) / Pn[:, None, None]
+    s = np.einsum("xaq,xq->xa", geo.tangents, raw)  # J^T raw
+    cP = manifold._cholesky_solve(geo.metric_chol, s.T).T  # g^-1 s: chart coordinates of P
+    Kw = np.einsum("xab,xb->xa", K, cP) / (Pn * Pn)[:, None]  # K w / |P|
+    D = (K - Kw[:, :, None] * s[:, None, :]) / Pn[:, None, None]
+    if not np.isfinite(D).all():  # a NaN field jacobian; per point only to name it
+        pt = U[int(np.argmin(np.isfinite(D).all(axis=(-2, -1))))]
+        raise VanishingField(f"field derivative not finite at u={pt.tolist()}")
     return geo, P / Pn[:, None], -L, D
 
 
@@ -295,7 +296,8 @@ def shape_data_batch(
 
     The frame is built only to read the chart forms of
     ``chart_forms_batch`` in orthonormal components: with C the chart
-    coordinates of the frame vectors as columns, ``h`` is the symmetrized
+    coordinates of the frame vectors as columns (``tangent_coefficients``,
+    a solve with the metric factor), ``h`` is the symmetrized
     ``C^T (-L) C`` and ``C^T D C`` holds ``<D_{E_A} v, E_B>``, whose blocks
     are a, vvec and the two ``<nabla v, v>`` residuals.
     """
@@ -341,9 +343,13 @@ def chart_forms_batch(
     equation ``K = <d_a P, F_b>`` is ``(d raw)^T J + <raw, N> L`` for the
     tangential part P of the raw field; with ``s = J^T raw``, ``w = g^-1 s
     / |P|`` are the chart coordinates of v = P / |P| and ``D = (K - (K w)
-    s^T / |P|) / |P|``.  ``shape_data_batch`` reads these same forms, so it
-    makes the same checks: Euler characteristic, ``DegenerateImmersion``
-    and ``VanishingField``, each naming the point.
+    s^T / |P|) / |P|``.  ``g^-1 s`` comes from a solve with the block's
+    Cholesky factor (``GeometryBatch.metric_chol``); no inverse is formed.
+    ``shape_data_batch`` reads these same forms, so it makes the same
+    checks: Euler characteristic, ``DegenerateImmersion`` (rank-deficient
+    or non-finite chart partials, a metric that is not positive definite)
+    and ``VanishingField`` (a vanishing or non-finite field value, a
+    non-finite D), each naming the point.
     """
     geo, _, h, D = _chart_forms(surface, field, chart_index, U)
     vf = geo.volume_factor

@@ -3,10 +3,12 @@
 A hypersurface of dimension n+1 sits in Euclidean space of dimension n+2
 and is described by one or more charts.  Each chart supplies a vectorized
 position map together with first (and ideally second) partial derivatives.
-From those this module derives the induced metric, the chart volume
-factor, the unit normal (the normal map into the sphere) and the second
-fundamental form, as the chart-basis form ``-<N, d2F/du_a du_b>`` and in
-any orthonormal tangent frame.
+From those this module derives the induced metric and its Cholesky
+factor, the chart volume factor, the unit normal (the normal map into the
+sphere) and the second fundamental form, as the chart-basis form
+``-<N, d2F/du_a du_b>`` and in any orthonormal tangent frame.  Chart
+coordinates of tangent vectors come from solves with the factor; no
+grid pass forms the metric inverse.
 
 Evaluation contracts are batched: parameter points are arrays of shape
 (B, p) with p = n+1, positions are (B, q) with q = n+2.  The public
@@ -137,17 +139,26 @@ class GeometryBatch(NamedTuple):
     ``jacobian`` and ``second_partials`` are the arrays the chart returned,
     so a field built from chart partials reads them instead of calling the
     chart again; ``second_partials`` and ``second_form`` are None when the
-    block was evaluated with ``second=False``.
+    block was evaluated with ``second=False``.  ``metric_chol`` is the
+    lower Cholesky factor of the metric, batch-last so that each entry is
+    one contiguous (B,) vector for ``_cholesky_solve``.  The metric inverse
+    is not stored: ``metric_inv`` forms it on each read, and no grid pass
+    reads it.
     """
 
     jacobian: np.ndarray       # (B, q, p)
     tangents: np.ndarray       # (B, p, q), C-contiguous transpose of jacobian
     metric: np.ndarray         # (B, p, p)
-    metric_inv: np.ndarray     # (B, p, p)
+    metric_chol: np.ndarray    # (p, p, B), metric = C C^T, C lower triangular
     volume_factor: np.ndarray  # (B,)
     normal: np.ndarray         # (B, q)
     second_form: np.ndarray | None  # (B, p, p), <N, d2F/du_a du_b>
     second_partials: np.ndarray | None = None  # (B, q, p, p), d2F/du_a du_b
+
+    @property
+    def metric_inv(self) -> np.ndarray:
+        """(B, p, p) inverse metric, the adjugate over ``_det`` of the metric."""
+        return _inverse(self.metric, _det(self.metric))
 
 
 def _minors(M: np.ndarray, V: np.ndarray | None = None) -> dict:
@@ -204,6 +215,58 @@ def _inverse(M: np.ndarray, det: np.ndarray) -> np.ndarray:
     return adj / det[..., None, None]
 
 
+def _cholesky(G: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of symmetric positive definite (B, p, p) G.
+
+    Returned batch-last as (p, p, B) with a zero upper triangle.  The
+    column-by-column recurrence is written as (B,)-vector operations
+    looped over p (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 10).  A pivot that is not finite and
+    positive means G is not positive definite to working precision:
+    DegenerateImmersion names the first such point of ``U``.
+    """
+    p = G.shape[-1]
+    C = np.zeros((p, p, G.shape[0]))
+    for j in range(p):
+        d = G[:, j, j]
+        for k in range(j):
+            d = d - C[j, k] * C[j, k]
+        bad = ~((d > 0.0) & (d < np.inf))
+        if np.any(bad):
+            pt = np.asarray(U)[int(np.argmax(bad))]
+            raise DegenerateImmersion(f"metric not positive definite at u={pt.tolist()}")
+        C[j, j] = np.sqrt(d)
+        for i in range(j + 1, p):
+            r = G[:, i, j]
+            for k in range(j):
+                r = r - C[i, k] * C[j, k]
+            C[i, j] = r / C[j, j]
+    return C
+
+
+def _cholesky_solve(C: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Solve C C^T X = S for the (p, p, B) factor of ``_cholesky``.
+
+    ``S`` is batch-last, (p, B) or (p, m, B) for m right-hand sides, and
+    so is X.  Two triangular solves as (B,)-vector operations looped over
+    p; no inverse is formed.
+    """
+    p = C.shape[0]
+    z = []
+    for i in range(p):  # C z = S
+        r = S[i]
+        for k in range(i):
+            r = r - C[i, k] * z[k]
+        z.append(r / C[i, i])
+    x = [None] * p
+    for i in range(p - 1, -1, -1):  # C^T X = z
+        r = z[i]
+        for k in range(i + 1, p):
+            r = r - C[k, i] * x[k]
+        x[i] = r / C[i, i]
+    return np.stack(x)
+
+
 def generalized_cross(vectors: np.ndarray) -> np.ndarray:
     """Vector orthogonal to p = q-1 vectors in q-space (Hodge dual).
 
@@ -244,8 +307,10 @@ def geometry_batch(
     ``second_partials`` and contracted with the normal into
     ``second_form``.  By the Weingarten equation ``<dN/du_a, F_b>`` is
     ``-second_form[a, b]``, so no ambient derivative of the normal is
-    formed.  The metric inverse is formed once per batch, after the
-    degeneracy check.
+    formed.  After the rank check the metric is factored once by
+    Cholesky (``metric_chol``); its inverse is not formed.  A NaN first
+    partial fails the rank check, and non-finite second partials raise
+    DegenerateImmersion too, each naming the point.
     """
     chart = surface.charts[chart_index]
     U = np.asarray(U, dtype=float)
@@ -266,33 +331,49 @@ def geometry_batch(
         raise DegenerateImmersion(f"chart differential rank-deficient at u={pt.tolist()}")
     normal = sgn * G / Gnorm[:, None]
 
-    det_g = _det(g)
-    volume_factor = np.sqrt(det_g)
-    metric_inv = _inverse(g, det_g)
+    chol = _cholesky(g, U)
+    volume_factor = np.sqrt(_det(g))
 
     L = H2 = None
     if second:
         H2 = np.asarray(chart.second_partials(U), dtype=float)
         L = np.einsum("xq,xqab->xab", normal, H2)
+        if not np.isfinite(L).all():  # one flat pass; per point only to name it
+            pt = U[int(np.argmin(np.isfinite(L).all(axis=(-2, -1))))]
+            raise DegenerateImmersion(f"second partials not finite at u={pt.tolist()}")
 
-    return GeometryBatch(J, tangents, g, metric_inv, volume_factor, normal, L, H2)
+    return GeometryBatch(J, tangents, g, chol, volume_factor, normal, L, H2)
 
 
 def tangent_coefficients(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:
     """Chart-basis coefficients of tangent directions.
 
-    ``X`` has shape (B, m, q); returns c of shape (B, p, m) solving
-    J c = X^T in the least-squares sense via the metric (exact for tangent X).
+    ``X`` has shape (B, m, q); returns the C-contiguous c of shape
+    (B, p, m) solving J c = X^T in the least-squares sense, that is
+    g c = J^T X^T, by ``_cholesky_solve`` with the block's metric factor
+    (exact for tangent X).
     """
     X_t = np.ascontiguousarray(np.swapaxes(X, -1, -2))  # matmul runs faster on it
-    return geo.metric_inv @ (geo.tangents @ X_t)
+    # (p, m, B): the solve's vector operations run faster on contiguous rows
+    S = np.ascontiguousarray(np.moveaxis(geo.tangents @ X_t, 0, -1))
+    return np.ascontiguousarray(np.moveaxis(_cholesky_solve(geo.metric_chol, S), -1, 0))
+
+
+def _asymmetry(M: np.ndarray) -> np.ndarray:
+    """Max-entry norm of M - M^T for (B, p, p) M, as (B,)-vector maxima.
+
+    A max over the small trailing axes runs a slow inner loop per point;
+    the p (p - 1) / 2 off-diagonal pairs take a few vector operations.
+    """
+    asym = np.zeros(M.shape[0])
+    for i, j in combinations(range(M.shape[-1]), 2):
+        asym = np.maximum(asym, np.abs(M[:, i, j] - M[:, j, i]))
+    return asym
 
 
 def _symmetrized(h_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric part of (B, p, p) matrices and the max-entry asymmetry."""
-    h_t = np.swapaxes(h_raw, -1, -2)
-    asym = np.max(np.abs(h_raw - h_t), axis=(-2, -1))
-    return 0.5 * (h_raw + h_t), asym
+    return 0.5 * (h_raw + np.swapaxes(h_raw, -1, -2)), _asymmetry(h_raw)
 
 
 def unit_normal(surface: ChartedHypersurface, chart_index: int, u) -> np.ndarray:

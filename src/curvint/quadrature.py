@@ -93,13 +93,16 @@ def _build_chart_grid(chart, counts) -> ChartGrid:
     for lo, hi, per, c in zip(chart.lo, chart.hi, chart.periodic, counts):
         rule = _periodic_rule(lo, hi, c) if per else _gauss_rule(lo, hi, c)
         rules.append(rule)
-    mesh = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*[r.weights for r in rules], indexing="ij")
-    weights = np.ones(points.shape[0])
-    for w in wmesh:
-        weights = weights * w.reshape(-1)
-    return ChartGrid(tuple(rules), points, weights)
+    # the weights multiply in axis order, ((w0 * w1) * w2) ...: the order
+    # fixes their bits
+    shape = tuple(len(r.nodes) for r in rules)
+    points = np.empty(shape + (len(rules),))
+    weights = rules[0].weights
+    for a, r in enumerate(rules):
+        points[..., a] = r.nodes.reshape((-1,) + (1,) * (len(rules) - 1 - a))
+        if a:
+            weights = np.multiply.outer(weights, r.weights)
+    return ChartGrid(tuple(rules), points.reshape(-1, len(rules)), weights.reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ import curvint as cv
 import curvint.fields
 import curvint.manifold
 import curvint.quadrature
+from curvint.degree import _singular_values
 from curvint.quadrature import QuadratureGrid
 from conftest import CATALOG_PAIRS
 
@@ -90,9 +92,10 @@ def test_nan_second_partials_give_non_integer_degree(surfaces):
     surface = _nan_torus(surfaces, "second_partials")
     grid = QuadratureGrid.build(surface, 32)
     field = cv.get_field("theta", surface)
-    with pytest.raises(cv.NonIntegerDegree, match="nan is not finite"):
+    point = r"^chart 0: second partials not finite at u=\[3\.0\d*, [^]]+\]$"
+    with pytest.raises(cv.DegenerateImmersion, match=point):
         cv.gauss_degree(surface, grid)
-    with pytest.raises(cv.NonIntegerDegree, match="nan is not finite"):
+    with pytest.raises(cv.DegenerateImmersion, match=point):
         cv.verify_integral_formula(surface, field, grid)
 
 
@@ -108,6 +111,93 @@ def test_nan_field_value_names_chart_and_point(surfaces):
     field = cv.TangentField(ambient_value=value, ambient_jacobian=theta.ambient_jacobian)
     with pytest.raises(cv.VanishingField, match=r"^chart 0: .* at u=\[3\.0\d*, [^]]+\]$"):
         cv.verify_integral_formula(surface, field, QuadratureGrid.build(surface, 32))
+
+
+def test_nan_field_jacobian_names_chart_and_point(surfaces):
+    """A NaN field derivative stops both passes at the point, as a NaN value does."""
+    surface = surfaces["sphere3"]
+    hopf = cv.get_field("hopf", surface)
+
+    def jacobian(ci, U):
+        out = np.array(hopf.ambient_jacobian(ci, U))
+        out[(U[:, 1] > 3.0) & (U[:, 1] < 3.5)] = np.nan
+        return out
+
+    field = cv.TangentField(ambient_value=hopf.ambient_value, ambient_jacobian=jacobian)
+    grid = QuadratureGrid.build(surface, 12)
+    point = r"^chart 0: field derivative not finite at u=\[[^,]+, 3\.40\d*, [^]]+\]$"
+    with pytest.raises(cv.VanishingField, match=point):
+        cv.verify_integral_formula(surface, field, grid)
+    with pytest.raises(cv.VanishingField, match=point):
+        cv.foliation_obstruction_report(surface, field, grid)
+
+
+def _reference_singular_values(a):
+    """Singular values of (B, n, n) float matrices, n <= 2, in 50 digits.
+
+    For 2 x 2, sigma_1 +- sigma_2 = sqrt(|a|_F^2 +- 2 |det a|): no hypot,
+    so this checks the closed form's algebra as well as its rounding.
+    """
+    with mp.workdps(50):
+        out = []
+        for m in a.tolist():
+            if len(m) == 1:
+                out.append([abs(mp.mpf(m[0][0]))])
+                continue
+            (p, q), (r, s) = [[mp.mpf(x) for x in row] for row in m]
+            t, d = p * p + q * q + r * r + s * s, abs(p * s - q * r)
+            x, y = mp.sqrt(t + 2 * d), mp.sqrt(t - 2 * d)
+            out.append([(x + y) / 2, (x - y) / 2])
+        return np.array(out, dtype=float)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_singular_values_closed_form_match_reference(n):
+    """Within 2 eps * sigma_max of a 50-digit reference, on random, zero,
+    rank-one, antisymmetric and diagonal inputs."""
+    rng = np.random.default_rng(40 + n)
+    dense = rng.normal(size=(500, n, n)) * 10.0 ** rng.uniform(-6, 6, size=(500, 1, 1))
+    x, y = rng.normal(size=(2, 500, n, 1))
+    antisymmetric = dense - np.swapaxes(dense, -1, -2)
+    diagonal = np.einsum("xi,ij->xij", rng.normal(size=(500, n)), np.eye(n))
+    for a in (dense, np.zeros((3, n, n)), x @ np.swapaxes(y, -1, -2),
+              antisymmetric, diagonal):
+        got, want = _singular_values(a), _reference_singular_values(a)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * want[:, :1])
+
+
+def test_singular_values_are_lapacks_for_n3():
+    a = np.random.default_rng(43).normal(size=(200, 3, 3))
+    got, want = _singular_values(a), np.linalg.svd(a, compute_uv=False)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("skey,fkey", [("torus2", "theta"), ("sphere3", "hopf")])
+def test_no_metric_inverse_and_no_svd_in_grid_passes(surfaces, monkeypatch, skey, fkey):
+    """For n <= 2 no grid pass forms the adjugate inverse or calls LAPACK's SVD."""
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(curvint.manifold, "_inverse",
+                        counting("_inverse", curvint.manifold._inverse))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    surface = surfaces[skey]
+    field = cv.get_field(fkey, surface)
+    grid = QuadratureGrid.build(surface, 12)
+    cv.verify_integral_formula(surface, field, grid)
+    cv.integrate_eta(surface, field, grid)
+    cv.gauss_degree(surface, grid)
+    cv.foliation_obstruction_report(surface, field, grid)
+    assert calls == []
+    geo = curvint.manifold.geometry_batch(surface, 0, grid.charts[0].points[:4])
+    _ = geo.metric_inv
+    assert calls == ["_inverse"]  # the wrapper sees a call when one is made
 
 
 @pytest.fixture

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import curvint as cv
 from curvint.fields import (
-    _pivoted_frame, chart_forms_batch, coordinate_field, field_batch, shape_data_batch)
+    _GS_RANK_RTOL, _GS_ZERO_RTOL, _pivoted_frame, chart_forms_batch, coordinate_field,
+    field_batch, project_field_batch, shape_data_batch)
 from curvint.manifold import GeometryBatch, geometry_batch
 from curvint.quadrature import BLOCK, QuadratureGrid
 from conftest import (
@@ -135,7 +136,7 @@ def test_pivoted_frame_rank_loss_names_the_point():
     J = np.swapaxes(tangents, 1, 2)
     geo = GeometryBatch(
         jacobian=J, tangents=tangents, metric=tangents @ J,
-        metric_inv=np.full((2, 3, 3), np.nan),  # the metric is singular at point 1
+        metric_chol=np.full((3, 3, 2), np.nan),  # the metric is singular at point 1
         volume_factor=np.zeros(2), normal=np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)),
         second_form=None,
     )
@@ -248,6 +249,77 @@ def test_shape_data_matches_ambient_reference(surfaces, skey, fkey):
                      (got.frame.normal, want.frame.normal),
                      (got.volume_factor, want.volume_factor)):
             np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def adjugate_field_form(surface, field, chart_index, U):
+    """D through the adjugate metric inverse, as the chart forms once took it."""
+    geo = geometry_batch(surface, chart_index, U)
+    raw, rawJ = field_batch(field, surface, geo, chart_index, U)
+    rn, _, Pn = project_field_batch(raw, geo, U)
+    K = np.swapaxes(geo.tangents @ rawJ, -1, -2) + rn[:, None, None] * geo.second_form
+    s = geo.tangents @ raw[:, :, None]
+    Kw = K @ (geo.metric_inv @ s) / (Pn * Pn)[:, None, None]
+    return (K - Kw * np.swapaxes(s, -1, -2)) / Pn[:, None, None]
+
+
+@pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
+def test_chart_forms_solve_matches_adjugate_route(surfaces, skey, fkey):
+    """D from the Cholesky solve agrees with the adjugate route on every
+    block of the 48^k grid (128^2 for torus2), within 1e-13 * max(1, |D|)."""
+    surface = surfaces[skey]
+    field = cv.get_field(fkey, surface)
+    grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 48)
+    for ci, U in grid_blocks(grid):
+        want = adjugate_field_form(surface, field, ci, U)
+        _, got, _, _ = chart_forms_batch(surface, field, ci, U)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def stacked_pivoted_frame(geo, v):
+    """The adapted frame by (B, k, q) einsums and a gathered kept set, as
+    ``_pivoted_frame`` once built it (without its rank check)."""
+    def norm(x):
+        return np.sqrt(np.einsum("...q,...q->...", x, x))
+
+    tangents = np.swapaxes(geo.jacobian, -1, -2)
+    B, p, q = tangents.shape
+    w = tangents - np.einsum("xaq,xq->xa", tangents, v)[:, :, None] * v[:, None, :]
+    scale = np.max(norm(w), axis=-1)
+    r = w.copy()
+    res = np.empty((B, p))
+    for a in range(p):
+        nr = norm(r[:, a, :])
+        res[:, a] = nr
+        ok = nr > _GS_ZERO_RTOL * scale
+        e = np.where(ok[:, None], r[:, a, :] / np.where(ok, nr, 1.0)[:, None], 0.0)
+        r[:, a + 1:, :] -= np.einsum("xbq,xq->xb", r[:, a + 1:, :], e)[:, :, None] * e[:, None, :]
+    keep = np.argsort(np.arange(p)[None, :] == np.argmin(res, axis=1)[:, None],
+                      axis=1, kind="stable")[:, :p - 1]
+    w2 = np.take_along_axis(w, keep[:, :, None], axis=1)
+    for a in range(p - 1):
+        nr = norm(w2[:, a, :])
+        assert np.all(nr > _GS_RANK_RTOL * scale)
+        w2[:, a, :] /= nr[:, None]
+        w2[:, a + 1:, :] -= (np.einsum("xbq,xq->xb", w2[:, a + 1:, :], w2[:, a, :])[:, :, None]
+                             * w2[:, a, None, :])
+    return w2
+
+
+@pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
+def test_pivoted_frame_matches_stacked_reference(surfaces, skey, fkey):
+    """The batch-last frame keeps the same vectors as the stacked route, to
+    within 4 eps per entry, on every block of the 48^k grid (128^2 torus2)."""
+    surface = surfaces[skey]
+    field = cv.get_field(fkey, surface)
+    grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 48)
+    for ci, U in grid_blocks(grid):
+        geo = geometry_batch(surface, ci, U, second=False)
+        raw, _ = field_batch(field, surface, geo, ci, U, jacobian=False)
+        _, P, Pn = project_field_batch(raw, geo, U)
+        v = P / Pn[:, None]
+        e = _pivoted_frame(geo, v, U)
+        assert e.flags.c_contiguous
+        assert np.max(np.abs(e - stacked_pivoted_frame(geo, v))) <= 4 * np.finfo(float).eps
 
 
 def test_chart_forms_exact_near_collapsed_hopf_circles(surfaces):

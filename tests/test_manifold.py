@@ -5,9 +5,12 @@ import pytest
 
 import curvint as cv
 import curvint.manifold
+from curvint.catalog import _ELL_A, _sphere3_chart
 from curvint.fields import shape_data_batch
 from curvint.manifold import (
-    _det, _inverse, generalized_cross, geometry_batch, shape_determinant_batch)
+    _asymmetry, _cholesky, _cholesky_solve, _det, _inverse, generalized_cross,
+    geometry_batch, shape_determinant_batch)
+from curvint.quadrature import BLOCK, QuadratureGrid
 from conftest import (
     CATALOG_PAIRS, cofactor_det, domain_samples, weingarten_dnormal,
     without_second_partials)
@@ -140,6 +143,86 @@ def test_geometry_bits_match_cofactor_expansion(surfaces, monkeypatch, skey, fke
     monkeypatch.setattr(curvint.manifold, "_inverse", _cofactor_inverse)
     for got, want in zip(table, outputs()):
         _assert_same_bits(got, want)
+
+
+def _spd_solve(G, S):
+    """x solving G x = S for (B, p, p) G and (B, p) S, through the factor."""
+    return _cholesky_solve(_cholesky(G, np.zeros((len(G), G.shape[-1]))), S.T).T
+
+
+def _assert_cholesky_solve_matches_lapack(G, b):
+    """Cholesky's backward error, and LAPACK's solution within cond(G) of it."""
+    x = _spd_solve(G, b)
+    p, eps = G.shape[-1], np.finfo(float).eps
+    norm_G = np.linalg.norm(G, 2, axis=(-2, -1))
+    residual = np.linalg.norm(np.einsum("xab,xb->xa", G, x) - b, axis=-1)
+    assert np.all(residual <= 4 * p * eps * norm_G * np.linalg.norm(x, axis=-1))
+    ref = np.linalg.solve(G, b[..., None])[..., 0]
+    err = np.linalg.norm(x - ref, axis=-1) / np.linalg.norm(ref, axis=-1)
+    assert np.all(err <= 8 * p * eps * np.linalg.cond(G))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_cholesky_solve_matches_lapack(p):
+    """Random SPD matrices with condition numbers from 1 up to 1e8."""
+    rng = np.random.default_rng(30 + p)
+    Q = np.linalg.qr(rng.normal(size=(300, p, p)))[0]
+    cond = 10.0 ** rng.uniform(0.0, 8.0, size=(300, 1))
+    lam = cond ** -np.linspace(0.0, 1.0, p) * rng.uniform(0.1, 10.0, size=(300, 1))
+    G = (Q * lam[:, None, :]) @ np.swapaxes(Q, -1, -2)
+    G = 0.5 * (G + np.swapaxes(G, -1, -2))
+    assert np.linalg.cond(G).max() > 1e7 or p == 1
+    _assert_cholesky_solve_matches_lapack(G, rng.normal(size=(300, p)))
+
+
+def test_cholesky_solve_on_ill_conditioned_sphere3_metrics(surfaces):
+    """Hopf-coordinate metrics next to the collapsing circles t = 0, pi/2,
+    with the factor geometry_batch stores; several right-hand sides at once."""
+    gap = 10.0 ** -np.arange(2, 7)
+    t = np.concatenate([gap, 0.5 * np.pi - gap])
+    rng = np.random.default_rng(12)
+    U = np.column_stack([t, rng.uniform(0, 2 * np.pi, (t.size, 2))])
+    geo = geometry_batch(surfaces["sphere3"], 0, U, second=False)
+    assert np.linalg.cond(geo.metric).max() > 1e11
+    _assert_cholesky_solve_matches_lapack(geo.metric, rng.normal(size=(t.size, 3)))
+    C = np.moveaxis(geo.metric_chol, -1, 0)
+    np.testing.assert_array_equal(np.triu(C, 1), 0.0)
+    assert np.all(np.abs(C @ np.swapaxes(C, -1, -2) - geo.metric)
+                  <= 4 * 3 * np.finfo(float).eps * np.abs(geo.metric).max())
+    S = rng.normal(size=(3, 2, t.size))  # two right-hand sides per point
+    X = _cholesky_solve(geo.metric_chol, S)
+    for m in range(2):
+        _assert_same_bits(X[:, m], _cholesky_solve(geo.metric_chol, S[:, m]))
+
+
+@pytest.mark.parametrize("bad", [-1e-3, 0.0, np.nan, np.inf])
+def test_cholesky_names_a_point_that_is_not_positive_definite(bad):
+    G = np.tile(np.eye(3), (3, 1, 1))
+    G[1] = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, bad]]
+    U = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+    with pytest.raises(cv.DegenerateImmersion,
+                       match=r"^metric not positive definite at u=\[0\.4, 0\.5, 0\.6\]$"):
+        _cholesky(G, U)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_asymmetry_bits_match_max_entry_norm(p):
+    M = np.random.default_rng(50 + p).normal(size=(300, p, p))
+    M[:10] = 0.5 * (M[:10] + np.swapaxes(M[:10], -1, -2))  # symmetric: exactly 0
+    want = np.max(np.abs(M - np.swapaxes(M, -1, -2)), axis=(-2, -1))
+    _assert_same_bits(_asymmetry(M), want)
+
+
+def test_ellipsoid3_partials_are_the_matrix_products(surfaces):
+    """Row scaling by diag(A) gives the bits of A @ J and A @ H on the 48^3 grid."""
+    chart, base = surfaces["ellipsoid3"].charts[0], _sphere3_chart()
+    points = QuadratureGrid.build(surfaces["ellipsoid3"], 48).charts[0].points
+    for start in range(0, len(points), BLOCK):
+        U = points[start:start + BLOCK]
+        H = base.second_partials(U)
+        _assert_same_bits(chart.first_partials(U), _ELL_A @ base.first_partials(U))
+        _assert_same_bits(chart.second_partials(U),
+                          (_ELL_A @ H.reshape(len(U), 4, 9)).reshape(H.shape))
 
 
 @pytest.mark.parametrize("name", cv.surface_names())

@@ -84,6 +84,34 @@ def test_grid_rules(surfaces):
     assert rules[1].periodic is True
 
 
+def _meshgrid_chart_grid(chart, counts):
+    """Points and weights by meshgrid and stack, as QuadratureGrid.build once made them."""
+    rules = [curvint.quadrature._periodic_rule(lo, hi, c) if per
+             else curvint.quadrature._gauss_rule(lo, hi, c)
+             for lo, hi, per, c in zip(chart.lo, chart.hi, chart.periodic, counts)]
+    mesh = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
+    points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    wmesh = np.meshgrid(*[r.weights for r in rules], indexing="ij")
+    weights = np.ones(points.shape[0])
+    for w in wmesh:
+        weights = weights * w.reshape(-1)
+    return points, weights
+
+
+@pytest.mark.parametrize("name", cv.surface_names())
+def test_grid_bits_match_meshgrid_build(surfaces, name):
+    """Broadcast points and outer-product weights keep the meshgrid bits."""
+    surface = surfaces[name]
+    for counts in (2, 8, 17, 48, (9, 16, 33)[:surface.dim]):
+        grid = QuadratureGrid.build(surface, counts)
+        for chart, cg in zip(surface.charts, grid.charts):
+            points, weights = _meshgrid_chart_grid(chart, grid.counts)
+            assert cg.points.flags.c_contiguous and cg.weights.flags.c_contiguous
+            np.testing.assert_array_equal(cg.points.view(np.uint64), points.view(np.uint64))
+            np.testing.assert_array_equal(cg.weights.view(np.uint64),
+                                          weights.view(np.uint64))
+
+
 def test_gauss_panels_split():
     surface = cv.get_surface("sphere3")
     for count in (8, 16, 17, 48, 50, 96):
