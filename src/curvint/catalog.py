@@ -7,12 +7,19 @@ the computed normal points outward with orientation_sign = +1.  Chart
 degeneracies (collapsing coordinate circles) sit on the domain boundary
 and are avoided by the midpoint-shifted / interior-node grids.
 
-Surfaces:
+Each surface but ellipsoid3 is a profile whose coordinate pairs turn with
+angle coordinates (``_rotation_chart``).  Surfaces, with coordinates,
+angles and profile:
     torus2      T^2 in R^3, tube torus R=2, r=1           (n = 1)
+                (th, ph); th turns R + r cos ph; r sin ph stays
     sphere3     unit S^3 in R^4, Hopf coordinates         (n = 2)
+                (t, x1, x2); x1 turns cos t, x2 turns sin t
     ellipsoid3  diag(2,1,1,1) image of sphere3            (n = 2)
     tube-t3     T^3 in R^4, radius-0.3 tube around torus2 (n = 2)
+                (th, w, ph); th turns R + s cos ph with s = r + rho cos w;
+                s sin ph and rho sin w stay
     revs1s2     S^1 x S^2 of revolution in R^4, R=2, r=1  (n = 2)
+                (th, b, al); th turns R + r cos al, b turns r sin al
 
 Fields are constant-coefficient chart-coordinate fields sum_a c_a dF/du_a
 (``fields.coordinate_field``), so their value is first_partials(U) @ c and
@@ -39,104 +46,119 @@ _TUBE_RHO = 0.3
 _ELL_A = np.diag([2.0, 1.0, 1.0, 1.0])
 
 
-def _torus2_chart() -> Chart:
-    R, r = _TORUS_R, _TORUS_r
+def _rotation_chart(lo, hi, periodic, angles, profile) -> Chart:
+    """Chart of a profile point whose coordinate pairs turn with angles.
 
-    def pos(U):
-        th, ph = U[:, 0], U[:, 1]
-        w = R + r * np.cos(ph)
-        return np.stack([w * np.cos(th), w * np.sin(th), r * np.sin(ph)], axis=-1)
+    Chart coordinate ``angles[j]`` turns ambient pair (2j, 2j+1): it holds
+    ``A_j * (cos x, sin x)`` with ``x = u[angles[j]]``, and the entries that
+    no angle moves fill the ambient rows after the pairs.  The generator
+    ``profile(U)`` yields the profile point, a list of the amplitudes A_j
+    followed by the unmoved entries; then its first partials, per entry a
+    list over the other chart coordinates (those not in ``angles``, in
+    chart order); then its second partials, per entry a list over the pairs
+    a <= b of those coordinates in row-major order.  ``None`` marks an
+    identically zero partial: it is never written, so a structural zero
+    stays +0.0.  A call draws only the levels it needs, and every
+    derivative in an angle is written here, once.
+    """
+    p, k = len(lo), len(angles)
+    others = [a for a in range(p) if a not in angles]
+    pairs = [(a, b) for i, a in enumerate(others) for b in others[i:]]
 
-    def jac(U):
-        th, ph = U[:, 0], U[:, 1]
-        cth, sth = np.cos(th), np.sin(th)
-        cph, sph = np.cos(ph), np.sin(ph)
-        w = R + r * cph
-        J = np.zeros(U.shape[:1] + (3, 2))
-        J[:, 0, 0] = -w * sth
-        J[:, 1, 0] = w * cth
-        J[:, 0, 1] = -r * sph * cth
-        J[:, 1, 1] = -r * sph * sth
-        J[:, 2, 1] = r * cph
+    def jet(U, order):
+        gen = profile(U)
+        levels = [next(gen) for _ in range(order + 1)]
+        turns = [(np.cos(U[:, c]), np.sin(U[:, c])) for c in angles]
+        return levels, turns, (len(U), k + len(levels[0]))
+
+    def position(U):
+        (f,), turns, shape = jet(U, 0)
+        P = np.empty(shape)
+        for j, (co, si) in enumerate(turns):
+            P[:, 2 * j], P[:, 2 * j + 1] = f[j] * co, f[j] * si
+        for i in range(k, len(f)):
+            P[:, k + i] = f[i]
+        return P
+
+    # Products go straight into their slots (out=), saving a temporary and a
+    # copy each; a mixed second partial is then copied to its mirror slot.
+    def first_partials(U):
+        (f, df), turns, shape = jet(U, 1)
+        J = np.zeros(shape + (p,))
+        for j, (c, (co, si)) in enumerate(zip(angles, turns)):
+            x, y = J[:, 2 * j], J[:, 2 * j + 1]
+            np.multiply(-f[j], si, out=x[:, c])
+            np.multiply(f[j], co, out=y[:, c])
+            for a, g in zip(others, df[j]):
+                if g is not None:
+                    np.multiply(g, co, out=x[:, a])
+                    np.multiply(g, si, out=y[:, a])
+        for i in range(k, len(f)):
+            for a, g in zip(others, df[i]):
+                if g is not None:
+                    J[:, k + i, a] = g
         return J
 
-    def hess(U):
-        th, ph = U[:, 0], U[:, 1]
-        cth, sth = np.cos(th), np.sin(th)
-        cph, sph = np.cos(ph), np.sin(ph)
-        w = R + r * cph
-        H = np.zeros(U.shape[:1] + (3, 2, 2))
-        H[:, 0, 0, 0] = -w * cth
-        H[:, 1, 0, 0] = -w * sth
-        H[:, 0, 0, 1] = H[:, 0, 1, 0] = r * sph * sth
-        H[:, 1, 0, 1] = H[:, 1, 1, 0] = -r * sph * cth
-        H[:, 0, 1, 1] = -r * cph * cth
-        H[:, 1, 1, 1] = -r * cph * sth
-        H[:, 2, 1, 1] = -r * sph
+    def second_partials(U):
+        (f, df, ddf), turns, shape = jet(U, 2)
+        H = np.zeros(shape + (p, p))
+        for j, (c, (co, si)) in enumerate(zip(angles, turns)):
+            x, y = H[:, 2 * j], H[:, 2 * j + 1]
+            nf = -f[j]
+            np.multiply(nf, co, out=x[:, c, c])
+            np.multiply(nf, si, out=y[:, c, c])
+            for a, g in zip(others, df[j]):
+                if g is not None:
+                    x[:, a, c] = np.multiply(-g, si, out=x[:, c, a])
+                    y[:, a, c] = np.multiply(g, co, out=y[:, c, a])
+            for (a, b), g in zip(pairs, ddf[j]):
+                if g is not None:
+                    np.multiply(g, co, out=x[:, a, b])
+                    np.multiply(g, si, out=y[:, a, b])
+                    if a != b:
+                        x[:, b, a], y[:, b, a] = x[:, a, b], y[:, a, b]
+        for i in range(k, len(f)):
+            for (a, b), g in zip(pairs, ddf[i]):
+                if g is not None:
+                    H[:, k + i, a, b] = g
+                    if a != b:
+                        H[:, k + i, b, a] = g
         return H
 
-    return Chart(lo=(0.0, 0.0), hi=(TWO_PI, TWO_PI), periodic=(True, True),
-                 position=pos, first_partials=jac, second_partials=hess)
+    return Chart(lo=lo, hi=hi, periodic=periodic, position=position,
+                 first_partials=first_partials, second_partials=second_partials)
+
+
+def _circle(col, R, r):
+    """Profile (R + r cos u, r sin u) of chart coordinate ``col``."""
+    def profile(U):
+        rc, rs = r * np.cos(U[:, col]), r * np.sin(U[:, col])
+        yield [R + rc, rs]
+        yield [[-rs], [rc]]
+        yield [[-rc], [-rs]]
+    return profile
+
+
+def _torus2_chart() -> Chart:
+    return _rotation_chart((0.0, 0.0), (TWO_PI, TWO_PI), (True, True), (0,),
+                           _circle(1, _TORUS_R, _TORUS_r))
 
 
 def _sphere3_chart() -> Chart:
-    # Hopf coordinates (t, x1, x2); the t-circles collapse at t in {0, pi/2}.
-    def pos(U):
-        t, x1, x2 = U[:, 0], U[:, 1], U[:, 2]
-        ct, st = np.cos(t), np.sin(t)
-        return np.stack([ct * np.cos(x1), ct * np.sin(x1),
-                         st * np.cos(x2), st * np.sin(x2)], axis=-1)
-
-    def jac(U):
-        t, x1, x2 = U[:, 0], U[:, 1], U[:, 2]
-        ct, st = np.cos(t), np.sin(t)
-        c1, s1 = np.cos(x1), np.sin(x1)
-        c2, s2 = np.cos(x2), np.sin(x2)
-        J = np.zeros(U.shape[:1] + (4, 3))
-        J[:, 0, 0] = -st * c1
-        J[:, 1, 0] = -st * s1
-        J[:, 2, 0] = ct * c2
-        J[:, 3, 0] = ct * s2
-        J[:, 0, 1] = -ct * s1
-        J[:, 1, 1] = ct * c1
-        J[:, 2, 2] = -st * s2
-        J[:, 3, 2] = st * c2
-        return J
-
-    def hess(U):
-        t, x1, x2 = U[:, 0], U[:, 1], U[:, 2]
-        ct, st = np.cos(t), np.sin(t)
-        c1, s1 = np.cos(x1), np.sin(x1)
-        c2, s2 = np.cos(x2), np.sin(x2)
-        H = np.zeros(U.shape[:1] + (4, 3, 3))
-        H[:, 0, 0, 0] = -ct * c1
-        H[:, 1, 0, 0] = -ct * s1
-        H[:, 2, 0, 0] = -st * c2
-        H[:, 3, 0, 0] = -st * s2
-        H[:, 0, 0, 1] = H[:, 0, 1, 0] = st * s1
-        H[:, 1, 0, 1] = H[:, 1, 1, 0] = -st * c1
-        H[:, 2, 0, 2] = H[:, 2, 2, 0] = -ct * s2
-        H[:, 3, 0, 2] = H[:, 3, 2, 0] = ct * c2
-        H[:, 0, 1, 1] = -ct * c1
-        H[:, 1, 1, 1] = -ct * s1
-        H[:, 2, 2, 2] = -st * c2
-        H[:, 3, 2, 2] = -st * s2
-        return H
-
-    return Chart(lo=(0.0, 0.0, 0.0), hi=(0.5 * np.pi, TWO_PI, TWO_PI),
-                 periodic=(False, True, True),
-                 position=pos, first_partials=jac, second_partials=hess)
+    # Hopf coordinates (t, x1, x2): the amplitudes are the unit circle
+    # (cos t, sin t), whose x-circles collapse at t in {0, pi/2}.
+    return _rotation_chart((0.0, 0.0, 0.0), (0.5 * np.pi, TWO_PI, TWO_PI),
+                           (False, True, True), (1, 2), _circle(0, 0.0, 1.0))
 
 
 def _ellipsoid3_chart() -> Chart:
     base = _sphere3_chart()
-    A = _ELL_A
-    # A is diagonal: scaling the ambient rows gives the bits of A @ J and
+    # _ELL_A is diagonal: scaling the ambient rows gives the bits of A @ J and
     # A @ H at a fraction of a stacked matmul's cost
-    a = np.diagonal(A)
+    a = np.diagonal(_ELL_A)
 
     def pos(U):
-        return base.position(U) @ A.T
+        return base.position(U) @ _ELL_A.T
 
     def jac(U):
         return a[:, None] * base.first_partials(U)
@@ -149,137 +171,34 @@ def _ellipsoid3_chart() -> Chart:
 
 
 def _tube_t3_chart() -> Chart:
-    # Coordinates (th, w, ph): th around the axis, w around the tube circle
-    # in the normal plane of the base torus, ph around the base tube.  This
-    # order makes the cross-product normal outward.
+    # w runs around the tube circle in the normal plane of the base torus,
+    # ph around the base tube.
     R, r, rho = _TORUS_R, _TORUS_r, _TUBE_RHO
 
-    def pos(U):
-        th, w, ph = U[:, 0], U[:, 1], U[:, 2]
-        s = r + rho * np.cos(w)
-        m = R + s * np.cos(ph)
-        return np.stack([m * np.cos(th), m * np.sin(th),
-                         s * np.sin(ph), rho * np.sin(w)], axis=-1)
+    def profile(U):
+        rcw, rsw = rho * np.cos(U[:, 1]), rho * np.sin(U[:, 1])
+        cph, sph = np.cos(U[:, 2]), np.sin(U[:, 2])
+        s = r + rcw
+        scph, ssph = s * cph, s * sph
+        yield [R + scph, ssph, rsw]
+        ds = -rsw
+        dscph, dssph = ds * cph, ds * sph
+        yield [[dscph, -ssph], [dssph, scph], [rcw, None]]
+        dds = -rcw
+        yield [[dds * cph, -dssph, -scph],
+               [dds * sph, dscph, -ssph],
+               [ds, None, None]]
 
-    def jac(U):
-        th, w, ph = U[:, 0], U[:, 1], U[:, 2]
-        cth, sth = np.cos(th), np.sin(th)
-        cw, sw = np.cos(w), np.sin(w)
-        cph, sph = np.cos(ph), np.sin(ph)
-        s = r + rho * cw
-        ds = -rho * sw
-        m = R + s * cph
-        J = np.zeros(U.shape[:1] + (4, 3))
-        J[:, 0, 0] = -m * sth
-        J[:, 1, 0] = m * cth
-        J[:, 0, 1] = ds * cph * cth
-        J[:, 1, 1] = ds * cph * sth
-        J[:, 2, 1] = ds * sph
-        J[:, 3, 1] = rho * cw
-        J[:, 0, 2] = -s * sph * cth
-        J[:, 1, 2] = -s * sph * sth
-        J[:, 2, 2] = s * cph
-        return J
-
-    def hess(U):
-        th, w, ph = U[:, 0], U[:, 1], U[:, 2]
-        cth, sth = np.cos(th), np.sin(th)
-        cw, sw = np.cos(w), np.sin(w)
-        cph, sph = np.cos(ph), np.sin(ph)
-        s = r + rho * cw
-        ds = -rho * sw
-        dds = -rho * cw
-        m = R + s * cph
-        H = np.zeros(U.shape[:1] + (4, 3, 3))
-        # th-th
-        H[:, 0, 0, 0] = -m * cth
-        H[:, 1, 0, 0] = -m * sth
-        # th-w
-        H[:, 0, 0, 1] = H[:, 0, 1, 0] = -ds * cph * sth
-        H[:, 1, 0, 1] = H[:, 1, 1, 0] = ds * cph * cth
-        # th-ph
-        H[:, 0, 0, 2] = H[:, 0, 2, 0] = s * sph * sth
-        H[:, 1, 0, 2] = H[:, 1, 2, 0] = -s * sph * cth
-        # w-w
-        H[:, 0, 1, 1] = dds * cph * cth
-        H[:, 1, 1, 1] = dds * cph * sth
-        H[:, 2, 1, 1] = dds * sph
-        H[:, 3, 1, 1] = -rho * sw
-        # w-ph
-        H[:, 0, 1, 2] = H[:, 0, 2, 1] = -ds * sph * cth
-        H[:, 1, 1, 2] = H[:, 1, 2, 1] = -ds * sph * sth
-        H[:, 2, 1, 2] = H[:, 2, 2, 1] = ds * cph
-        # ph-ph
-        H[:, 0, 2, 2] = -s * cph * cth
-        H[:, 1, 2, 2] = -s * cph * sth
-        H[:, 2, 2, 2] = -s * sph
-        return H
-
-    return Chart(lo=(0.0, 0.0, 0.0), hi=(TWO_PI, TWO_PI, TWO_PI),
-                 periodic=(True, True, True),
-                 position=pos, first_partials=jac, second_partials=hess)
+    return _rotation_chart((0.0, 0.0, 0.0), (TWO_PI, TWO_PI, TWO_PI),
+                           (True, True, True), (0,), profile)
 
 
 def _revs1s2_chart() -> Chart:
-    # Coordinates (th, b, al): a 2-sphere of radius r revolved along a
-    # circle of radius R; al in (0, pi) is the polar angle (non-periodic,
-    # collapsing at the ends), b the azimuthal one.  Order chosen for an
-    # outward normal.
-    R, r = _TORUS_R, _TORUS_r
-
-    def pos(U):
-        th, b, al = U[:, 0], U[:, 1], U[:, 2]
-        m = R + r * np.cos(al)
-        sa = np.sin(al)
-        return np.stack([m * np.cos(th), m * np.sin(th),
-                         r * sa * np.cos(b), r * sa * np.sin(b)], axis=-1)
-
-    def jac(U):
-        th, b, al = U[:, 0], U[:, 1], U[:, 2]
-        cth, sth = np.cos(th), np.sin(th)
-        cb, sb = np.cos(b), np.sin(b)
-        ca, sa = np.cos(al), np.sin(al)
-        m = R + r * ca
-        J = np.zeros(U.shape[:1] + (4, 3))
-        J[:, 0, 0] = -m * sth
-        J[:, 1, 0] = m * cth
-        J[:, 2, 1] = -r * sa * sb
-        J[:, 3, 1] = r * sa * cb
-        J[:, 0, 2] = -r * sa * cth
-        J[:, 1, 2] = -r * sa * sth
-        J[:, 2, 2] = r * ca * cb
-        J[:, 3, 2] = r * ca * sb
-        return J
-
-    def hess(U):
-        th, b, al = U[:, 0], U[:, 1], U[:, 2]
-        cth, sth = np.cos(th), np.sin(th)
-        cb, sb = np.cos(b), np.sin(b)
-        ca, sa = np.cos(al), np.sin(al)
-        m = R + r * ca
-        H = np.zeros(U.shape[:1] + (4, 3, 3))
-        # th-th
-        H[:, 0, 0, 0] = -m * cth
-        H[:, 1, 0, 0] = -m * sth
-        # th-al
-        H[:, 0, 0, 2] = H[:, 0, 2, 0] = r * sa * sth
-        H[:, 1, 0, 2] = H[:, 1, 2, 0] = -r * sa * cth
-        # b-b
-        H[:, 2, 1, 1] = -r * sa * cb
-        H[:, 3, 1, 1] = -r * sa * sb
-        # b-al
-        H[:, 2, 1, 2] = H[:, 2, 2, 1] = -r * ca * sb
-        H[:, 3, 1, 2] = H[:, 3, 2, 1] = r * ca * cb
-        # al-al
-        H[:, 0, 2, 2] = -r * ca * cth
-        H[:, 1, 2, 2] = -r * ca * sth
-        H[:, 2, 2, 2] = -r * sa * cb
-        H[:, 3, 2, 2] = -r * sa * sb
-        return H
-
-    return Chart(lo=(0.0, 0.0, 0.0), hi=(TWO_PI, TWO_PI, np.pi),
-                 periodic=(True, True, False),
-                 position=pos, first_partials=jac, second_partials=hess)
+    # A 2-sphere of radius r revolved along a circle of radius R; al in
+    # (0, pi) is its polar angle, whose circles collapse at the ends.
+    return _rotation_chart((0.0, 0.0, 0.0), (TWO_PI, TWO_PI, np.pi),
+                           (True, True, False), (0, 1),
+                           _circle(2, _TORUS_R, _TORUS_r))
 
 
 @dataclass(frozen=True)

@@ -131,8 +131,11 @@ def _eta_csv(report_dict) -> str:
 
 def _write_report(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -166,8 +169,12 @@ _FLAG_HELP = {
 
 
 def _read_config(path: str, command: str) -> dict:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
     values = {}
-    with open(path) as fh:
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -250,8 +257,8 @@ def _positive_float(args, config, key, default):
         out = float(val)
     except ValueError:
         raise UsageError(f"bad value for --{key}: {val!r}")
-    if out <= 0:
-        raise UsageError(f"--{key} must be positive")
+    if not (np.isfinite(out) and out > 0):
+        raise UsageError(f"--{key} must be finite and positive, got {val!r}")
     return out
 
 

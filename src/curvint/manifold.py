@@ -112,6 +112,9 @@ class ChartedHypersurface:
             jac = np.asarray(chart.first_partials(probe))
             if jac.shape != (1, q, p):
                 raise ValueError(f"chart {i}: first_partials shape {jac.shape}")
+            hess = np.asarray(chart.second_partials(probe))
+            if hess.shape != (1, q, p, p):
+                raise ValueError(f"chart {i}: second_partials shape {hess.shape}")
 
     @property
     def dim(self) -> int:

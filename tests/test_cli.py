@@ -245,6 +245,40 @@ def test_config_key_a_subcommand_does_not_read_exits_64(tmp_path, capsys,
     assert f"{cfg}:{lineno}:" in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--tol", "inf"), ("--tol", "nan"), ("--abs-tol", "inf"), ("--abs-tol", "nan"),
+    ("config", "inf"),
+])
+def test_non_finite_tolerance_exits_64(tmp_path, capsys, flag, value):
+    """An infinite tolerance would pass every row, a NaN one fail every row."""
+    argv = ["verify", "--surface", "ellipsoid3", "--field", "hopf", "--grid", "8"]
+    if flag == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tol={value}\n")
+        argv += ["--config", str(cfg)]
+        flag = "--tol"
+    else:
+        argv += [flag, value]
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert f"{flag} must be finite and positive" in err
+
+
+def test_unwritable_out_exits_64(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "degree", "--surface", "torus2",
+                         "--grid", "16,16", "--out", str(out_path))
+    assert code == 64 and out == ""
+    assert f"curvint: error: cannot write {out_path}: " in err
+
+
+def test_missing_config_exits_64(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    code, out, err = run(capsys, "degree", "--surface", "torus2", "--config", str(cfg))
+    assert code == 64 and out == ""
+    assert f"curvint: error: cannot read {cfg}: " in err
+
+
 def test_workers_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("CURVINT_WORKERS", "2")
     code, out, _ = run(capsys, "degree", "--surface", "torus2",

@@ -506,3 +506,12 @@ def test_surface_validation():
                      position=pos, first_partials=jac)
     with pytest.raises(ValueError):
         cv.ChartedHypersurface(n_intrinsic=1, charts=(chart,))
+
+
+def test_second_partials_shape_checked_at_build(surfaces):
+    base = surfaces["torus2"].charts[0]
+    chart = cv.Chart(lo=base.lo, hi=base.hi, periodic=base.periodic,
+                     position=base.position, first_partials=base.first_partials,
+                     second_partials=lambda U: base.second_partials(U)[..., 0])
+    with pytest.raises(ValueError, match=r"chart 0: second_partials shape \(1, 3, 2\)"):
+        cv.ChartedHypersurface(n_intrinsic=1, charts=(chart,))
