@@ -31,6 +31,8 @@ the block's geometry; each catalog entry lists the coefficients c:
     fiber   tube-circle direction (tube-t3)
 """
 
+import functools
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,71 +61,85 @@ def _rotation_chart(lo, hi, periodic, angles, profile) -> Chart:
     a <= b of those coordinates in row-major order.  ``None`` marks an
     identically zero partial: it is never written, so a structural zero
     stays +0.0.  A call draws only the levels it needs, and every
-    derivative in an angle is written here, once.
+    derivative in an angle is written here, once.  Arrays are written
+    batch-last, (q, B), (q, p, B) and (q, p, p, B), one contiguous row per
+    entry, and returned as their (B, ...) views (``manifold``'s layout).
+
+    The profile and the angle cosines and sines are evaluated once per
+    block: each thread keeps them for the last points it was asked for,
+    so the second partials after the first partials at equal points draw
+    only the last level.  Drawing the last level drops them.
     """
     p, k = len(lo), len(angles)
     others = [a for a in range(p) if a not in angles]
     pairs = [(a, b) for i, a in enumerate(others) for b in others[i:]]
+    kept = threading.local()
 
     def jet(U, order):
-        gen = profile(U)
-        levels = [next(gen) for _ in range(order + 1)]
-        turns = [(np.cos(U[:, c]), np.sin(U[:, c])) for c in angles]
-        return levels, turns, (len(U), k + len(levels[0]))
+        last = getattr(kept, "jet", None)
+        if last is None or not np.array_equal(last[0], U):
+            turns = [(np.cos(U[:, c]), np.sin(U[:, c])) for c in angles]
+            last = kept.jet = (U.copy(), profile(U), [], turns)
+        _, gen, levels, turns = last
+        while len(levels) <= order:
+            levels.append(next(gen))
+        if order == 2:
+            kept.jet = None
+        return levels[:order + 1], turns, (k + len(levels[0]), len(U))
 
     def position(U):
-        (f,), turns, shape = jet(U, 0)
-        P = np.empty(shape)
+        (f,), turns, (q, B) = jet(U, 0)
+        P = np.empty((q, B))
         for j, (co, si) in enumerate(turns):
-            P[:, 2 * j], P[:, 2 * j + 1] = f[j] * co, f[j] * si
+            P[2 * j], P[2 * j + 1] = f[j] * co, f[j] * si
         for i in range(k, len(f)):
-            P[:, k + i] = f[i]
-        return P
+            P[k + i] = f[i]
+        return P.T
 
     # Products go straight into their slots (out=), saving a temporary and a
     # copy each; a mixed second partial is then copied to its mirror slot.
     def first_partials(U):
-        (f, df), turns, shape = jet(U, 1)
-        J = np.zeros(shape + (p,))
+        (f, df), turns, (q, B) = jet(U, 1)
+        J = np.zeros((q, p, B))
         for j, (c, (co, si)) in enumerate(zip(angles, turns)):
-            x, y = J[:, 2 * j], J[:, 2 * j + 1]
-            np.multiply(-f[j], si, out=x[:, c])
-            np.multiply(f[j], co, out=y[:, c])
+            x, y = J[2 * j], J[2 * j + 1]
+            np.multiply(-f[j], si, out=x[c])
+            np.multiply(f[j], co, out=y[c])
             for a, g in zip(others, df[j]):
                 if g is not None:
-                    np.multiply(g, co, out=x[:, a])
-                    np.multiply(g, si, out=y[:, a])
+                    np.multiply(g, co, out=x[a])
+                    np.multiply(g, si, out=y[a])
         for i in range(k, len(f)):
             for a, g in zip(others, df[i]):
                 if g is not None:
-                    J[:, k + i, a] = g
-        return J
+                    J[k + i, a] = g
+        return J.transpose(2, 0, 1)
 
     def second_partials(U):
-        (f, df, ddf), turns, shape = jet(U, 2)
-        H = np.zeros(shape + (p, p))
+        (f, df, ddf), turns, (q, B) = jet(U, 2)
+        H = np.zeros((q, p, p, B))
         for j, (c, (co, si)) in enumerate(zip(angles, turns)):
-            x, y = H[:, 2 * j], H[:, 2 * j + 1]
+            x, y = H[2 * j], H[2 * j + 1]
             nf = -f[j]
-            np.multiply(nf, co, out=x[:, c, c])
-            np.multiply(nf, si, out=y[:, c, c])
+            np.multiply(nf, co, out=x[c, c])
+            np.multiply(nf, si, out=y[c, c])
             for a, g in zip(others, df[j]):
                 if g is not None:
-                    x[:, a, c] = np.multiply(-g, si, out=x[:, c, a])
-                    y[:, a, c] = np.multiply(g, co, out=y[:, c, a])
+                    x[a, c] = np.multiply(-g, si, out=x[c, a])
+                    y[a, c] = np.multiply(g, co, out=y[c, a])
             for (a, b), g in zip(pairs, ddf[j]):
                 if g is not None:
-                    np.multiply(g, co, out=x[:, a, b])
-                    np.multiply(g, si, out=y[:, a, b])
+                    np.multiply(g, co, out=x[a, b])
+                    np.multiply(g, si, out=y[a, b])
                     if a != b:
-                        x[:, b, a], y[:, b, a] = x[:, a, b], y[:, a, b]
+                        x[b, a], y[b, a] = x[a, b], y[a, b]
         for i in range(k, len(f)):
             for (a, b), g in zip(pairs, ddf[i]):
                 if g is not None:
-                    H[:, k + i, a, b] = g
+                    H[k + i, a, b] = g
                     if a != b:
-                        H[:, k + i, b, a] = g
-        return H
+                        H[k + i, b, a] = g
+        return H.transpose(3, 0, 1, 2)
 
     return Chart(lo=lo, hi=hi, periodic=periodic, position=position,
                  first_partials=first_partials, second_partials=second_partials)
@@ -154,7 +170,7 @@ def _sphere3_chart() -> Chart:
 def _ellipsoid3_chart() -> Chart:
     base = _sphere3_chart()
     # _ELL_A is diagonal: scaling the ambient rows gives the bits of A @ J and
-    # A @ H at a fraction of a stacked matmul's cost
+    # A @ H at a fraction of a stacked matmul's cost, in the base's layout
     a = np.diagonal(_ELL_A)
 
     def pos(U):
@@ -236,6 +252,7 @@ def surface_entry(key: str) -> CatalogEntry:
         raise KeyError(f"unknown surface {key!r}; known: {', '.join(surface_names())}")
 
 
+@functools.cache  # built and probed once per process: surfaces are frozen
 def get_surface(key: str) -> ChartedHypersurface:
     e = surface_entry(key)
     return ChartedHypersurface(

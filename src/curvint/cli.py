@@ -286,7 +286,11 @@ def _setup(args, config, field=True):
             raise UsageError(f"{args.command} requires --field")
         bound = _get_field(field_key, surface)
     counts = _parse_grid(_resolve(args, config, "grid"), surface.dim)
-    return surface, bound, QuadratureGrid.build(surface, counts)
+    try:
+        grid = QuadratureGrid.build(surface, counts)
+    except (MemoryError, ValueError):  # numpy refuses the node array up front
+        raise UsageError(f"grid {','.join(map(str, counts))} cannot be allocated")
+    return surface, bound, grid
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,16 @@ the block's Cholesky factor of the metric; no metric inverse is formed,
 and the frame's Gram-Schmidt runs on batch-last vectors.
 Every pass evaluates a field through ``field_batch``, which reads a
 coordinate field off the block's chart partials.
+
+Layout: field values, their derivatives and the chart forms keep their
+(B, ...) shapes but are stored batch-last, like the block geometry
+(``manifold``): each matrix entry is one contiguous (B,) vector, and each
+contraction is one ``einsum`` whose output keeps that layout.  The sums
+``<raw, N>`` and ``K w`` are a product and a sum in entry order instead:
+for a block of one point einsum would sum that lone contiguous axis in
+another order, and a point is to get the same bits alone as in a block.
+A field that returns another layout is copied once, so the forms' bits
+depend only on the values a field returns.
 """
 
 from dataclasses import dataclass
@@ -56,12 +66,8 @@ class TangentField:
 
 
 def _dot_last(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """A @ c over the last axis as one matrix-vector product.
-
-    A stacked ``A @ c`` runs one small product per matrix and is about an
-    order of magnitude slower on a block.
-    """
-    return (A.reshape(-1, A.shape[-1]) @ c).reshape(A.shape[:-1])
+    """A @ c over the last axis of batch-last A, as one einsum that keeps the layout."""
+    return np.einsum("...a,a->...", A, c)
 
 
 def coordinate_field(surface: ChartedHypersurface, c, key: str = "") -> TangentField:
@@ -78,10 +84,10 @@ def coordinate_field(surface: ChartedHypersurface, c, key: str = "") -> TangentF
     charts = surface.charts
 
     def value(ci, U):
-        return _dot_last(charts[ci].first_partials(U), c)
+        return _dot_last(manifold._batch_last(charts[ci].first_partials(U)), c)
 
     def jacobian(ci, U):
-        return _dot_last(charts[ci].second_partials(U), c)
+        return _dot_last(manifold._batch_last(charts[ci].second_partials(U)), c)
 
     return TangentField(ambient_value=value, ambient_jacobian=jacobian, key=key,
                         coefficients=tuple(c.tolist()))
@@ -101,24 +107,24 @@ def field_batch(
     the block's chart partials (its derivative needs ``second=True``
     geometry); any other field calls ``ambient_value`` and
     ``ambient_jacobian`` once each, or takes finite differences of the value
-    when it has no jacobian.  Both come back C-contiguous: einsum's
-    summation order, and so the bits, follow the strides.  The derivative
-    is None when ``jacobian`` is False.
+    when it has no jacobian.  Both come back batch-last (a field's own
+    arrays are copied once when they are not): einsum's summation order,
+    and so the bits, follow the strides.  The derivative is None when
+    ``jacobian`` is False.
     """
     if field.coefficients is not None:
         c = np.asarray(field.coefficients, dtype=float)
         dv = _dot_last(geo.second_partials, c) if jacobian else None
         return _dot_last(geo.jacobian, c), dv
-    raw = np.ascontiguousarray(field.ambient_value(chart_index, U), dtype=float)
+    raw = manifold._batch_last(field.ambient_value(chart_index, U))
     if not jacobian:
         return raw, None
     if field.ambient_jacobian is not None:
-        return raw, np.ascontiguousarray(field.ambient_jacobian(chart_index, U),
-                                         dtype=float)
+        return raw, manifold._batch_last(field.ambient_jacobian(chart_index, U))
     chart = surface.charts[chart_index]
     fd = partial_stack(lambda V: np.asarray(field.ambient_value(chart_index, V)),
                        chart.lo, chart.hi)
-    return raw, fd(U)
+    return raw, manifold._batch_last(fd(U))
 
 
 @dataclass(frozen=True)
@@ -173,12 +179,12 @@ def project_field_batch(
     raw: np.ndarray, geo: GeometryBatch, U: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normal component, tangential part and its norm of raw field values."""
-    rn = np.einsum("xq,xq->x", raw, geo.normal)
+    rn = np.sum(raw * geo.normal, axis=-1)  # entry order for any B (module docstring)
     P = raw - rn[:, None] * geo.normal
-    Pn = np.linalg.norm(P, axis=-1)
-    low = ~(Pn >= _VANISHING_TOL)  # a NaN value counts as vanishing
-    if np.any(low):
-        pt = np.asarray(U)[int(np.argmax(low))]
+    Pn = np.sqrt(np.sum(P * P, axis=-1))
+    ok = Pn >= _VANISHING_TOL  # a NaN value counts as vanishing
+    if not ok.all():
+        pt = np.asarray(U)[int(np.argmin(ok))]
         raise VanishingField(f"tangential part of field vanishes at u={pt.tolist()}")
     return rn, P, Pn
 
@@ -262,11 +268,11 @@ def _chart_forms(
     chart_index: int,
     U: np.ndarray,
 ) -> tuple[GeometryBatch, np.ndarray, np.ndarray, np.ndarray]:
-    """Geometry, unit field v, and the chart-basis forms -L and D of a block.
+    """Geometry, tangential field part P and its norm, and the form D of a block.
 
-    The one place h and the field derivative are computed; see
-    ``chart_forms_batch`` for the forms and ``shape_data_batch`` for their
-    frame components.
+    The one place the field derivative is computed (h is
+    ``-geo.second_form``); see ``chart_forms_batch`` for the forms and
+    ``shape_data_batch`` for their frame components.
     """
     _check_field_allowed(surface)
     U = np.asarray(U, dtype=float)
@@ -275,15 +281,17 @@ def _chart_forms(
     rn, P, Pn = project_field_batch(raw, geo, U)
 
     L = geo.second_form
-    K = np.swapaxes(geo.tangents @ rawJ, -1, -2) + rn[:, None, None] * L
-    s = np.einsum("xaq,xq->xa", geo.tangents, raw)  # J^T raw
+    K = np.einsum("xqa,xqb->xab", rawJ, geo.jacobian)  # (d raw)^T J
+    K += rn[:, None, None] * L
+    s = np.einsum("xqa,xq->xa", geo.jacobian, raw)  # J^T raw
     cP = manifold._cholesky_solve(geo.metric_chol, s.T).T  # g^-1 s: chart coordinates of P
-    Kw = np.einsum("xab,xb->xa", K, cP) / (Pn * Pn)[:, None]  # K w / |P|
-    D = (K - Kw[:, :, None] * s[:, None, :]) / Pn[:, None, None]
+    Kw = np.sum(K * cP[:, None, :], axis=-1) / (Pn * Pn)[:, None]  # K w / |P|, entry order
+    D = K - Kw[:, :, None] * s[:, None, :]
+    D /= Pn[:, None, None]
     if not np.isfinite(D).all():  # a NaN field jacobian; per point only to name it
         pt = U[int(np.argmin(np.isfinite(D).all(axis=(-2, -1))))]
         raise VanishingField(f"field derivative not finite at u={pt.tolist()}")
-    return geo, P / Pn[:, None], -L, D
+    return geo, P, Pn, D
 
 
 def shape_data_batch(
@@ -301,16 +309,16 @@ def shape_data_batch(
     ``C^T (-L) C`` and ``C^T D C`` holds ``<D_{E_A} v, E_B>``, whose blocks
     are a, vvec and the two ``<nabla v, v>`` residuals.
     """
-    geo, v, minus_L, D = _chart_forms(surface, field, chart_index, U)
+    geo, P, Pn, D = _chart_forms(surface, field, chart_index, U)
+    v, minus_L = P / Pn[:, None], -geo.second_form
     n = surface.n_intrinsic
 
     e = _pivoted_frame(geo, v, U)
     C = manifold.tangent_coefficients(geo, np.concatenate([e, v[:, None, :]], axis=1))
-    Ct = np.ascontiguousarray(np.swapaxes(C, -1, -2))  # matmul runs faster on it
-    h, h_asym = manifold._symmetrized(Ct @ minus_L @ C)
+    h, h_asym = manifold._symmetrized(manifold._congruence(C, minus_L))
 
     # <D_{E_A} v, E_B>: a, vvec and both <nabla v, v> residuals in one product
-    dv_frame = Ct @ D @ C
+    dv_frame = manifold._congruence(C, D)
     a = dv_frame[:, :n, :n]
     vvec = dv_frame[:, n, :n]
     dv_e_dot_v = dv_frame[:, :n, n]
@@ -351,9 +359,9 @@ def chart_forms_batch(
     and ``VanishingField`` (a vanishing or non-finite field value, a
     non-finite D), each naming the point.
     """
-    geo, _, h, D = _chart_forms(surface, field, chart_index, U)
+    geo, _, _, D = _chart_forms(surface, field, chart_index, U)
     vf = geo.volume_factor
-    return h, D, vf * vf, vf
+    return -geo.second_form, D, vf * vf, vf
 
 
 def shape_data(

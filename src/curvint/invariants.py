@@ -81,13 +81,14 @@ def eta_all(cols: ColumnSystem) -> EtaVector:
     polynomial.  The t^0 coefficient has the bits of ``_det(H)``.  The
     t^p one, det V, is dropped: it vanishes in frame form, and in chart
     form V times the chart coordinates of v is <d_a v, v> = 0.  In chart
-    form the coefficients are still to be divided by det g.
+    form the coefficients are still to be divided by det g.  The values
+    are stored batch-last, one contiguous vector per k.
     """
     V = cols.V
     if V.shape[-1] == cols.n:
         V = np.concatenate([V, np.zeros(V.shape[:-1] + (1,))], axis=-1)
     (poly,) = _minors(cols.H, V).values()
-    return EtaVector(values=np.stack(poly[:cols.n + 1], axis=-1))
+    return EtaVector(values=poly[:cols.n + 1].transpose(*range(1, poly.ndim), 0))
 
 
 def tilt_jacobian(cols: ColumnSystem, t: float) -> tuple[np.ndarray, np.ndarray]:

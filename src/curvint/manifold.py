@@ -13,6 +13,18 @@ grid pass forms the metric inverse.
 Evaluation contracts are batched: parameter points are arrays of shape
 (B, p) with p = n+1, positions are (B, q) with q = n+2.  The public
 single-point operations wrap the batched kernels.
+
+Layout: every per-point array of a block keeps its (B, ...) shape but is
+stored batch-last, so that ``np.moveaxis(A, 0, -1)`` is C-contiguous and
+each entry ``A[:, i, j]`` is one contiguous (B,) vector.  The minor
+table, the Cholesky recurrence and the frame read such entries directly,
+and each contraction (the metric, the second form) is one ``einsum``
+whose output keeps the layout.  Catalog charts write their partials in
+this layout; ``geometry_batch`` copies partials of any other layout once
+(``_batch_last``), so results do not depend on the layout a chart
+returns.  Work on one block stays in few, long vector operations: two
+pool threads contend for the interpreter lock at every numpy call, so
+a kernel of many short calls gains little from the second thread.
 """
 
 from dataclasses import dataclass, field
@@ -49,7 +61,9 @@ class Chart:
     ``position`` maps (B, p) parameter points to (B, q) ambient points;
     ``first_partials`` returns (B, q, p) with column a holding dF/du_a;
     ``second_partials`` returns (B, q, p, p) with [:, :, a, b] = d2F/du_a du_b.
-    If ``second_partials`` is omitted a finite-difference wrapper around
+    Any memory layout is accepted; batch-last storage (the module's
+    layout) saves the grid passes one copy per block.  If
+    ``second_partials`` is omitted a finite-difference wrapper around
     ``first_partials`` is installed.
     """
 
@@ -132,36 +146,41 @@ class PointGeometry:
     position: np.ndarray        # (q,)
     tangent_basis: np.ndarray   # (p, q) rows dF/du_a
     metric: np.ndarray          # (p, p)
-    volume_factor: float        # sqrt(det metric)
+    volume_factor: float        # sqrt(det metric), the norm of the cross product
     normal: np.ndarray          # (q,) unit
 
 
 class GeometryBatch(NamedTuple):
     """Chart geometry of one block, from one evaluation of the chart partials.
 
-    ``jacobian`` and ``second_partials`` are the arrays the chart returned,
-    so a field built from chart partials reads them instead of calling the
-    chart again; ``second_partials`` and ``second_form`` are None when the
-    block was evaluated with ``second=False``.  ``metric_chol`` is the
-    lower Cholesky factor of the metric, batch-last so that each entry is
-    one contiguous (B,) vector for ``_cholesky_solve``.  The metric inverse
-    is not stored: ``metric_inv`` forms it on each read, and no grid pass
-    reads it.
+    Every array is stored batch-last (see the module docstring).
+    ``jacobian`` and ``second_partials`` are the chart's partials in that
+    layout, so a field built from chart partials reads them instead of
+    calling the chart again; ``second_partials`` and ``second_form`` are
+    None when the block was evaluated with ``second=False``.
+    ``metric_chol`` is the lower Cholesky factor of the metric, indexed
+    batch-last for ``_cholesky_solve``.  No metric inverse is formed.
     """
 
     jacobian: np.ndarray       # (B, q, p)
-    tangents: np.ndarray       # (B, p, q), C-contiguous transpose of jacobian
+    tangents: np.ndarray       # (B, p, q), the transpose of jacobian
     metric: np.ndarray         # (B, p, p)
     metric_chol: np.ndarray    # (p, p, B), metric = C C^T, C lower triangular
-    volume_factor: np.ndarray  # (B,)
+    volume_factor: np.ndarray  # (B,), |cross product| = sqrt(det metric)
     normal: np.ndarray         # (B, q)
     second_form: np.ndarray | None  # (B, p, p), <N, d2F/du_a du_b>
     second_partials: np.ndarray | None = None  # (B, q, p, p), d2F/du_a du_b
 
-    @property
-    def metric_inv(self) -> np.ndarray:
-        """(B, p, p) inverse metric, the adjugate over ``_det`` of the metric."""
-        return _inverse(self.metric, _det(self.metric))
+
+def _batch_last(A) -> np.ndarray:
+    """(B, ...) float array A as a view of C-contiguous batch-last storage.
+
+    A view of such storage is returned as it is; any other layout is
+    copied once.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.ndim
+    return np.ascontiguousarray(A.transpose(*range(1, n), 0)).transpose(n - 1, *range(n - 1))
 
 
 def _minors(M: np.ndarray, V: np.ndarray | None = None) -> dict:
@@ -169,31 +188,37 @@ def _minors(M: np.ndarray, V: np.ndarray | None = None) -> dict:
 
     Built bottom-up: each level expands along the row above, left to right
     with alternating signs, and only one level is kept at a time.  A minor
-    is the list of its t-coefficients as (...,) arrays; without V, just
-    the constant term.  Constant terms have the bits of cofactor expansion
+    is the (k, ...) array of its t-coefficients, k = 1 without V, so that
+    each step of the expansion is one vector operation over all
+    coefficients.  Constant terms have the bits of cofactor expansion
     along the first row, whose ``0.0 +`` start above 2 x 2 fixes the sign
     of a zero.  For p <= 5 that is a few dozen vector operations per
-    batch, where batched LAPACK pays a call per matrix.
+    batch, where batched LAPACK pays a call per matrix; on batch-last M
+    each entry is one contiguous vector.
     """
     r, m = M.shape[-2], M.shape[-1]
     if r == 0:
-        return {(): [1.0]}
-    level = {(c,): [M[..., r - 1, c]] + ([] if V is None else [V[..., r - 1, c]])
-             for c in range(m)}
+        return {(): np.ones(1)}
+    level = {(c,): M[..., r - 1, c][None] if V is None
+             else np.stack([M[..., r - 1, c], V[..., r - 1, c]]) for c in range(m)}
     for i in range(r - 2, -1, -1):
         below, level = level, {}
         for cols in combinations(range(m), r - i):
             total = None
             for j, c in enumerate(cols):
                 s = below[cols[:j] + cols[j + 1:]]
-                term = [M[..., i, c] * x for x in s]
-                if V is not None:  # plus t V[i, c] times s
+                if V is None:
+                    term = M[..., i, c] * s
+                else:  # (M + tV) s has one more coefficient
                     b = V[..., i, c]
-                    term = term[:1] + [x + b * y for x, y in zip(term[1:], s)] + [b * s[-1]]
+                    term = np.empty((len(s) + 1,) + s.shape[1:])
+                    np.multiply(M[..., i, c], s, out=term[:-1])
+                    np.multiply(b, s[-1:], out=term[-1:])
+                    term[1:-1] += b * s[:-1]
                 if total is None:
-                    total = term if len(cols) == 2 else [0.0 + x for x in term]
+                    total = term if len(cols) == 2 else 0.0 + term
                 else:
-                    total = [x - y if j % 2 else x + y for x, y in zip(total, term)]
+                    total = total - term if j % 2 else total + term
             level[cols] = total
     return level
 
@@ -203,47 +228,31 @@ def _det(M: np.ndarray) -> np.ndarray:
     return _minors(M)[tuple(range(M.shape[-1]))][0]
 
 
-def _inverse(M: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Inverse over the trailing (p, p) axes: adjugate over ``det`` = _det(M).
-
-    Column j of the adjugate holds the signed minors of M without row j.
-    """
-    p = M.shape[-1]
-    adj = np.empty(M.shape)
-    for j in range(p):
-        minors = _minors(M[..., np.arange(p) != j, :])
-        for i in range(p):
-            minor = minors[tuple(c for c in range(p) if c != i)][0]
-            adj[..., i, j] = -minor if (i + j) % 2 else minor
-    return adj / det[..., None, None]
-
-
 def _cholesky(G: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of symmetric positive definite (B, p, p) G.
 
     Returned batch-last as (p, p, B) with a zero upper triangle.  The
-    column-by-column recurrence is written as (B,)-vector operations
-    looped over p (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., ch. 10).  A pivot that is not finite and
-    positive means G is not positive definite to working precision:
-    DegenerateImmersion names the first such point of ``U``.
+    column-by-column recurrence is written as vector operations looped
+    over p, each column below the pivot at once (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 10).  A pivot that is
+    not finite and positive means G is not positive definite to working
+    precision: DegenerateImmersion names the first such point of ``U``.
     """
     p = G.shape[-1]
+    Gs = G.transpose(1, 2, 0)  # (p, p, B): a view for batch-last G
     C = np.zeros((p, p, G.shape[0]))
     for j in range(p):
-        d = G[:, j, j]
+        d = Gs[j, j]
         for k in range(j):
             d = d - C[j, k] * C[j, k]
-        bad = ~((d > 0.0) & (d < np.inf))
-        if np.any(bad):
-            pt = np.asarray(U)[int(np.argmax(bad))]
+        if d.size and not (d.min() > 0.0 and d.max() < np.inf):  # NaN fails min
+            pt = np.asarray(U)[int(np.argmax(~((d > 0.0) & (d < np.inf))))]
             raise DegenerateImmersion(f"metric not positive definite at u={pt.tolist()}")
         C[j, j] = np.sqrt(d)
-        for i in range(j + 1, p):
-            r = G[:, i, j]
-            for k in range(j):
-                r = r - C[i, k] * C[j, k]
-            C[i, j] = r / C[j, j]
+        r = Gs[j + 1:, j]
+        for k in range(j):
+            r = r - C[j + 1:, k] * C[j, k]
+        np.divide(r, C[j, j], out=C[j + 1:, j])
     return C
 
 
@@ -276,18 +285,23 @@ def generalized_cross(vectors: np.ndarray) -> np.ndarray:
     ``vectors`` has shape (..., p, q) with the vectors as rows.  The result
     X satisfies <X, y> = det[v_1 | ... | v_p | y] for every y, so the rows
     followed by X are positively oriented and |X| equals the p-volume they
-    span.
+    span.  Entry i is the signed minor of the (q, p) columns without row
+    i.  The q minor matrices are gathered once into entries-first storage,
+    so ``_det`` takes all of them together, one vector operation over the
+    q minors per step, where q separate expansions would make q times as
+    many short calls (see the module docstring); X is stored batch-last.
     """
     vs = np.asarray(vectors, dtype=float)
     p, q = vs.shape[-2], vs.shape[-1]
     if q != p + 1:
         raise ValueError(f"need q = p+1 vectors, got {p} vectors in R^{q}")
-    cols = np.swapaxes(vs, -1, -2)  # (..., q, p)
-    # row i of ``kept`` lists the rows of cols that survive deleting row i
-    kept = np.array([[r for r in range(q) if r != i] for i in range(q)])
-    minors = cols[..., kept, :]  # (..., q, p, p)
-    signs = np.where((np.arange(q) + p) % 2 == 0, 1.0, -1.0)
-    return _det(minors) * signs
+    # kept[a, i] is row a of minor i: the rows that survive deleting row i
+    kept = np.array([[r for r in range(q) if r != i] for i in range(q)]).T
+    n = vs.ndim
+    table = vs.transpose(n - 2, n - 1, *range(n - 2))[:, kept]  # (p cols, p rows, q, ...)
+    X = _det(table.transpose(*range(2, n + 1), 1, 0))  # (q, ...)
+    X *= np.where((np.arange(q) + p) % 2 == 0, 1.0, -1.0).reshape((q,) + (1,) * (n - 2))
+    return X.transpose(*range(1, n - 1), 0)
 
 
 def _as_batch(u: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -311,55 +325,58 @@ def geometry_batch(
     ``second_form``.  By the Weingarten equation ``<dN/du_a, F_b>`` is
     ``-second_form[a, b]``, so no ambient derivative of the normal is
     formed.  After the rank check the metric is factored once by
-    Cholesky (``metric_chol``); its inverse is not formed.  A NaN first
-    partial fails the rank check, and non-finite second partials raise
-    DegenerateImmersion too, each naming the point.
+    Cholesky (``metric_chol``); its inverse is not formed.  The volume
+    factor is |G| for the generalized cross product G of the tangents,
+    which equals sqrt(det g) (Cauchy-Binet), so no determinant of g is
+    taken.  A NaN first partial fails the rank check, and non-finite
+    second partials raise DegenerateImmersion too, each naming the point.
     """
     chart = surface.charts[chart_index]
     U = np.asarray(U, dtype=float)
     sgn = float(surface.orientation_sign)
 
-    J = np.asarray(chart.first_partials(U), dtype=float)
-    # a strided transpose sends matmul down its slow loop; the bits are the same
-    tangents = np.ascontiguousarray(np.swapaxes(J, -1, -2))  # (B, p, q)
+    J = _batch_last(chart.first_partials(U))  # (B, q, p)
+    tangents = np.swapaxes(J, -1, -2)
 
     G = generalized_cross(tangents)  # (B, q)
-    Gnorm = np.linalg.norm(G, axis=-1)
-    g = tangents @ J
+    Gnorm = np.sqrt(np.sum(G * G, axis=-1))
+    g = np.einsum("xqa,xqb->xab", J, J)
     # product of the tangent norms, read off the metric diagonal
     scale = np.sqrt(np.prod(np.diagonal(g, axis1=-2, axis2=-1), axis=-1))
-    bad = ~(Gnorm > _DEGENERACY_RTOL * scale)  # a NaN partial counts as degenerate
-    if np.any(bad):
-        pt = U[int(np.argmax(bad))]
+    ok = Gnorm > _DEGENERACY_RTOL * scale  # a NaN partial counts as degenerate
+    if not ok.all():
+        pt = U[int(np.argmin(ok))]
         raise DegenerateImmersion(f"chart differential rank-deficient at u={pt.tolist()}")
     normal = sgn * G / Gnorm[:, None]
 
     chol = _cholesky(g, U)
-    volume_factor = np.sqrt(_det(g))
 
     L = H2 = None
     if second:
-        H2 = np.asarray(chart.second_partials(U), dtype=float)
+        H2 = _batch_last(chart.second_partials(U))
         L = np.einsum("xq,xqab->xab", normal, H2)
         if not np.isfinite(L).all():  # one flat pass; per point only to name it
             pt = U[int(np.argmin(np.isfinite(L).all(axis=(-2, -1))))]
             raise DegenerateImmersion(f"second partials not finite at u={pt.tolist()}")
 
-    return GeometryBatch(J, tangents, g, chol, volume_factor, normal, L, H2)
+    return GeometryBatch(J, tangents, g, chol, Gnorm, normal, L, H2)
 
 
 def tangent_coefficients(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:
     """Chart-basis coefficients of tangent directions.
 
-    ``X`` has shape (B, m, q); returns the C-contiguous c of shape
-    (B, p, m) solving J c = X^T in the least-squares sense, that is
-    g c = J^T X^T, by ``_cholesky_solve`` with the block's metric factor
-    (exact for tangent X).
+    ``X`` has shape (B, m, q); returns the batch-last c of shape (B, p, m)
+    solving J c = X^T in the least-squares sense, that is g c = J^T X^T,
+    by ``_cholesky_solve`` with the block's metric factor (exact for
+    tangent X).
     """
-    X_t = np.ascontiguousarray(np.swapaxes(X, -1, -2))  # matmul runs faster on it
-    # (p, m, B): the solve's vector operations run faster on contiguous rows
-    S = np.ascontiguousarray(np.moveaxis(geo.tangents @ X_t, 0, -1))
-    return np.ascontiguousarray(np.moveaxis(_cholesky_solve(geo.metric_chol, S), -1, 0))
+    S = np.ascontiguousarray(np.einsum("xqa,xmq->amx", geo.jacobian, X))  # (p, m, B)
+    return _cholesky_solve(geo.metric_chol, S).transpose(2, 0, 1)
+
+
+def _congruence(C: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """C^T M C for (B, p, m) C and (B, p, p) M, as two einsums."""
+    return np.einsum("xam,xan->xmn", C, np.einsum("xab,xbn->xan", M, C))
 
 
 def _asymmetry(M: np.ndarray) -> np.ndarray:
@@ -434,7 +451,7 @@ def shape_operator(
         raise FrameNotOrthonormal(
             "frame fails tangency tolerance 1e-10: a row has a normal component")
     C = tangent_coefficients(geo, E)
-    h, asym = _symmetrized(np.swapaxes(C, -1, -2) @ -geo.second_form @ C)
+    h, asym = _symmetrized(_congruence(C, -geo.second_form))
     if return_asymmetry:
         return h[0], float(asym[0])
     return h[0]

@@ -258,10 +258,11 @@ def _eta_integrals(surface, field, grid, workers):
     """
     def func(ci, U):
         h, dv, det_g, volume_factor = chart_forms_batch(surface, field, ci, U)
-        vals = eta_all(ColumnSystem(H=h, V=dv)).values / det_g[:, None]
-        ones = np.ones((vals.shape[0], 1))
-        return (np.concatenate([ones, vals], axis=1), volume_factor,
-                np.empty((vals.shape[0], 0)))
+        eta = eta_all(ColumnSystem(H=h, V=dv)).values
+        vals = np.empty((1 + eta.shape[1], len(U)))  # batch-last, like eta
+        vals[0] = 1.0
+        np.divide(eta.T, det_g, out=vals[1:])
+        return vals.T, volume_factor, np.empty((len(U), 0))
 
     return (_integrate_vector(surface, func, grid, workers)[0],
             _integrate_vector(surface, func, grid.half(surface), workers)[0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import curvint as cv
+from curvint import manifold
 from curvint.fields import (
     FrameBatch, ShapeData, ShapeDataBatch, _pivoted_frame, field_batch,
     project_field_batch)
@@ -68,9 +69,31 @@ def cofactor_det(M, rows, cols):
     return total
 
 
+def adjugate_inverse(M, det):
+    """Inverse over the trailing (p, p) axes: adjugate over ``det`` = _det(M).
+
+    Column j of the adjugate holds the signed minors of M without row j,
+    from ``manifold._minors``.  No library pass forms an inverse; the
+    references here read it through ``metric_inv``.
+    """
+    p = M.shape[-1]
+    adj = np.empty(M.shape)
+    for j in range(p):
+        minors = manifold._minors(M[..., np.arange(p) != j, :])
+        for i in range(p):
+            minor = minors[tuple(c for c in range(p) if c != i)][0]
+            adj[..., i, j] = -minor if (i + j) % 2 else minor
+    return adj / det[..., None, None]
+
+
+def metric_inv(geo):
+    """(B, p, p) inverse metric of a GeometryBatch: the adjugate over ``_det``."""
+    return adjugate_inverse(geo.metric, manifold._det(geo.metric))
+
+
 def weingarten_dnormal(geo):
     """(B, p, q), row a = dN/du_a = -sum_{b,c} <N, F_ab> g^{bc} F_c."""
-    coeff = np.swapaxes(geo.metric_inv @ geo.second_form, -1, -2)
+    coeff = np.swapaxes(metric_inv(geo) @ geo.second_form, -1, -2)
     return -coeff @ np.swapaxes(geo.jacobian, -1, -2)
 
 
@@ -105,7 +128,7 @@ def ambient_shape_data(surface, field, ci, U):
     frame_t = np.ascontiguousarray(np.swapaxes(frame, -1, -2))
 
     # chart coordinates of the frame vectors, through the metric
-    coeff = geo.metric_inv @ (np.swapaxes(geo.jacobian, -1, -2) @ np.swapaxes(frame, -1, -2))
+    coeff = metric_inv(geo) @ (np.swapaxes(geo.jacobian, -1, -2) @ np.swapaxes(frame, -1, -2))
     ct = np.swapaxes(coeff, -1, -2)
     Dv = ct @ dv                                       # derivative of v along frame
     h_raw = (ct @ dN) @ frame_t

@@ -1,12 +1,14 @@
 """CLI contract: exit codes, report determinism, formats, config."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import curvint as cv
-from curvint import cli
+from curvint import catalog, cli
+from curvint.quadrature import QuadratureGrid
 from conftest import CATALOG_PAIRS
 
 GRID = "12,12,12"  # small grids keep the CLI suite fast
@@ -76,6 +78,43 @@ def test_json_byte_identical_across_workers(tmp_path, capsys, skey, fkey):
     # ellipsoid3 is under-resolved below 48^3: a full report with exit 1
     assert code1 == code8 == (1 if skey == "ellipsoid3" else 0)
     assert p1.read_bytes() == p8.read_bytes()
+
+
+def _c_order_pair(surface, field):
+    """The pair as a user chart and field that return C-order copies of the
+    catalog arrays; the field carries no coefficients, so the passes call it."""
+    def copied(fn):
+        return lambda *args: np.array(fn(*args), order="C")
+
+    charts = tuple(dataclasses.replace(
+        ch, position=copied(ch.position), first_partials=copied(ch.first_partials),
+        second_partials=copied(ch.second_partials)) for ch in surface.charts)
+    user_field = cv.TangentField(ambient_value=copied(field.ambient_value),
+                                 ambient_jacobian=copied(field.ambient_jacobian),
+                                 key=field.key)
+    return dataclasses.replace(surface, charts=charts), user_field
+
+
+@pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
+def test_c_order_user_pair_reports_byte_identical(capsys, monkeypatch, skey, fkey):
+    """A chart and field that return C-order arrays, copied once into
+    batch-last storage by the passes, give the catalog pair's report bytes."""
+    grid = "48,40" if skey == "torus2" else "16,12,20"
+    argvs = [(command, "--surface", skey, "--field", fkey, "--grid", grid, "--workers", "2")
+             for command in ("verify", "compute")]
+    want = [run(capsys, *argv)[:2] for argv in argvs]
+
+    surface = catalog.get_surface(skey)
+    user_surface, user_field = _c_order_pair(surface, catalog.get_field(fkey, surface))
+    U = QuadratureGrid.build(surface, 8).charts[0].points
+    # the catalog writes batch-last storage, the user pair returns C order
+    assert np.moveaxis(surface.charts[0].first_partials(U), 0, -1).flags.c_contiguous
+    assert user_surface.charts[0].first_partials(U).flags.c_contiguous
+    assert user_field.ambient_jacobian(0, U).flags.c_contiguous
+    monkeypatch.setattr(catalog, "get_surface", lambda key: user_surface)
+    monkeypatch.setattr(catalog, "get_field", lambda key, s: user_field)
+    got = [run(capsys, *argv)[:2] for argv in argvs]
+    assert got == want  # exit codes and report bytes
 
 
 def test_csv_projection(capsys):
@@ -190,6 +229,20 @@ def test_unknown_subcommand_exits_64(capsys):
         cli.main(["frobnicate"])
     assert exc.value.code == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,grid", [
+    (("verify", "--surface", "sphere3", "--field", "hopf"), "100000"),
+    (("degree", "--surface", "sphere3"), "100000"),
+    (("compute", "--surface", "sphere3", "--field", "hopf"), "8,8,2000000000000000000"),
+], ids=["verify-memory", "degree-memory", "compute-too-big"])
+def test_grid_that_cannot_be_allocated_exits_64(capsys, argv, grid):
+    """numpy refuses these node arrays before touching memory: 10^15 nodes
+    (MemoryError) and a periodic axis of 2e18 nodes (ValueError)."""
+    code, out, err = run(capsys, *argv, "--grid", grid)
+    assert code == 64 and out == ""
+    counts = grid if "," in grid else ",".join([grid] * 3)
+    assert f"curvint: error: grid {counts} cannot be allocated" in err
 
 
 def test_evaluation_error_exits_2(capsys, monkeypatch):

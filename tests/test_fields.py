@@ -14,7 +14,8 @@ from curvint.fields import (
 from curvint.manifold import GeometryBatch, geometry_batch
 from curvint.quadrature import BLOCK, QuadratureGrid
 from conftest import (
-    CATALOG_PAIRS, ambient_shape_data, domain_samples, without_second_partials)
+    CATALOG_PAIRS, ambient_shape_data, domain_samples, metric_inv,
+    without_second_partials)
 
 N_SAMPLES = 100
 
@@ -216,6 +217,22 @@ def grid_blocks(grid):
 
 
 @pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
+def test_chart_eta_bits_do_not_depend_on_the_slice(surfaces, skey, fkey):
+    """The eta kernel on sub-slices of a 4096-point block (single points,
+    short and long runs, a strided slice) gives the per-point bits of the
+    whole block: every operation is per point on batch-last vectors."""
+    surface = surfaces[skey]
+    field = cv.get_field(fkey, surface)
+    grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 48)
+    U = grid.charts[0].points[BLOCK:2 * BLOCK]
+    whole = chart_eta(surface, field, 0, U)
+    for part in (slice(0, 1), slice(1, 2), slice(4095, 4096), slice(7, 20),
+                 slice(100, 1125), slice(2048, 4096), slice(3, None, 7)):
+        got = chart_eta(surface, field, 0, U[part])
+        np.testing.assert_array_equal(got.view(np.uint64), whole[part].view(np.uint64))
+
+
+@pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
 def test_chart_forms_match_frame_reference(surfaces, skey, fkey):
     """The frame-free eta agrees with the ambient adapted-frame route on every
     block of the 48^k grid (128^2 for torus2), within 1e-13 * max(1, |eta|)."""
@@ -258,7 +275,7 @@ def adjugate_field_form(surface, field, chart_index, U):
     rn, _, Pn = project_field_batch(raw, geo, U)
     K = np.swapaxes(geo.tangents @ rawJ, -1, -2) + rn[:, None, None] * geo.second_form
     s = geo.tangents @ raw[:, :, None]
-    Kw = K @ (geo.metric_inv @ s) / (Pn * Pn)[:, None, None]
+    Kw = K @ (metric_inv(geo) @ s) / (Pn * Pn)[:, None, None]
     return (K - Kw * np.swapaxes(s, -1, -2)) / Pn[:, None, None]
 
 
@@ -435,7 +452,8 @@ def test_chi_nonzero_metadata_rejected():
 @pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
 def test_geometry_route_matches_catalog_callables(surfaces, skey, fkey):
     """A catalog field read off the block's geometry has the bits of its
-    callables, on every block of the 48^k grid (128^2 for torus2)."""
+    callables, on every block of the 48^k grid (128^2 for torus2), and
+    comes back batch-last."""
     surface = surfaces[skey]
     field = cv.get_field(fkey, surface)
     grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 48)
@@ -444,7 +462,7 @@ def test_geometry_route_matches_catalog_callables(surfaces, skey, fkey):
         raw, rawJ = field_batch(field, surface, geo, ci, U)
         for got, want in ((raw, field.ambient_value(ci, U)),
                           (rawJ, field.ambient_jacobian(ci, U))):
-            assert got.flags.c_contiguous
+            assert np.moveaxis(got, 0, -1).flags.c_contiguous
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
