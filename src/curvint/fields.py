@@ -19,11 +19,12 @@ Layout: field values, their derivatives and the chart forms keep their
 (B, ...) shapes but are stored batch-last, like the block geometry
 (``manifold``): each matrix entry is one contiguous (B,) vector, and each
 contraction is one ``einsum`` whose output keeps that layout.  The sums
-``<raw, N>`` and ``K w`` are a product and a sum in entry order instead:
-for a block of one point einsum would sum that lone contiguous axis in
-another order, and a point is to get the same bits alone as in a block.
-A field that returns another layout is copied once, so the forms' bits
-depend only on the values a field returns.
+``<raw, N>``, ``K w`` and a coordinate field's ``J c`` and ``d2F c`` are
+taken in entry order instead: for a block of one point einsum would sum
+that lone contiguous axis in another order, and a point is to get the
+same bits alone as in a block.  A field that returns another layout is
+copied once, so the forms' bits depend only on the values a field
+returns.
 """
 
 from dataclasses import dataclass
@@ -66,8 +67,17 @@ class TangentField:
 
 
 def _dot_last(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """A @ c over the last axis of batch-last A, as one einsum that keeps the layout."""
-    return np.einsum("...a,a->...", A, c)
+    """A @ c over the last axis of batch-last A, summed in entry order.
+
+    One vector operation per term, each over every entry, so the output
+    keeps the layout and no temporary of A's size is made; with one point
+    einsum would sum the lone contiguous axis in another order (module
+    docstring).
+    """
+    out = A[..., 0] * c[0]
+    for a in range(1, len(c)):
+        out += A[..., a] * c[a]
+    return out
 
 
 def coordinate_field(surface: ChartedHypersurface, c, key: str = "") -> TangentField:

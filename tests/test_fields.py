@@ -220,16 +220,21 @@ def grid_blocks(grid):
 def test_chart_eta_bits_do_not_depend_on_the_slice(surfaces, skey, fkey):
     """The eta kernel on sub-slices of a 4096-point block (single points,
     short and long runs, a strided slice) gives the per-point bits of the
-    whole block: every operation is per point on batch-last vectors."""
+    whole block: every operation is per point on batch-last vectors.  Also
+    for a coordinate field with no zero coefficient, whose J c sums every
+    term."""
     surface = surfaces[skey]
-    field = cv.get_field(fkey, surface)
     grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 48)
     U = grid.charts[0].points[BLOCK:2 * BLOCK]
-    whole = chart_eta(surface, field, 0, U)
-    for part in (slice(0, 1), slice(1, 2), slice(4095, 4096), slice(7, 20),
-                 slice(100, 1125), slice(2048, 4096), slice(3, None, 7)):
-        got = chart_eta(surface, field, 0, U[part])
-        np.testing.assert_array_equal(got.view(np.uint64), whole[part].view(np.uint64))
+    for field in (cv.get_field(fkey, surface),
+                  coordinate_field(surface, np.linspace(0.3, 1.0, surface.dim))):
+        whole = chart_eta(surface, field, 0, U)
+        singles = [slice(i, i + 1) for i in range(0, BLOCK, 97)] + [slice(BLOCK - 1, BLOCK)]
+        for part in singles + [slice(7, 20), slice(100, 1125), slice(2048, BLOCK),
+                               slice(3, None, 7)]:
+            got = chart_eta(surface, field, 0, U[part])
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          whole[part].view(np.uint64))
 
 
 @pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
