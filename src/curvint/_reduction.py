@@ -30,7 +30,9 @@ def exact_row_sums(x: np.ndarray) -> np.ndarray:
     multiples of ``eps * sigma`` whose plain sum is exact, and ``r - q``
     keeps about 53 - M fewer bits of range.  Rows whose remainders are all
     below ``2^(-1021 - M)`` (subnormal multiples of the smallest step) sum
-    exactly as they are.  Each row's few exact round sums are then given to
+    exactly as they are.  A row leaves the loop once its remainder is all
+    zero, so a row that needs many rounds does not keep the others in the
+    loop.  Each row's few exact round sums are then given to
     ``math.fsum``; an exactly rounded sum is unique, so the bits are those
     of ``math.fsum`` over the row, signed zeros included.
 
@@ -44,14 +46,17 @@ def exact_row_sums(x: np.ndarray) -> np.ndarray:
         return _fsum_rows(x)
     tiny = 2.0 ** (-1021 - M)
     r = x.copy()
+    rows = np.arange(m)  # the row of x that each row of r belongs to
     parts = [[] for _ in range(m)]
     while True:
         peak = np.max(np.abs(r), axis=1)
         if not np.isfinite(peak).all():
             return _fsum_rows(x)
-        live = np.flatnonzero(peak)
-        if live.size == 0:
-            break
+        live = peak != 0.0
+        if not live.all():  # a row whose remainder is all zero is done
+            rows, r, peak = rows[live], r[live], peak[live]
+            if rows.size == 0:
+                break
         _, e = np.frexp(np.maximum(peak, _MIN_NORMAL))
         if e.max() + M > 1023:
             return _fsum_rows(x)
@@ -60,9 +65,8 @@ def exact_row_sums(x: np.ndarray) -> np.ndarray:
         q = r + sigma
         q -= sigma
         r -= q
-        sums = q.sum(axis=1)
-        for i in live:
-            parts[i].append(sums[i])
+        for i, s in zip(rows.tolist(), q.sum(axis=1).tolist()):
+            parts[i].append(s)
     # a row of zeros sums to -0.0 only when every entry is -0.0, as numpy's sum does
     return np.array([math.fsum(p if p else [x[i].sum()])
                      for i, p in enumerate(parts)])

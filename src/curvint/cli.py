@@ -162,7 +162,7 @@ _FLAG_HELP = {
     "k": 'invariant selection: "all" or e.g. 0,2',
     "tol": f"relative tolerance (default {DEFAULT_REL_TOL:g})",
     "abs-tol": "absolute tolerance (default 1e-6 * surface volume)",
-    "workers": "thread count (env CURVINT_WORKERS, default: machine parallelism)",
+    "workers": "thread count (env CURVINT_WORKERS, default: CPUs this process may use)",
     "out": "report file (default: stdout)",
     "format": "report format (default json)",
 }
@@ -239,6 +239,9 @@ def _parse_workers(args, config) -> int:
     if val is None:
         val = os.environ.get("CURVINT_WORKERS")
     if val is None:
+        # the CPUs this process may run on, not all the machine's
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         workers = int(val)

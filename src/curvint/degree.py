@@ -13,13 +13,15 @@ obstruction carried by the field's tangential derivative matrix.
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import IndexOutOfRange, NonIntegerDegree
-from .fields import TangentField, shape_data_batch
+from .fields import TangentField, _chart_forms, _reduced_a
+from .fields import shape_data_batch  # noqa: F401  perfbench's tracer wraps it here
 from .invariants import eta_all  # noqa: F401  perfbench's tracer wraps it here
-from .manifold import ChartedHypersurface, _asymmetry, _det, shape_determinant_batch
+from .manifold import ChartedHypersurface, _det, shape_determinant_batch
 from .quadrature import QuadratureGrid, _eta_integrals, _integrate_vector, _select_ks
 from .quadrature import _run_blocks  # noqa: F401  perfbench's tracer wraps it here
 
@@ -295,6 +297,29 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.stack([x + y, np.abs(x - y)], axis=-1)
 
 
+def _rank(a: np.ndarray) -> np.ndarray:
+    """Numerical rank of (B, n, n) a: singular values above RANK_REL_TOL
+    times the largest, and 0 when the largest is below RANK_ABS_TOL."""
+    sv = _singular_values(a)
+    smax = sv[..., 0]
+    rank = np.sum(sv > RANK_REL_TOL * smax[..., None], axis=-1)
+    return np.where(smax < RANK_ABS_TOL, 0, rank)
+
+
+def _defect(a: np.ndarray) -> np.ndarray:
+    """sqrt(sum_{i<j} (a_ij - a_ji)^2) for (B, n, n) a: |a - a^T|_F / sqrt 2.
+
+    It does not depend on the orthonormal basis a is written in.  For n = 2
+    it is |a_01 - a_10|, the max-entry norm of a - a^T, and for n = 1 it
+    is 0.
+    """
+    total = np.zeros(a.shape[0])
+    for i, j in combinations(range(a.shape[-1]), 2):
+        d = a[:, i, j] - a[:, j, i]
+        total += d * d
+    return np.sqrt(total)
+
+
 def foliation_obstruction_report(
     surface: ChartedHypersurface,
     field: TangentField,
@@ -303,30 +328,31 @@ def foliation_obstruction_report(
 ) -> FoliationReport:
     """Sample the field's tangential derivative matrix over a grid.
 
-    One pass over the grid evaluates the shape data once per sample.  At
-    each sample the integrability defect (max-entry norm of a - a^T) and
-    the numerical rank of a are peaks, reduced to their maxima; ranks
-    count singular values above RANK_REL_TOL times the largest, with rank
-    0 when all fall below RANK_ABS_TOL absolutely.  For n <= 2 the
-    singular values come in closed form (``_singular_values``), so no
-    sample calls LAPACK; a non-finite a cannot reach them, because the
-    shape data raise first, naming the point.  The same pass
-    integrates det(h), the eta_0 that ``verify_integral_formula``
-    integrates, and when the hypothesis holds the cross-check degree is
-    read off that integral.
+    One pass over the grid reads the chart forms once per sample and takes
+    a from them in an orthonormal basis of v^perp (``fields._reduced_a``),
+    with no adapted frame.  At each sample the integrability defect and
+    the numerical rank of a are peaks, reduced to their maxima.  The
+    defect is ``sqrt(sum_{i<j} (a_ij - a_ji)^2)`` (``_defect``), the norm
+    of d(omega) on v^perp in the Frobenius condition omega ^ d(omega) = 0
+    (Candel & Conlon, *Foliations I*, AMS GSM 23, 2000); it does not
+    depend on the basis, and for n <= 2 it equals the max-entry norm of
+    a - a^T in any orthonormal frame.  Ranks (``_rank``) count singular
+    values above RANK_REL_TOL times the largest, with rank 0 when all fall
+    below RANK_ABS_TOL absolutely.  For n <= 2 the singular values come in
+    closed form (``_singular_values``), so no sample calls LAPACK; a
+    non-finite a cannot reach them, because the chart forms raise first,
+    naming the point.  The same pass integrates det(h) = det(-L) / det g,
+    the eta_0 that ``verify_integral_formula`` integrates, and when the
+    hypothesis holds the cross-check degree is read off that integral.
     """
     n = surface.n_intrinsic
 
     def func(ci, U):
-        batch = shape_data_batch(surface, field, ci, U)
-        a = batch.data.a
-        defect = _asymmetry(a)
-        sv = _singular_values(a)
-        smax = sv[..., 0]
-        rank = np.sum(sv > RANK_REL_TOL * smax[..., None], axis=-1)
-        rank = np.where(smax < RANK_ABS_TOL, 0, rank)
-        return (_det(batch.data.h)[:, None], batch.volume_factor,
-                np.stack([defect, rank], axis=-1))
+        geo, _, _, D, w = _chart_forms(surface, field, ci, U)
+        a = _reduced_a(geo.metric_chol, D, w)
+        vf = geo.volume_factor
+        return ((_det(-geo.second_form) / (vf * vf))[:, None], vf,
+                np.stack([_defect(a), _rank(a)], axis=-1))
 
     (det_integral,), peaks = _integrate_vector(surface, func, grid, workers)
     max_defect = float(peaks[0])

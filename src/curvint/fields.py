@@ -5,13 +5,17 @@ projected onto the tangent space and normalized.  One kernel forms the
 second fundamental form h and the derivative D of the unit field v, as
 the p x p chart-basis forms that ``chart_forms_batch`` returns.  The
 integral passes use these forms directly, since their determinants over
-det g are the orthonormal-frame ones.  ``shape_data_batch`` builds the
-adapted orthonormal frame {e_1, ..., e_n, v} (v always last) only to read
-the same forms in orthonormal components; tests check both against a
-test-local route that assembles the derivatives in the ambient space.
-Chart coordinates, of the field and of the frame, come from solves with
-the block's Cholesky factor of the metric; no metric inverse is formed,
-and the frame's Gram-Schmidt runs on batch-last vectors.
+det g are the orthonormal-frame ones.  The foliation pass reads a off
+them too (``_reduced_a``): two triangular solves with the metric factor
+and one Householder reflection give a in an orthonormal basis of v^perp,
+with no frame.  The adapted orthonormal frame {e_1, ..., e_n, v} (v
+always last) serves the pointwise API only: ``shape_data_batch`` builds
+it to read the same forms in its components.  Tests check the forms, a
+and the frame components against a test-local route that assembles the
+derivatives in the ambient space.  Chart coordinates, of the field and of
+the frame, come from solves with the block's Cholesky factor of the
+metric; no metric inverse is formed, and the frame's Gram-Schmidt runs
+on batch-last vectors.
 Every pass evaluates a field through ``field_batch``, which reads a
 coordinate field off the block's chart partials.
 
@@ -277,12 +281,14 @@ def _chart_forms(
     field: TangentField,
     chart_index: int,
     U: np.ndarray,
-) -> tuple[GeometryBatch, np.ndarray, np.ndarray, np.ndarray]:
-    """Geometry, tangential field part P and its norm, and the form D of a block.
+) -> tuple[GeometryBatch, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Geometry, tangential field part P and its norm, the form D, and w.
 
     The one place the field derivative is computed (h is
-    ``-geo.second_form``); see ``chart_forms_batch`` for the forms and
-    ``shape_data_batch`` for their frame components.
+    ``-geo.second_form``); see ``chart_forms_batch`` for the forms,
+    ``_reduced_a`` and ``shape_data_batch`` for their orthonormal
+    components.  ``w = g^-1 s / |P|`` (B, p), batch-last, are the chart
+    coordinates of v.
     """
     _check_field_allowed(surface)
     U = np.asarray(U, dtype=float)
@@ -301,7 +307,33 @@ def _chart_forms(
     if not np.isfinite(D).all():  # a NaN field jacobian; per point only to name it
         pt = U[int(np.argmin(np.isfinite(D).all(axis=(-2, -1))))]
         raise VanishingField(f"field derivative not finite at u={pt.tolist()}")
-    return geo, P, Pn, D
+    return geo, P, Pn, D, cP / Pn[:, None]
+
+
+def _reduced_a(C: np.ndarray, D: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a = <nabla_{e_i} v, e_j> in an orthonormal basis e of v^perp, (B, n, n).
+
+    Frame-free: read off the chart form D and the chart coordinates w of v
+    (``_chart_forms``), with the (p, p, B) Cholesky factor C of the metric.
+    ``M = C^-1 D C^-T`` (two forward substitutions) is D in the orthonormal
+    tangent basis whose chart coordinates are the columns of ``C^-T``; there
+    v has coordinates ``y = C^T w``.  One Householder reflection H maps y
+    to a multiple of e_p, so the first n columns of H are an orthonormal
+    basis of v^perp and a is the leading n x n block of ``H M H``.  The
+    basis is another than the adapted frame's, so a differs from
+    ``shape_data_batch``'s by an orthogonal congruence, which keeps its
+    singular values and the norm of a - a^T.  Returned batch-last.
+    """
+    n = C.shape[0] - 1
+    M = manifold._lower_solve(C, D.transpose(1, 2, 0))  # C^-1 D
+    M = manifold._lower_solve(C, M.transpose(1, 0, 2)).transpose(1, 0, 2)  # C^-1 D C^-T
+    u = np.sum(C * w.T[:, None], axis=0)  # y = C^T w
+    ny = np.sqrt(np.sum(u * u, axis=0))
+    u[n] += np.where(u[n] < 0.0, -ny, ny)  # H = I - beta u u^T maps y to -+|y| e_p
+    beta = 1.0 / (ny * np.abs(u[n]))  # 2 / |u|^2
+    HM = M[:n] - (beta * u[:n])[:, None] * np.sum(u[:, None] * M, axis=0)  # rows of H M
+    a = HM[:, :n] - (beta * np.sum(HM * u, axis=1))[:, None] * u[:n]
+    return a.transpose(2, 0, 1)
 
 
 def shape_data_batch(
@@ -319,7 +351,7 @@ def shape_data_batch(
     ``C^T (-L) C`` and ``C^T D C`` holds ``<D_{E_A} v, E_B>``, whose blocks
     are a, vvec and the two ``<nabla v, v>`` residuals.
     """
-    geo, P, Pn, D = _chart_forms(surface, field, chart_index, U)
+    geo, P, Pn, D, _ = _chart_forms(surface, field, chart_index, U)
     v, minus_L = P / Pn[:, None], -geo.second_form
     n = surface.n_intrinsic
 
@@ -369,7 +401,7 @@ def chart_forms_batch(
     and ``VanishingField`` (a vanishing or non-finite field value, a
     non-finite D), each naming the point.
     """
-    geo, _, _, D = _chart_forms(surface, field, chart_index, U)
+    geo, _, _, D, _ = _chart_forms(surface, field, chart_index, U)
     vf = geo.volume_factor
     return -geo.second_form, D, vf * vf, vf
 

@@ -256,6 +256,18 @@ def _cholesky(G: np.ndarray, U: np.ndarray) -> np.ndarray:
     return C
 
 
+def _lower_solve(C: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Solve C Z = S by forward substitution for the (p, p, B) factor of
+    ``_cholesky``; ``S`` and Z are batch-last, (p, B) or (p, m, B)."""
+    z = []
+    for i in range(C.shape[0]):
+        r = S[i]
+        for k in range(i):
+            r = r - C[i, k] * z[k]
+        z.append(r / C[i, i])
+    return np.stack(z)
+
+
 def _cholesky_solve(C: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Solve C C^T X = S for the (p, p, B) factor of ``_cholesky``.
 
@@ -264,12 +276,7 @@ def _cholesky_solve(C: np.ndarray, S: np.ndarray) -> np.ndarray:
     p; no inverse is formed.
     """
     p = C.shape[0]
-    z = []
-    for i in range(p):  # C z = S
-        r = S[i]
-        for k in range(i):
-            r = r - C[i, k] * z[k]
-        z.append(r / C[i, i])
+    z = _lower_solve(C, S)
     x = [None] * p
     for i in range(p - 1, -1, -1):  # C^T X = z
         r = z[i]

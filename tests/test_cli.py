@@ -342,6 +342,18 @@ def test_workers_env_fallback(capsys, monkeypatch):
     assert code == 64
 
 
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    """With no flag, environment or config the pool gets one thread per CPU
+    the process may run on, not one per CPU of the machine."""
+    monkeypatch.delenv("CURVINT_WORKERS", raising=False)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    args = cli._build_parser().parse_args(["degree", "--surface", "torus2"])
+    assert cli._parse_workers(args, {}) == 1
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._parse_workers(args, {}) == 64
+
+
 def test_out_file_written(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "degree", "--surface", "torus2",

@@ -10,7 +10,9 @@ import curvint as cv
 import curvint.fields
 import curvint.manifold
 import curvint.quadrature
-from curvint.degree import _singular_values
+from curvint.degree import _defect, _rank, _singular_values
+from curvint.fields import _chart_forms, _reduced_a, shape_data_batch
+from curvint.manifold import _batch_last, _cholesky
 from curvint.quadrature import QuadratureGrid
 from conftest import CATALOG_PAIRS
 
@@ -173,6 +175,60 @@ def test_singular_values_are_lapacks_for_n3():
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+# Frame-free a against the frame route: singular values and defect agree
+# within this times max(1, sigma_max); the largest gap seen over the 12^k
+# grids and the t = 0.0028 row below is 1.8e-15, and 3.3e-15 over the
+# full 48^3 (128^2) grids of all five pairs.
+REDUCED_A_RTOL = 4e-15
+
+
+def reduced_a(surface, field, ci, U):
+    geo, _, _, D, w = _chart_forms(surface, field, ci, U)
+    return _reduced_a(geo.metric_chol, D, w)
+
+
+@pytest.mark.parametrize("skey,fkey,nodes", [
+    *[(s, f, 12) for s, f in CATALOG_PAIRS], ("ellipsoid3", "hopf", 48)])
+def test_reduced_a_matches_frame_route(surfaces, skey, fkey, nodes):
+    """Every point of the 12^k grids, and the 48^3 ellipsoid row at the
+    first node t = 0.0028, next to a collapsing Hopf circle."""
+    surface = surfaces[skey]
+    field = cv.get_field(fkey, surface)
+    for ci, cg in enumerate(QuadratureGrid.build(surface, nodes).charts):
+        U = cg.points if nodes == 12 else cg.points[cg.points[:, 0] == cg.points[0, 0]]
+        got = reduced_a(surface, field, ci, U)
+        want = shape_data_batch(surface, field, ci, U).data.a
+        np.testing.assert_array_equal(_rank(got), _rank(want))
+        sv = _singular_values(want)
+        bound = REDUCED_A_RTOL * np.maximum(1.0, sv[:, :1])
+        assert np.all(np.abs(_singular_values(got) - sv) <= bound)
+        assert np.all(np.abs(_defect(got) - _defect(want)) <= bound[:, 0])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_reduced_a_is_the_form_on_an_orthonormal_complement(n):
+    """Random chart data: a has the singular values and the defect of D
+    restricted to an explicit QR basis of v^perp."""
+    rng = np.random.default_rng(70 + n)
+    p, B = n + 1, 200
+    J = rng.normal(size=(B, p + 1, p))  # chart partials
+    g = np.einsum("xqa,xqb->xab", J, J)
+    w = rng.normal(size=(B, p))
+    w /= np.sqrt(np.einsum("xa,xab,xb->x", w, g, w))[:, None]  # v = J w is unit
+    omega = np.einsum("xab,xb->xa", g, w)
+    D = rng.normal(size=(B, p, p))
+    D -= np.einsum("xab,xb->xa", D, w)[:, :, None] * omega[:, None, :]  # D w = 0
+    # v first, then n chart tangents: the last n columns of Q span v^perp
+    Q = np.linalg.qr(np.concatenate([J @ w[:, :, None], J[:, :, :n]], axis=2))[0]
+    E = np.linalg.solve(g, np.swapaxes(J, 1, 2) @ Q[:, :, 1:])  # their chart coordinates
+    want = np.swapaxes(E, 1, 2) @ D @ E
+    got = _reduced_a(_cholesky(g, np.zeros((B, p))), _batch_last(D), _batch_last(w))
+    assert got.shape == (B, n, n)
+    sv = _singular_values(want)
+    np.testing.assert_allclose(_singular_values(got), sv, rtol=0, atol=1e-12 * sv.max())
+    np.testing.assert_allclose(_defect(got), _defect(want), rtol=0, atol=1e-12 * sv.max())
+
+
 @pytest.mark.parametrize("skey,fkey", [("torus2", "theta"), ("sphere3", "hopf")])
 def test_no_metric_inverse_and_no_svd_in_grid_passes(surfaces, monkeypatch, skey, fkey):
     """For n <= 2 no grid pass forms a metric inverse or calls LAPACK's SVD.
@@ -235,7 +291,8 @@ def test_one_geometry_evaluation_per_point(surfaces, geometry_points):
 
 
 def test_verify_builds_no_adapted_frame(surfaces, monkeypatch):
-    """The eta passes take chart-basis forms; only the foliation needs a frame."""
+    """The eta passes take chart-basis forms and the foliation pass reads a
+    off them too: neither builds an adapted frame."""
     original = curvint.fields._pivoted_frame
     framed = []
 
@@ -250,7 +307,9 @@ def test_verify_builds_no_adapted_frame(surfaces, monkeypatch):
     cv.verify_integral_formula(surface, field, grid)
     assert framed == []
     cv.foliation_obstruction_report(surface, field, grid)
-    assert sum(framed) == 8**3
+    assert framed == []
+    cv.shape_data(surface, field, 0, grid.charts[0].points[0])
+    assert framed == [1]  # the pointwise API still builds one
 
 
 def test_verify_reads_chart_partials_not_position(surfaces):

@@ -280,6 +280,22 @@ def test_exact_row_sums_match_fsum_bitwise(seed, m, B):
     np.testing.assert_array_equal(got.view(np.uint64), _fsum_rows(x).view(np.uint64))
 
 
+def test_exact_row_sums_rows_with_different_round_counts():
+    """Rows that leave the extraction loop after different rounds keep their
+    own sums: terms over 600 binades take several rounds, small integers one,
+    a row of zeros none, and the sums match fsum alone and in any company."""
+    rng = np.random.default_rng(7)
+    B = 4096
+    wide = rng.standard_normal(B) * 10.0 ** rng.uniform(-300, 300, B)
+    x = np.stack([rng.integers(-1000, 1000, B).astype(float), wide,
+                  np.zeros(B), -wide[::-1] * 1e-8, np.full(B, 0.1)])
+    want = _fsum_rows(x)
+    np.testing.assert_array_equal(exact_row_sums(x).view(np.uint64), want.view(np.uint64))
+    for i in range(len(x)):
+        got = exact_row_sums(np.ascontiguousarray(x[[i, 1]]))
+        np.testing.assert_array_equal(got.view(np.uint64), want[[i, 1]].view(np.uint64))
+
+
 @pytest.mark.parametrize("row", [
     [1.0, np.inf, 2.0],
     [np.nan, 1.0],
