@@ -282,8 +282,8 @@ def test_exact_row_sums_match_fsum_bitwise(seed, m, B):
 
 def test_exact_row_sums_rows_with_different_round_counts():
     """Rows that leave the extraction loop after different rounds keep their
-    own sums: terms over 600 binades take several rounds, small integers one,
-    a row of zeros none, and the sums match fsum alone and in any company."""
+    own sums: terms over 600 decades take several rounds, small integers one,
+    a row of zeros none, and the sums match fsum in one call and in pairs."""
     rng = np.random.default_rng(7)
     B = 4096
     wide = rng.standard_normal(B) * 10.0 ** rng.uniform(-300, 300, B)
