@@ -21,7 +21,7 @@ from .errors import IndexOutOfRange, NonIntegerDegree
 from .fields import TangentField, _chart_forms, _reduced_a
 from .fields import shape_data_batch  # noqa: F401  perfbench's tracer wraps it here
 from .invariants import eta_all  # noqa: F401  perfbench's tracer wraps it here
-from .manifold import ChartedHypersurface, _det, shape_determinant_batch
+from .manifold import ChartedHypersurface, _shape_det, shape_determinant_batch
 from .quadrature import QuadratureGrid, _eta_integrals, _integrate_vector, _select_ks
 from .quadrature import _run_blocks  # noqa: F401  perfbench's tracer wraps it here
 
@@ -341,8 +341,9 @@ def foliation_obstruction_report(
     below RANK_ABS_TOL absolutely.  For n <= 2 the singular values come in
     closed form (``_singular_values``), so no sample calls LAPACK; a
     non-finite a cannot reach them, because the chart forms raise first,
-    naming the point.  The same pass integrates det(h) = det(-L) / det g,
-    the eta_0 that ``verify_integral_formula`` integrates, and when the
+    naming the point.  The same pass integrates det(h) = det(-L) / det g
+    (``manifold._shape_det``, the integrand of ``gauss_degree`` and the
+    eta_0 that ``verify_integral_formula`` integrates), and when the
     hypothesis holds the cross-check degree is read off that integral.
     """
     n = surface.n_intrinsic
@@ -350,8 +351,7 @@ def foliation_obstruction_report(
     def func(ci, U):
         geo, _, _, D, w = _chart_forms(surface, field, ci, U)
         a = _reduced_a(geo.metric_chol, D, w)
-        vf = geo.volume_factor
-        return ((_det(-geo.second_form) / (vf * vf))[:, None], vf,
+        return (_shape_det(geo)[:, None], geo.volume_factor,
                 np.stack([_defect(a), _rank(a)], axis=-1))
 
     (det_integral,), peaks = _integrate_vector(surface, func, grid, workers)

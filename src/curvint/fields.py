@@ -5,17 +5,16 @@ projected onto the tangent space and normalized.  One kernel forms the
 second fundamental form h and the derivative D of the unit field v, as
 the p x p chart-basis forms that ``chart_forms_batch`` returns.  The
 integral passes use these forms directly, since their determinants over
-det g are the orthonormal-frame ones.  The foliation pass reads a off
-them too (``_reduced_a``): two triangular solves with the metric factor
-and one Householder reflection give a in an orthonormal basis of v^perp,
-with no frame.  The adapted orthonormal frame {e_1, ..., e_n, v} (v
-always last) serves the pointwise API only: ``shape_data_batch`` builds
-it to read the same forms in its components.  Tests check the forms, a
-and the frame components against a test-local route that assembles the
-derivatives in the ambient space.  Chart coordinates, of the field and of
-the frame, come from solves with the block's Cholesky factor of the
-metric; no metric inverse is formed, and the frame's Gram-Schmidt runs
-on batch-last vectors.
+det g are the orthonormal-frame ones.  Components in the adapted
+orthonormal frame {e_1, ..., e_n, v} (v always last) come from one
+kernel, ``_adapted_components``: two triangular solves with the block's
+Cholesky factor of the metric and one Householder reflection that takes
+v to the last axis.  The foliation pass reads a off it (``_reduced_a``),
+and the pointwise API (``shape_data_batch``, ``adapted_frame``) reads h,
+a, vvec and the frame vectors off the same reflection.  No metric
+inverse and no Gram-Schmidt is formed.  Tests check the components
+against a test-local route that assembles the derivatives in the ambient
+space.
 Every pass evaluates a field through ``field_batch``, which reads a
 coordinate field off the block's chart partials.
 
@@ -38,12 +37,10 @@ import numpy as np
 
 from . import manifold
 from ._finitediff import partial_stack
-from .errors import DegenerateImmersion, VanishingField
+from .errors import FrameNotOrthonormal, VanishingField
 from .manifold import ChartedHypersurface, GeometryBatch, geometry_batch
 
 _VANISHING_TOL = 1e-10
-_GS_ZERO_RTOL = 1e-12
-_GS_RANK_RTOL = 1e-10
 
 finite_difference_jacobian = partial_stack
 
@@ -216,66 +213,6 @@ def normalize_and_project(
     return v[0] if single else v
 
 
-def _pivoted_frame(geo: GeometryBatch, v: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent complement of v, chart order.
-
-    Gram-Schmidt over the chart tangent vectors with v removed first.
-    Exactly one of the p projected vectors is discarded: the one whose
-    sequential residual norm is smallest, ties going to the lowest index.
-    Deterministic by construction.  Vectors are held batch-last, (q, B)
-    each, so every step is a few operations on contiguous arrays, and the
-    kept vectors are selected by comparison with the discarded index.
-    Returns (B, n, q).
-    """
-    T = np.ascontiguousarray(np.transpose(geo.jacobian, (2, 1, 0)))  # (p, q, B)
-    vt = np.ascontiguousarray(v.T)                                   # (q, B)
-    p = T.shape[0]
-    n = p - 1
-    w = T - np.sum(T * vt, axis=1)[:, None, :] * vt
-    scale = np.max(np.sqrt(np.sum(w * w, axis=1)), axis=0)  # (B,)
-
-    # Pass 1: modified Gram-Schmidt residual norms; near-zero residuals
-    # become zero vectors so later projections are unaffected.
-    r = w.copy()
-    res = np.empty((p, T.shape[-1]))
-    for a in range(p):
-        nr = np.sqrt(np.sum(r[a] * r[a], axis=0))
-        res[a] = nr
-        if a + 1 < p:
-            ok = nr > _GS_ZERO_RTOL * scale
-            e = np.where(ok, r[a] / np.where(ok, nr, 1.0), 0.0)
-            r[a + 1:] -= np.sum(r[a + 1:] * e, axis=1)[:, None, :] * e
-    discard = np.argmin(res, axis=0)
-
-    # Pass 2: clean MGS over the kept vectors in chart order; slot j holds
-    # w[j] before the discarded index and w[j + 1] from it on.
-    out = np.where(np.arange(n)[:, None, None] < discard, w[:-1], w[1:])
-    for a in range(n):
-        nr = np.sqrt(np.sum(out[a] * out[a], axis=0))
-        low = nr <= _GS_RANK_RTOL * scale
-        if np.any(low):
-            pt = np.asarray(U)[int(np.argmax(low))]
-            raise DegenerateImmersion(
-                "tangent vectors do not span the field complement at "
-                f"u={pt.tolist()}"
-            )
-        out[a] /= nr
-        if a + 1 < n:
-            out[a + 1:] -= np.sum(out[a + 1:] * out[a], axis=1)[:, None, :] * out[a]
-    return np.ascontiguousarray(np.transpose(out, (2, 0, 1)))
-
-
-def adapted_frame(
-    surface: ChartedHypersurface, chart_index: int, u, v: np.ndarray
-) -> AdaptedFramePoint:
-    """Adapted orthonormal frame {e_1, ..., e_n, v} at a chart point."""
-    U, _ = manifold._as_batch(u)
-    geo = geometry_batch(surface, chart_index, U, second=False)
-    vb = np.asarray(v, dtype=float)[None, :]
-    e = _pivoted_frame(geo, vb, U)
-    return AdaptedFramePoint(e=e[0], v=vb[0], normal=geo.normal[0])
-
-
 def _chart_forms(
     surface: ChartedHypersurface,
     field: TangentField,
@@ -310,30 +247,84 @@ def _chart_forms(
     return geo, P, Pn, D, cP / Pn[:, None]
 
 
-def _reduced_a(C: np.ndarray, D: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a = <nabla_{e_i} v, e_j> in an orthonormal basis e of v^perp, (B, n, n).
+def _reflection(C: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u (p, B) and beta (B,) of the reflection H = I - beta u u^T that maps
+    ``y = C^T w`` to -+|y| e_p.
 
-    Frame-free: read off the chart form D and the chart coordinates w of v
-    (``_chart_forms``), with the (p, p, B) Cholesky factor C of the metric.
-    ``M = C^-1 D C^-T`` (two forward substitutions) is D in the orthonormal
-    tangent basis whose chart coordinates are the columns of ``C^-T``; there
-    v has coordinates ``y = C^T w``.  One Householder reflection H maps y
-    to a multiple of e_p, so the first n columns of H are an orthonormal
-    basis of v^perp and a is the leading n x n block of ``H M H``.  The
-    basis is another than the adapted frame's, so a differs from
-    ``shape_data_batch``'s by an orthogonal congruence, which keeps its
-    singular values and the norm of a - a^T.  Returned batch-last.
+    C is the (p, p, B) metric factor and w (B, p) the chart coordinates of
+    v, so y are v's coordinates in the orthonormal basis ``J C^-T``.  The
+    shift in u takes y_p's sign, so nothing cancels (Golub & Van Loan,
+    *Matrix Computations*, 4th ed., 5.1).
     """
     n = C.shape[0] - 1
-    M = manifold._lower_solve(C, D.transpose(1, 2, 0))  # C^-1 D
-    M = manifold._lower_solve(C, M.transpose(1, 0, 2)).transpose(1, 0, 2)  # C^-1 D C^-T
     u = np.sum(C * w.T[:, None], axis=0)  # y = C^T w
     ny = np.sqrt(np.sum(u * u, axis=0))
-    u[n] += np.where(u[n] < 0.0, -ny, ny)  # H = I - beta u u^T maps y to -+|y| e_p
-    beta = 1.0 / (ny * np.abs(u[n]))  # 2 / |u|^2
-    HM = M[:n] - (beta * u[:n])[:, None] * np.sum(u[:, None] * M, axis=0)  # rows of H M
-    a = HM[:, :n] - (beta * np.sum(HM * u, axis=1))[:, None] * u[:n]
-    return a.transpose(2, 0, 1)
+    u[n] += np.where(u[n] < 0.0, -ny, ny)
+    return u, 1.0 / (ny * np.abs(u[n]))  # beta = 2 / |u|^2
+
+
+def _adapted_components(C: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The chart-basis form X in the adapted frame {e_1, ..., e_n, v}, (B, p, p).
+
+    The frame has chart coordinates ``C^-T H S``: the first n columns of H
+    (``_reflection``) span v^perp (``_frame_vectors``), and the sign S
+    makes the last one +w / |C^T w|, that is v.  ``M = C^-1 X C^-T`` takes
+    two forward substitutions, and ``S H M H S`` two rank-one updates.
+    Returned batch-last.
+    """
+    n = C.shape[0] - 1
+    u, beta = _reflection(C, w)
+    M = manifold._lower_solve(C, X.transpose(1, 2, 0))  # C^-1 X
+    M = manifold._lower_solve(C, M.transpose(1, 0, 2)).transpose(1, 0, 2)  # C^-1 X C^-T
+    HM = M - (beta * u)[:, None] * np.sum(u[:, None] * M, axis=0)  # rows of H M
+    R = HM - (beta * np.sum(HM * u, axis=1))[:, None] * u
+    flip = np.where(u[n] < 0.0, 1.0, -1.0)  # H e_p = -+y / |y|
+    R[n] *= flip
+    R[:, n] *= flip
+    return R.transpose(2, 0, 1)
+
+
+def _frame_vectors(geo: GeometryBatch, w: np.ndarray) -> np.ndarray:
+    """e_1, ..., e_n of the adapted frame, (B, n, q): ``J C^-T H[:, :n]``,
+    with H = ``_reflection(C, w)`` and one back substitution."""
+    C = geo.metric_chol
+    n = C.shape[0] - 1
+    u, beta = _reflection(C, w)
+    Hn = np.eye(n + 1, n)[:, :, None] - (beta * u)[:, None] * u[:n]  # H[:, :n]
+    return np.einsum("xqa,aix->xiq", geo.jacobian, manifold._upper_solve(C, Hn))
+
+
+def adapted_frame(
+    surface: ChartedHypersurface, chart_index: int, u, v: np.ndarray
+) -> AdaptedFramePoint:
+    """Adapted orthonormal frame {e_1, ..., e_n, v} at a chart point.
+
+    The e_i are ``_frame_vectors`` of v's chart coordinates ``g^-1 J^T v``.
+    ``FrameNotOrthonormal`` when ``| |v| - 1 |`` or ``|<v, N>|`` exceeds
+    1e-10, as in ``manifold.shape_operator``.
+    """
+    U, _ = manifold._as_batch(u)
+    geo = geometry_batch(surface, chart_index, U, second=False)
+    vb = np.asarray(v, dtype=float)[None, :]
+    tol = manifold._FRAME_ORTHO_TOL
+    if not (abs(np.sqrt(np.sum(vb * vb)) - 1.0) <= tol
+            and abs(np.sum(vb * geo.normal)) <= tol):  # NaN fails too
+        raise FrameNotOrthonormal(
+            f"v is not a unit tangent vector within {tol:g} at u={U[0].tolist()}")
+    w = manifold._cholesky_solve(geo.metric_chol, np.einsum("xqa,xq->ax", geo.jacobian, vb))
+    e = _frame_vectors(geo, w.T)
+    return AdaptedFramePoint(e=e[0], v=vb[0], normal=geo.normal[0])
+
+
+def _reduced_a(C: np.ndarray, D: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a = <nabla_{e_i} v, e_j> in the adapted frame, (B, n, n), batch-last.
+
+    The leading n x n block of ``_adapted_components`` for the chart form
+    D, w and the metric factor C of ``_chart_forms``: ``shape_data_batch``'s
+    a bit for bit.
+    """
+    n = C.shape[0] - 1
+    return _adapted_components(C, w, D)[:, :n, :n]
 
 
 def shape_data_batch(
@@ -344,34 +335,23 @@ def shape_data_batch(
 ) -> ShapeDataBatch:
     """Adapted frame plus h, a, vvec at a batch of chart points.
 
-    The frame is built only to read the chart forms of
-    ``chart_forms_batch`` in orthonormal components: with C the chart
-    coordinates of the frame vectors as columns (``tangent_coefficients``,
-    a solve with the metric factor), ``h`` is the symmetrized
-    ``C^T (-L) C`` and ``C^T D C`` holds ``<D_{E_A} v, E_B>``, whose blocks
-    are a, vvec and the two ``<nabla v, v>`` residuals.
+    Every component is read off the chart forms of ``chart_forms_batch``
+    by ``_adapted_components``: ``h`` is the symmetrized form of ``-L``,
+    and the form of D holds ``<D_{E_A} v, E_B>``, whose blocks are a, vvec
+    and the two ``<nabla v, v>`` residuals.  The frame vectors e_i are
+    ``_frame_vectors``, from the same reflection.
     """
-    geo, P, Pn, D, _ = _chart_forms(surface, field, chart_index, U)
-    v, minus_L = P / Pn[:, None], -geo.second_form
+    geo, P, Pn, D, w = _chart_forms(surface, field, chart_index, U)
     n = surface.n_intrinsic
-
-    e = _pivoted_frame(geo, v, U)
-    C = manifold.tangent_coefficients(geo, np.concatenate([e, v[:, None, :]], axis=1))
-    h, h_asym = manifold._symmetrized(manifold._congruence(C, minus_L))
-
-    # <D_{E_A} v, E_B>: a, vvec and both <nabla v, v> residuals in one product
-    dv_frame = manifold._congruence(C, D)
-    a = dv_frame[:, :n, :n]
-    vvec = dv_frame[:, n, :n]
-    dv_e_dot_v = dv_frame[:, :n, n]
-    dv_v_dot_v = dv_frame[:, n, n]
-
+    C = geo.metric_chol
+    h, h_asym = manifold._symmetrized(_adapted_components(C, w, -geo.second_form))
+    dv_frame = _adapted_components(C, w, D)  # <D_{E_A} v, E_B>
     return ShapeDataBatch(
-        data=ShapeData(h=h, a=a, vvec=vvec),
-        frame=FrameBatch(e=e, v=v, normal=geo.normal),
+        data=ShapeData(h=h, a=dv_frame[:, :n, :n], vvec=dv_frame[:, n, :n]),
+        frame=FrameBatch(e=_frame_vectors(geo, w), v=P / Pn[:, None], normal=geo.normal),
         h_asymmetry=h_asym,
-        dv_e_dot_v=dv_e_dot_v,
-        dv_v_dot_v=dv_v_dot_v,
+        dv_e_dot_v=dv_frame[:, :n, n],
+        dv_v_dot_v=dv_frame[:, n, n],
         volume_factor=geo.volume_factor,
     )
 

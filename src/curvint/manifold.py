@@ -268,6 +268,19 @@ def _lower_solve(C: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.stack(z)
 
 
+def _upper_solve(C: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Solve C^T X = Z by back substitution for the (p, p, B) factor of
+    ``_cholesky``; ``Z`` and X are batch-last, (p, B) or (p, m, B)."""
+    p = C.shape[0]
+    x = [None] * p
+    for i in range(p - 1, -1, -1):
+        r = Z[i]
+        for k in range(i + 1, p):
+            r = r - C[k, i] * x[k]
+        x[i] = r / C[i, i]
+    return np.stack(x)
+
+
 def _cholesky_solve(C: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Solve C C^T X = S for the (p, p, B) factor of ``_cholesky``.
 
@@ -275,15 +288,7 @@ def _cholesky_solve(C: np.ndarray, S: np.ndarray) -> np.ndarray:
     so is X.  Two triangular solves as (B,)-vector operations looped over
     p; no inverse is formed.
     """
-    p = C.shape[0]
-    z = _lower_solve(C, S)
-    x = [None] * p
-    for i in range(p - 1, -1, -1):  # C^T X = z
-        r = z[i]
-        for k in range(i + 1, p):
-            r = r - C[k, i] * x[k]
-        x[i] = r / C[i, i]
-    return np.stack(x)
+    return _upper_solve(C, _lower_solve(C, S))
 
 
 def generalized_cross(vectors: np.ndarray) -> np.ndarray:
@@ -464,18 +469,21 @@ def shape_operator(
     return h[0]
 
 
+def _shape_det(geo: GeometryBatch) -> np.ndarray:
+    """det h = det(-L) / det g of a block, frame-free.
+
+    By the Weingarten equation <dN/du_a, dF/du_b> = -<N, d2F/du_a du_b> =
+    -L, so this is the determinant of the normal-map differential, and of
+    h in any orthonormal frame; det g is the squared volume factor.  It is
+    the eta pass's eta_0 bit for bit.
+    """
+    vf = geo.volume_factor
+    return _det(-geo.second_form) / (vf * vf)
+
+
 def shape_determinant_batch(
     surface: ChartedHypersurface, chart_index: int, U: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """det of the normal-map differential, frame-free, and the volume factor.
-
-    By the Weingarten equation <dN/du_a, dF/du_b> = -<N, d2F/du_a du_b>, so
-    the determinant is (-1)^p det(<N, d2F/du_a du_b>) / det(metric); it
-    equals the determinant of the second fundamental form in any
-    orthonormal frame.  The chart volume factor of the same evaluation is
-    returned alongside for integration.
-    """
+    """``_shape_det`` at a batch of points, and the volume factor."""
     geo = geometry_batch(surface, chart_index, U, second=True)
-    sign = (-1.0) ** surface.dim
-    det = sign * _det(geo.second_form) / _det(geo.metric)
-    return det, geo.volume_factor
+    return _shape_det(geo), geo.volume_factor

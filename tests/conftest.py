@@ -6,7 +6,7 @@ import pytest
 import curvint as cv
 from curvint import manifold
 from curvint.fields import (
-    FrameBatch, ShapeData, ShapeDataBatch, _pivoted_frame, field_batch,
+    FrameBatch, ShapeData, ShapeDataBatch, _chart_forms, _frame_vectors, field_batch,
     project_field_batch)
 from curvint.manifold import geometry_batch
 
@@ -103,8 +103,9 @@ def ambient_shape_data(surface, field, ci, U):
     The derivative of the normalized projected field is formed as ambient
     vectors from the field jacobian and the Weingarten derivative of the
     normal, then contracted against the adapted frame via the chart chain
-    rule.  It shares only the geometry, the field values and the frame with
-    ``shape_data_batch``, which reads the chart forms instead.
+    rule.  It shares only the geometry, the field values and the frame
+    (``_frame_vectors`` of the chart forms' w) with ``shape_data_batch``,
+    which reads the components off the chart forms instead.
     """
     U = np.asarray(U, dtype=float)
     geo = geometry_batch(surface, ci, U, second=True)
@@ -123,7 +124,7 @@ def ambient_shape_data(surface, field, ci, U):
           - rn[:, None, None] * dN)
     dv = (dP - np.einsum("xq,xaq->xa", v, dP)[:, :, None] * v[:, None, :]) / Pn[:, None, None]
 
-    e = _pivoted_frame(geo, v, U)
+    e = _frame_vectors(geo, _chart_forms(surface, field, ci, U)[4])
     frame = np.concatenate([e, v[:, None, :]], axis=1)  # (B, p, q), v last
     frame_t = np.ascontiguousarray(np.swapaxes(frame, -1, -2))
 

@@ -14,7 +14,7 @@ from curvint.degree import _defect, _rank, _singular_values
 from curvint.fields import _chart_forms, _reduced_a, shape_data_batch
 from curvint.manifold import _batch_last, _cholesky
 from curvint.quadrature import QuadratureGrid
-from conftest import CATALOG_PAIRS
+from conftest import CATALOG_PAIRS, ambient_shape_data
 
 
 def test_sphere_volume_values():
@@ -41,6 +41,16 @@ def test_gauss_degree_catalog(surfaces, name):
     assert deg.rounded == EXPECTED_DEGREE[name]
     assert deg.residual < 1e-5
     assert deg.valid
+
+
+@pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
+def test_gauss_degree_is_verify_degree(surfaces, skey, fkey):
+    """The det h integrand is verify's eta_0: the two degrees agree bit for bit."""
+    surface = surfaces[skey]
+    for nodes in (12, 16):
+        grid = QuadratureGrid.build(surface, nodes)
+        want = cv.verify_integral_formula(surface, cv.get_field(fkey, surface), grid)
+        assert cv.gauss_degree(surface, grid).raw == want.degree.raw
 
 
 def test_degree_integrality_two_resolutions(surfaces):
@@ -175,13 +185,6 @@ def test_singular_values_are_lapacks_for_n3():
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# Frame-free a against the frame route: singular values and defect agree
-# within this times max(1, sigma_max); the largest gap seen over the 12^k
-# grids and the t = 0.0028 row below is 1.8e-15, and 3.3e-15 over the
-# full 48^3 (128^2) grids of all five pairs.
-REDUCED_A_RTOL = 4e-15
-
-
 def reduced_a(surface, field, ci, U):
     geo, _, _, D, w = _chart_forms(surface, field, ci, U)
     return _reduced_a(geo.metric_chol, D, w)
@@ -190,19 +193,19 @@ def reduced_a(surface, field, ci, U):
 @pytest.mark.parametrize("skey,fkey,nodes", [
     *[(s, f, 12) for s, f in CATALOG_PAIRS], ("ellipsoid3", "hopf", 48)])
 def test_reduced_a_matches_frame_route(surfaces, skey, fkey, nodes):
-    """Every point of the 12^k grids, and the 48^3 ellipsoid row at the
-    first node t = 0.0028, next to a collapsing Hopf circle."""
+    """The foliation's a is ``shape_data_batch``'s bit for bit, and within
+    1e-13 * max(1, |a|) of the ambient route, an independent D, at every
+    point of the 12^k grids and of the 48^3 ellipsoid row at the first
+    node t = 0.0028, next to a collapsing Hopf circle."""
     surface = surfaces[skey]
     field = cv.get_field(fkey, surface)
     for ci, cg in enumerate(QuadratureGrid.build(surface, nodes).charts):
         U = cg.points if nodes == 12 else cg.points[cg.points[:, 0] == cg.points[0, 0]]
         got = reduced_a(surface, field, ci, U)
-        want = shape_data_batch(surface, field, ci, U).data.a
-        np.testing.assert_array_equal(_rank(got), _rank(want))
-        sv = _singular_values(want)
-        bound = REDUCED_A_RTOL * np.maximum(1.0, sv[:, :1])
-        assert np.all(np.abs(_singular_values(got) - sv) <= bound)
-        assert np.all(np.abs(_defect(got) - _defect(want)) <= bound[:, 0])
+        frame = shape_data_batch(surface, field, ci, U).data.a
+        np.testing.assert_array_equal(got.view(np.uint64), frame.view(np.uint64))
+        want = ambient_shape_data(surface, field, ci, U).data.a
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -292,15 +295,15 @@ def test_one_geometry_evaluation_per_point(surfaces, geometry_points):
 
 def test_verify_builds_no_adapted_frame(surfaces, monkeypatch):
     """The eta passes take chart-basis forms and the foliation pass reads a
-    off them too: neither builds an adapted frame."""
-    original = curvint.fields._pivoted_frame
+    off them too: neither builds the frame vectors."""
+    original = curvint.fields._frame_vectors
     framed = []
 
-    def counting(geo, v, U):
-        framed.append(len(U))
-        return original(geo, v, U)
+    def counting(geo, w):
+        framed.append(len(w))
+        return original(geo, w)
 
-    monkeypatch.setattr(curvint.fields, "_pivoted_frame", counting)
+    monkeypatch.setattr(curvint.fields, "_frame_vectors", counting)
     surface = surfaces["sphere3"]
     field = cv.get_field("hopf", surface)
     grid = QuadratureGrid.build(surface, 8)
@@ -450,8 +453,8 @@ def test_foliation_revs1s2_totally_geodesic(surfaces):
     assert rep.hypothesis
     assert rep.degree_zero_concluded
     assert rep.degree is not None and rep.degree.rounded == 0
-    # det h over the samples against the frame-free shape determinant
-    assert abs(rep.degree.raw - cv.gauss_degree(surface, grid).raw) <= 1e-14
+    # det h over the samples is the shape determinant, bit for bit
+    assert rep.degree.raw == cv.gauss_degree(surface, grid).raw
     assert rep.consistent
 
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import curvint as cv
 from curvint.fields import (
-    _GS_RANK_RTOL, _GS_ZERO_RTOL, _pivoted_frame, chart_forms_batch, coordinate_field,
-    field_batch, project_field_batch, shape_data_batch)
-from curvint.manifold import GeometryBatch, geometry_batch
+    chart_forms_batch, coordinate_field, field_batch, project_field_batch,
+    shape_data_batch)
+from curvint.manifold import geometry_batch
 from curvint.quadrature import BLOCK, QuadratureGrid
 from conftest import (
     CATALOG_PAIRS, ambient_shape_data, domain_samples, metric_inv,
@@ -113,8 +113,8 @@ def test_adapted_frame_deterministic(surfaces):
 
 
 def test_frame_pivot_discards_field_aligned_column(surfaces):
-    """theta on torus2 is parallel to the first chart direction, which must
-    be the discarded one; the remaining frame vector points along phi."""
+    """theta on torus2 is parallel to the first chart direction, so the one
+    frame vector, orthogonal to it, points along phi."""
     surface = surfaces["torus2"]
     field = cv.get_field("theta", surface)
     u = np.array([1.2, 0.4])
@@ -126,24 +126,17 @@ def test_frame_pivot_discards_field_aligned_column(surfaces):
     assert abs(cosang - 1.0) < 1e-12
 
 
-def test_pivoted_frame_rank_loss_names_the_point():
-    """Tangents that lose rank once v is removed: the error gives u."""
-    # point 0 is regular; at point 1 the tangents are e1, 2 e1, e2 and v = e2,
-    # so only e1 survives the projection and the frame cannot be completed
-    tangents = np.zeros((2, 3, 4))
-    tangents[0, [0, 1, 2], [0, 1, 2]] = 1.0
-    tangents[1, [0, 1, 2], [0, 0, 1]] = [1.0, 2.0, 1.0]
-    v = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-    J = np.swapaxes(tangents, 1, 2)
-    geo = GeometryBatch(
-        jacobian=J, tangents=tangents, metric=tangents @ J,
-        metric_chol=np.full((3, 3, 2), np.nan),  # the metric is singular at point 1
-        volume_factor=np.zeros(2), normal=np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)),
-        second_form=None,
-    )
-    U = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
-    with pytest.raises(cv.DegenerateImmersion, match=r"at u=\[0\.4, 0\.5, 0\.6\]"):
-        _pivoted_frame(geo, v, U)
+@pytest.mark.parametrize("bad", ["2v", "v + 0.1N", "N"])
+def test_adapted_frame_rejects_a_v_that_is_not_unit_tangent(surfaces, bad):
+    """A v of norm 2, one with a normal part, or the normal itself."""
+    surface = surfaces["sphere3"]
+    field = cv.get_field("hopf", surface)
+    u = np.array([0.9, 2.2, 4.0])
+    v = cv.normalize_and_project(field, surface, 0, u)
+    N = cv.unit_normal(surface, 0, u)
+    v = {"2v": 2.0 * v, "v + 0.1N": v + 0.1 * N, "N": N}[bad]
+    with pytest.raises(cv.FrameNotOrthonormal, match=r"at u=\[0\.9, 2\.2, 4\.0\]"):
+        cv.adapted_frame(surface, 0, u, v)
 
 
 def test_shape_data_sphere3_hopf(surfaces):
@@ -295,53 +288,6 @@ def test_chart_forms_solve_matches_adjugate_route(surfaces, skey, fkey):
         want = adjugate_field_form(surface, field, ci, U)
         _, got, _, _ = chart_forms_batch(surface, field, ci, U)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
-
-
-def stacked_pivoted_frame(geo, v):
-    """The adapted frame by (B, k, q) einsums and a gathered kept set, as
-    ``_pivoted_frame`` once built it (without its rank check)."""
-    def norm(x):
-        return np.sqrt(np.einsum("...q,...q->...", x, x))
-
-    tangents = np.swapaxes(geo.jacobian, -1, -2)
-    B, p, q = tangents.shape
-    w = tangents - np.einsum("xaq,xq->xa", tangents, v)[:, :, None] * v[:, None, :]
-    scale = np.max(norm(w), axis=-1)
-    r = w.copy()
-    res = np.empty((B, p))
-    for a in range(p):
-        nr = norm(r[:, a, :])
-        res[:, a] = nr
-        ok = nr > _GS_ZERO_RTOL * scale
-        e = np.where(ok[:, None], r[:, a, :] / np.where(ok, nr, 1.0)[:, None], 0.0)
-        r[:, a + 1:, :] -= np.einsum("xbq,xq->xb", r[:, a + 1:, :], e)[:, :, None] * e[:, None, :]
-    keep = np.argsort(np.arange(p)[None, :] == np.argmin(res, axis=1)[:, None],
-                      axis=1, kind="stable")[:, :p - 1]
-    w2 = np.take_along_axis(w, keep[:, :, None], axis=1)
-    for a in range(p - 1):
-        nr = norm(w2[:, a, :])
-        assert np.all(nr > _GS_RANK_RTOL * scale)
-        w2[:, a, :] /= nr[:, None]
-        w2[:, a + 1:, :] -= (np.einsum("xbq,xq->xb", w2[:, a + 1:, :], w2[:, a, :])[:, :, None]
-                             * w2[:, a, None, :])
-    return w2
-
-
-@pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
-def test_pivoted_frame_matches_stacked_reference(surfaces, skey, fkey):
-    """The batch-last frame keeps the same vectors as the stacked route, to
-    within 4 eps per entry, on every block of the 48^k grid (128^2 torus2)."""
-    surface = surfaces[skey]
-    field = cv.get_field(fkey, surface)
-    grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 48)
-    for ci, U in grid_blocks(grid):
-        geo = geometry_batch(surface, ci, U, second=False)
-        raw, _ = field_batch(field, surface, geo, ci, U, jacobian=False)
-        _, P, Pn = project_field_batch(raw, geo, U)
-        v = P / Pn[:, None]
-        e = _pivoted_frame(geo, v, U)
-        assert e.flags.c_contiguous
-        assert np.max(np.abs(e - stacked_pivoted_frame(geo, v))) <= 4 * np.finfo(float).eps
 
 
 def test_chart_forms_exact_near_collapsed_hopf_circles(surfaces):
