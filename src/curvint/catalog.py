@@ -48,6 +48,13 @@ _TUBE_RHO = 0.3
 _ELL_A = np.diag([2.0, 1.0, 1.0, 1.0])
 
 
+def _rows(x, rows):
+    """The rows ``rows`` of every array in nested lists and tuples of them."""
+    if isinstance(x, (list, tuple)):
+        return [_rows(y, rows) for y in x]
+    return x if x is None else x[rows]
+
+
 def _rotation_chart(lo, hi, periodic, angles, profile) -> Chart:
     """Chart of a profile point whose coordinate pairs turn with angles.
 
@@ -66,9 +73,12 @@ def _rotation_chart(lo, hi, periodic, angles, profile) -> Chart:
     entry, and returned as their (B, ...) views (``manifold``'s layout).
 
     The profile and the angle cosines and sines are evaluated once per
-    block: each thread keeps them for the last points it was asked for,
+    point: each thread keeps them for the last points it was asked for,
     so the second partials after the first partials at equal points draw
-    only the last level.  Drawing the last level drops them.
+    only the last level.  The second partials may also be read in
+    consecutive runs of those points, as ``geometry_batch`` reads them:
+    each run is served from the kept rows that follow the last run read.
+    Reading the last row of the last level drops them.
     """
     p, k = len(lo), len(angles)
     others = [a for a in range(p) if a not in angles]
@@ -76,15 +86,26 @@ def _rotation_chart(lo, hi, periodic, angles, profile) -> Chart:
     kept = threading.local()
 
     def jet(U, order):
+        # kept.jet = [points, profile generator, levels, turns, first row
+        # not yet read at order 2]
         last = getattr(kept, "jet", None)
-        if last is None or not np.array_equal(last[0], U):
+        if last is not None:
+            rows = slice(last[4], last[4] + len(U))
+            if not np.array_equal(last[0][rows], U):
+                last = None
+        if last is None:
             turns = [(np.cos(U[:, c]), np.sin(U[:, c])) for c in angles]
-            last = kept.jet = (U.copy(), profile(U), [], turns)
-        _, gen, levels, turns = last
+            last = kept.jet = [U.copy(), profile(U), [], turns, 0]
+            rows = slice(0, len(U))
+        _, gen, levels, turns, _ = last
         while len(levels) <= order:
             levels.append(next(gen))
         if order == 2:
-            kept.jet = None
+            last[4] = rows.stop
+            if rows.stop == len(last[0]):
+                kept.jet = None
+        if len(U) < len(last[0]):
+            levels, turns = _rows(levels, rows), _rows(turns, rows)
         return levels[:order + 1], turns, (k + len(levels[0]), len(U))
 
     def position(U):
@@ -170,17 +191,22 @@ def _sphere3_chart() -> Chart:
 def _ellipsoid3_chart() -> Chart:
     base = _sphere3_chart()
     # _ELL_A is diagonal: scaling the ambient rows gives the bits of A @ J and
-    # A @ H at a fraction of a stacked matmul's cost, in the base's layout
+    # A @ H at a fraction of a stacked matmul's cost, in the base's layout,
+    # and in place in the base's fresh arrays
     a = np.diagonal(_ELL_A)
 
     def pos(U):
         return base.position(U) @ _ELL_A.T
 
     def jac(U):
-        return a[:, None] * base.first_partials(U)
+        J = base.first_partials(U)
+        J *= a[:, None]
+        return J
 
     def hess(U):
-        return a[:, None, None] * base.second_partials(U)
+        H = base.second_partials(U)
+        H *= a[:, None, None]
+        return H
 
     return Chart(lo=base.lo, hi=base.hi, periodic=base.periodic,
                  position=pos, first_partials=jac, second_partials=hess)

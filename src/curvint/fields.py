@@ -67,20 +67,6 @@ class TangentField:
     coefficients: tuple[float, ...] | None = None
 
 
-def _dot_last(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """A @ c over the last axis of batch-last A, summed in entry order.
-
-    One vector operation per term, each over every entry, so the output
-    keeps the layout and no temporary of A's size is made; with one point
-    einsum would sum the lone contiguous axis in another order (module
-    docstring).
-    """
-    out = A[..., 0] * c[0]
-    for a in range(1, len(c)):
-        out += A[..., a] * c[a]
-    return out
-
-
 def coordinate_field(surface: ChartedHypersurface, c, key: str = "") -> TangentField:
     """The field sum_a c_a dF/du_a for constant chart-coordinate coefficients c.
 
@@ -95,10 +81,10 @@ def coordinate_field(surface: ChartedHypersurface, c, key: str = "") -> TangentF
     charts = surface.charts
 
     def value(ci, U):
-        return _dot_last(manifold._batch_last(charts[ci].first_partials(U)), c)
+        return manifold._dot_last(manifold._batch_last(charts[ci].first_partials(U)), c)
 
     def jacobian(ci, U):
-        return _dot_last(manifold._batch_last(charts[ci].second_partials(U)), c)
+        return manifold._dot_last(manifold._batch_last(charts[ci].second_partials(U)), c)
 
     return TangentField(ambient_value=value, ambient_jacobian=jacobian, key=key,
                         coefficients=tuple(c.tolist()))
@@ -115,8 +101,9 @@ def field_batch(
     """Raw field values (B, q) and their parameter derivatives (B, q, p).
 
     The one place a pass evaluates a field.  A coordinate field is read off
-    the block's chart partials (its derivative needs ``second=True``
-    geometry); any other field calls ``ambient_value`` and
+    the block's chart partials (its derivative is the ``field_jacobian`` of
+    geometry evaluated with ``second=True`` and the field's coefficients,
+    else ValueError); any other field calls ``ambient_value`` and
     ``ambient_jacobian`` once each, or takes finite differences of the value
     when it has no jacobian.  Both come back batch-last (a field's own
     arrays are copied once when they are not): einsum's summation order,
@@ -124,9 +111,11 @@ def field_batch(
     ``jacobian`` is False.
     """
     if field.coefficients is not None:
-        c = np.asarray(field.coefficients, dtype=float)
-        dv = _dot_last(geo.second_partials, c) if jacobian else None
-        return _dot_last(geo.jacobian, c), dv
+        if jacobian and geo.field_jacobian is None:
+            raise ValueError("a coordinate field's derivative needs the geometry "
+                             "evaluated with second=True and its coefficients")
+        raw = manifold._dot_last(geo.jacobian, np.asarray(field.coefficients, dtype=float))
+        return raw, geo.field_jacobian if jacobian else None
     raw = manifold._batch_last(field.ambient_value(chart_index, U))
     if not jacobian:
         return raw, None
@@ -229,12 +218,13 @@ def _chart_forms(
     """
     _check_field_allowed(surface)
     U = np.asarray(U, dtype=float)
-    geo = geometry_batch(surface, chart_index, U, second=True)
+    geo = geometry_batch(surface, chart_index, U, coefficients=field.coefficients)
     raw, rawJ = field_batch(field, surface, geo, chart_index, U)
     rn, P, Pn = project_field_batch(raw, geo, U)
 
     L = geo.second_form
     K = np.einsum("xqa,xqb->xab", rawJ, geo.jacobian)  # (d raw)^T J
+    geo, rawJ = geo._replace(field_jacobian=None), None  # K is its only use
     K += rn[:, None, None] * L
     s = np.einsum("xqa,xq->xa", geo.jacobian, raw)  # J^T raw
     cP = manifold._cholesky_solve(geo.metric_chol, s.T).T  # g^-1 s: chart coordinates of P

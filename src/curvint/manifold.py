@@ -43,6 +43,10 @@ _DEGENERACY_RTOL = 1e-12
 
 _FRAME_ORTHO_TOL = 1e-10
 
+# Points per read of the chart's second partials: the (B, q, p, p) array is
+# the largest a batch would hold, and only the contractions are kept.
+SECOND_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class SurfaceMetadata:
@@ -154,10 +158,12 @@ class GeometryBatch(NamedTuple):
     """Chart geometry of one block, from one evaluation of the chart partials.
 
     Every array is stored batch-last (see the module docstring).
-    ``jacobian`` and ``second_partials`` are the chart's partials in that
-    layout, so a field built from chart partials reads them instead of
-    calling the chart again; ``second_partials`` and ``second_form`` are
-    None when the block was evaluated with ``second=False``.
+    ``jacobian`` is the chart's first partials in that layout, and
+    ``field_jacobian`` the second partials contracted with a coordinate
+    field's coefficients c, ``d2F c``, so that such a field is read off the
+    block instead of calling the chart again.  ``second_form`` is None when
+    the block was evaluated with ``second=False``, and ``field_jacobian``
+    unless it was evaluated with ``second=True`` and coefficients.
     ``metric_chol`` is the lower Cholesky factor of the metric, indexed
     batch-last for ``_cholesky_solve``.  No metric inverse is formed.
     """
@@ -169,7 +175,7 @@ class GeometryBatch(NamedTuple):
     volume_factor: np.ndarray  # (B,), |cross product| = sqrt(det metric)
     normal: np.ndarray         # (B, q)
     second_form: np.ndarray | None  # (B, p, p), <N, d2F/du_a du_b>
-    second_partials: np.ndarray | None = None  # (B, q, p, p), d2F/du_a du_b
+    field_jacobian: np.ndarray | None = None  # (B, q, p), d2F/du_a du_b c_b
 
 
 def _batch_last(A) -> np.ndarray:
@@ -181,6 +187,21 @@ def _batch_last(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     n = A.ndim
     return np.ascontiguousarray(A.transpose(*range(1, n), 0)).transpose(n - 1, *range(n - 1))
+
+
+def _dot_last(A: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A @ c over the last axis of batch-last A, summed in entry order.
+
+    One vector operation per term, each over every entry, so the output
+    keeps the layout and no temporary of A's size is made; with one point
+    einsum would sum the lone contiguous axis in another order, and a
+    point is to get the same bits alone as in a block.  ``out`` receives
+    the result when given.
+    """
+    out = np.multiply(A[..., 0], c[0], out=out)
+    for a in range(1, len(c)):
+        out += A[..., a] * c[a]
+    return out
 
 
 def _minors(M: np.ndarray, V: np.ndarray | None = None) -> dict:
@@ -328,20 +349,24 @@ def geometry_batch(
     chart_index: int,
     U: np.ndarray,
     second: bool = True,
+    coefficients: tuple[float, ...] | None = None,
 ) -> GeometryBatch:
     """Evaluate chart geometry at a batch of parameter points.
 
     Only the chart partials are evaluated, not the position, each once.
-    With ``second=True`` the second partials are kept as
-    ``second_partials`` and contracted with the normal into
-    ``second_form``.  By the Weingarten equation ``<dN/du_a, F_b>`` is
-    ``-second_form[a, b]``, so no ambient derivative of the normal is
-    formed.  After the rank check the metric is factored once by
-    Cholesky (``metric_chol``); its inverse is not formed.  The volume
-    factor is |G| for the generalized cross product G of the tangents,
-    which equals sqrt(det g) (Cauchy-Binet), so no determinant of g is
-    taken.  A NaN first partial fails the rank check, and non-finite
-    second partials raise DegenerateImmersion too, each naming the point.
+    With ``second=True`` the second partials are read in chunks of
+    ``SECOND_CHUNK`` points, and each chunk is contracted at once with the
+    normal into ``second_form`` and, given a coordinate field's
+    ``coefficients`` c, into ``field_jacobian`` = d2F c, so that no batch
+    holds its whole (B, q, p, p) second partials.  By the Weingarten
+    equation ``<dN/du_a, F_b>`` is ``-second_form[a, b]``, so no ambient
+    derivative of the normal is formed.  The metric is factored once by
+    Cholesky (``metric_chol``); its inverse is not formed.  The volume factor is |G| for the generalized cross product G
+    of the tangents, which equals sqrt(det g) (Cauchy-Binet), so no
+    determinant of g is taken.  The checks run in this order, each naming
+    the point: the rank check (a NaN first partial fails it), the metric
+    factorization, then finite second partials; each raises
+    DegenerateImmersion.
     """
     chart = surface.charts[chart_index]
     U = np.asarray(U, dtype=float)
@@ -359,19 +384,32 @@ def geometry_batch(
     if not ok.all():
         pt = U[int(np.argmin(ok))]
         raise DegenerateImmersion(f"chart differential rank-deficient at u={pt.tolist()}")
-    normal = sgn * G / Gnorm[:, None]
+    normal = np.multiply(sgn, G, out=G)  # G is not kept: sgn * G / |G| in place
+    normal /= Gnorm[:, None]
 
-    chol = _cholesky(g, U)
-
-    L = H2 = None
+    L = dc = None
     if second:
-        H2 = _batch_last(chart.second_partials(U))
-        L = np.einsum("xq,xqab->xab", normal, H2)
-        if not np.isfinite(L).all():  # one flat pass; per point only to name it
-            pt = U[int(np.argmin(np.isfinite(L).all(axis=(-2, -1))))]
-            raise DegenerateImmersion(f"second partials not finite at u={pt.tolist()}")
+        B, q, p = J.shape
+        L = np.empty((p, p, B)).transpose(2, 0, 1)  # batch-last, like every form
+        if coefficients is not None:
+            c = np.asarray(coefficients, dtype=float)
+            dc = np.empty((q, p, B)).transpose(2, 0, 1)
+        for s in range(0, B, SECOND_CHUNK):
+            rows = slice(s, s + SECOND_CHUNK)
+            H2 = _batch_last(chart.second_partials(U[rows]))
+            L[rows] = np.einsum("xq,xqab->xab", normal[rows], H2)
+            if dc is not None:
+                _dot_last(H2, c, out=dc[rows])
+            del H2  # before the next chunk is read
 
-    return GeometryBatch(J, tangents, g, chol, Gnorm, normal, L, H2)
+    # factored after the chunks are read, so that it does not add to their
+    # memory; the checks keep their order
+    chol = _cholesky(g, U)
+    if second and not np.isfinite(L).all():  # one flat pass; per point only to name it
+        pt = U[int(np.argmin(np.isfinite(L).all(axis=(-2, -1))))]
+        raise DegenerateImmersion(f"second partials not finite at u={pt.tolist()}")
+
+    return GeometryBatch(J, tangents, g, chol, Gnorm, normal, L, dc)
 
 
 def tangent_coefficients(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:

@@ -8,22 +8,29 @@ Grid nodes never touch the chart domain boundary, so coordinate
 degeneracies on the boundary are avoided.
 
 Point evaluations are independent and may be dispatched to a thread
-pool.  Every pass over a grid runs one block kernel that returns values
-to integrate and per-point peaks.  Work is split into fixed-size index
-blocks that do not depend on the worker count; each block's values are
-summed exactly rounded (``_reduction.exact_row_sums``: error-free vector
-extraction in numpy, the same bits as ``math.fsum`` without holding the
-GIL over the data) and the block sums combined by a fixed-shape pairwise
-tree with compensated nodes, while peaks are reduced by max, which does
-not depend on order.  The module guarantee is: same inputs give
-bit-identical results for any number of workers, with total summation
-error at the few-ulp level.
+pool.  Every pass over a grid runs one kernel that returns values to
+integrate and per-point peaks.  With a pool the kernel is called once
+per span of ``SPAN`` = 8192 points, so that each call makes long vector
+operations and the threads meet at the interpreter lock less often; one
+worker calls it once per ``BLOCK`` of 4096 points, which holds less
+memory and has no lock to share.  The nodes and weights of a span are
+gathered from the per-axis rules when it runs; the whole grid is never
+built.  The sums do not depend on the span: the values of every fixed
+4096-point block are summed exactly rounded
+(``_reduction.exact_row_sums``: error-free vector extraction in numpy,
+the same bits as ``math.fsum`` without holding the GIL over the data;
+an exactly rounded sum is unique) and the block sums combined by a
+fixed-shape pairwise tree with compensated nodes, while peaks are
+reduced by max, which does not depend on order.  The module guarantee
+is: same inputs give bit-identical results for any number of workers,
+with total summation error at the few-ulp level.
 
 Each integration also runs its half-resolution companion grid; the
 difference is reported as the estimated error.
 """
 
 import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -36,7 +43,8 @@ from .fields import shape_data_batch  # noqa: F401  perfbench's tracer wraps it 
 from .invariants import ColumnSystem, eta_all
 from .manifold import ChartedHypersurface, geometry_batch
 
-BLOCK = 4096  # points per work unit; fixed so results never depend on workers
+BLOCK = 4096  # points per reduction block; fixed so results never depend on workers
+SPAN = 2 * BLOCK  # points per kernel call with a pool: whole blocks, so the sums stay
 
 _GL_PANEL = 16
 
@@ -83,26 +91,51 @@ def _gauss_rule(lo: float, hi: float, count: int) -> CoordinateRule:
 
 @dataclass(frozen=True)
 class ChartGrid:
+    """Per-axis rules of one chart's tensor-product grid, of ``size`` points.
+
+    The passes gather nodes and weights per run of points (``span``);
+    ``points`` and ``weights`` build the whole grid, for inspection.
+    """
+
     rules: tuple[CoordinateRule, ...]
-    points: np.ndarray   # (N, p) tensor-product nodes, C order
-    weights: np.ndarray  # (N,)
+    size: int
+
+    def span(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes (m, p) and weights (m,) of the points start..stop in C order.
+
+        The weights multiply in axis order, ((w0 * w1) * w2) ...: the order
+        fixes their bits.
+        """
+        idx = np.unravel_index(np.arange(start, min(stop, self.size)),
+                               tuple(len(r.nodes) for r in self.rules))
+        points = np.empty((len(idx[0]), len(self.rules)))
+        for a, (r, i) in enumerate(zip(self.rules, idx)):
+            points[:, a] = r.nodes[i]
+        weights = self.rules[0].weights[idx[0]]
+        for r, i in zip(self.rules[1:], idx[1:]):
+            weights = weights * r.weights[i]
+        return points, weights
+
+    @property
+    def points(self) -> np.ndarray:
+        """All (size, p) nodes at once."""
+        return self.span(0, self.size)[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """All (size,) weights at once."""
+        return self.span(0, self.size)[1]
 
 
 def _build_chart_grid(chart, counts) -> ChartGrid:
-    rules = []
-    for lo, hi, per, c in zip(chart.lo, chart.hi, chart.periodic, counts):
-        rule = _periodic_rule(lo, hi, c) if per else _gauss_rule(lo, hi, c)
-        rules.append(rule)
-    # the weights multiply in axis order, ((w0 * w1) * w2) ...: the order
-    # fixes their bits
-    shape = tuple(len(r.nodes) for r in rules)
-    points = np.empty(shape + (len(rules),))
-    weights = rules[0].weights
-    for a, r in enumerate(rules):
-        points[..., a] = r.nodes.reshape((-1,) + (1,) * (len(rules) - 1 - a))
-        if a:
-            weights = np.multiply.outer(weights, r.weights)
-    return ChartGrid(tuple(rules), points.reshape(-1, len(rules)), weights.reshape(-1))
+    rules = tuple(_periodic_rule(lo, hi, c) if per else _gauss_rule(lo, hi, c)
+                  for lo, hi, per, c in zip(chart.lo, chart.hi, chart.periodic, counts))
+    size = math.prod(len(r.nodes) for r in rules)
+    # the passes gather nodes per span, but a grid whose (N, p) node array
+    # numpy cannot allocate is refused as before (MemoryError, ValueError);
+    # np.empty only reserves that memory
+    np.empty((size, len(rules)))
+    return ChartGrid(rules, size)
 
 
 @dataclass(frozen=True)
@@ -141,7 +174,7 @@ class QuadratureGrid:
 
     @property
     def total_points(self) -> int:
-        return sum(cg.points.shape[0] for cg in self.charts)
+        return sum(cg.size for cg in self.charts)
 
 
 @dataclass(frozen=True)
@@ -169,34 +202,67 @@ def _run_blocks(tasks, worker, workers):
     return [worker(t) for t in tasks]
 
 
+def _block_parts(vals, weights, peaks):
+    """Exactly rounded sums (m,) and max peaks (j,) of every BLOCK points.
+
+    ``vals`` (B, m) are weighted by ``weights`` (B,) into one row per
+    (block, value) of the full blocks, all summed in one
+    ``exact_row_sums`` call, and a last partial block in another: an
+    exactly rounded sum is unique, so each block sum has the bits of its
+    block alone.
+    """
+    (B, m), j = vals.shape, peaks.shape[1]
+    nb = B // BLOCK
+    full = nb * BLOCK
+    vt = vals.T
+    sums, maxima = [], []
+    if nb:
+        terms = np.multiply(vt[:, :full].reshape(m, nb, BLOCK).transpose(1, 0, 2),
+                            weights[:full].reshape(nb, 1, BLOCK), order="C")
+        sums = list(exact_row_sums(terms.reshape(nb * m, BLOCK)).reshape(nb, m))
+        maxima = list(np.max(peaks[:full].reshape(nb, BLOCK, j), axis=1))
+    if full < B:
+        sums.append(exact_row_sums(np.multiply(vt[:, full:], weights[full:], order="C")))
+        maxima.append(np.max(peaks[full:], axis=0))
+    return list(zip(sums, maxima))
+
+
 def _integrate_vector(surface, func, grid, workers):
     """Sums and maxima of one pass over the grid.
 
     ``func(ci, U)`` returns the (B, m) values, the (B,) volume factor of
-    the geometry it evaluated and (B, j) peaks.  Values are weighted by
-    volume factor and quadrature weight into (m, B), summed exactly
-    rounded per fixed-size block and the blocks combined by a pairwise
-    tree; peaks are reduced by max.  Returns the (m,) sums and the (j,)
-    maxima, whose bits do not depend on the worker count.
+    the geometry it evaluated and (B, j) peaks.  It is called once per span
+    of SPAN points when more than one worker is asked for, and once per
+    BLOCK otherwise (module docstring).  Values are weighted by volume
+    factor and quadrature weight, summed exactly rounded per fixed BLOCK
+    of points (``_block_parts``) and the blocks combined by a pairwise
+    tree; peaks are reduced by max.  A span whose call raises a
+    ``CurvintError`` is run again one block at a time, so the error and
+    the point it names are those of the first failing block.  Returns the
+    (m,) sums and the (j,) maxima, whose bits depend neither on the worker
+    count nor on the span size.
     """
     _check_grid(surface, grid)
+    span = SPAN if workers is not None and workers > 1 else BLOCK
     tasks = [(ci, start) for ci, cg in enumerate(grid.charts)
-             for start in range(0, cg.points.shape[0], BLOCK)]
+             for start in range(0, cg.size, span)]
+
+    def evaluate(ci, U, weights):
+        try:
+            vals, volf, peaks = func(ci, U)
+        except CurvintError as exc:
+            if len(U) > BLOCK:
+                return [part for b in range(0, len(U), BLOCK)
+                        for part in evaluate(ci, U[b:b + BLOCK], weights[b:b + BLOCK])]
+            raise type(exc)(f"chart {ci}: {exc}") from exc
+        wf = surface.charts[ci].weight_fraction
+        return _block_parts(vals, wf * weights * volf, peaks)
 
     def worker(task):
         ci, start = task
-        cg = grid.charts[ci]
-        try:
-            vals, volf, peaks = func(ci, cg.points[start:start + BLOCK])
-        except CurvintError as exc:
-            raise type(exc)(f"chart {ci}: {exc}") from exc
-        wf = surface.charts[ci].weight_fraction
-        terms = np.multiply(vals.T, wf * cg.weights[start:start + BLOCK] * volf,
-                            order="C")
-        # exactly rounded per-block partial: immune to term ordering
-        return exact_row_sums(terms), np.max(peaks, axis=0)
+        return evaluate(ci, *grid.charts[ci].span(start, start + span))
 
-    parts = _run_blocks(tasks, worker, workers)
+    parts = [part for span in _run_blocks(tasks, worker, workers) for part in span]
     sums = np.atleast_1d(tree_reduce_compensated([s for s, _ in parts]))
     return sums, np.max([p for _, p in parts], axis=0)
 
@@ -213,12 +279,13 @@ def integrate(
     ----------
     integrand : callable
         Batched contract ``integrand(chart_index, U) -> (B,)`` evaluated at
-        chart parameter points; the induced volume form is applied by the
-        engine.
+        chart parameter points, in batches of up to ``SPAN`` = 8192 points
+        (a batch that raises a ``CurvintError`` is retried in 4096-point
+        blocks); the induced volume form is applied by the engine.
     grid : QuadratureGrid
         Built for this surface via ``QuadratureGrid.build``.
     workers : int, optional
-        Thread count for block dispatch; the result bits do not depend on
+        Thread count for span dispatch; the result bits do not depend on
         it.
 
     Returns

@@ -108,7 +108,7 @@ def ambient_shape_data(surface, field, ci, U):
     which reads the components off the chart forms instead.
     """
     U = np.asarray(U, dtype=float)
-    geo = geometry_batch(surface, ci, U, second=True)
+    geo = geometry_batch(surface, ci, U, coefficients=field.coefficients)
     n = surface.n_intrinsic
 
     raw, rawJ = field_batch(field, surface, geo, ci, U)

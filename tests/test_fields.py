@@ -1,6 +1,7 @@
 """Field projection, adapted frames, and derivative components."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvint as cv
+import curvint.manifold
 from curvint.fields import (
     chart_forms_batch, coordinate_field, field_batch, project_field_batch,
     shape_data_batch)
-from curvint.manifold import geometry_batch
-from curvint.quadrature import BLOCK, QuadratureGrid
+from curvint.manifold import SECOND_CHUNK, geometry_batch
+from curvint.quadrature import BLOCK, SPAN, QuadratureGrid
 from conftest import (
     CATALOG_PAIRS, ambient_shape_data, domain_samples, metric_inv,
     without_second_partials)
@@ -126,6 +128,23 @@ def test_frame_pivot_discards_field_aligned_column(surfaces):
     assert abs(cosang - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
+def test_frame_routes_span_the_same_v_perp(surfaces, skey, fkey):
+    """adapted_frame and shape_data_batch give orthonormal bases of the same
+    v^perp: their projectors e^T e agree within 1e-15 at every point of the
+    12^k grid.  The bases themselves may differ (by up to 1.93 on torus2,
+    revs1s2 and tube-t3), because each route takes v's chart coordinates in
+    its own way and the reflection's sign follows y_p, which is rounding
+    noise where v is a chart direction."""
+    surface = surfaces[skey]
+    field = cv.get_field(fkey, surface)
+    U = QuadratureGrid.build(surface, 12).charts[0].points
+    frame = shape_data_batch(surface, field, 0, U).frame
+    for u, v, e in zip(U, frame.v, frame.e):
+        got = cv.adapted_frame(surface, 0, u, v).e
+        assert np.max(np.abs(got.T @ got - e.T @ e)) <= 1e-15
+
+
 @pytest.mark.parametrize("bad", ["2v", "v + 0.1N", "N"])
 def test_adapted_frame_rejects_a_v_that_is_not_unit_tangent(surfaces, bad):
     """A v of norm 2, one with a normal part, or the normal itself."""
@@ -205,29 +224,60 @@ def frame_eta(surface, field, chart_index, U):
 def grid_blocks(grid):
     """(chart index, points) of every integration block of a grid."""
     for ci, cg in enumerate(grid.charts):
-        for start in range(0, len(cg.points), BLOCK):
-            yield ci, cg.points[start:start + BLOCK]
+        for start in range(0, cg.size, BLOCK):
+            yield ci, cg.span(start, start + BLOCK)[0]
 
 
 @pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
-def test_chart_eta_bits_do_not_depend_on_the_slice(surfaces, skey, fkey):
-    """The eta kernel on sub-slices of a 4096-point block (single points,
-    short and long runs, a strided slice) gives the per-point bits of the
-    whole block: every operation is per point on batch-last vectors.  Also
-    for a coordinate field with no zero coefficient, whose J c sums every
-    term."""
+def test_chart_eta_bits_do_not_depend_on_the_slice(surfaces, skey, fkey, monkeypatch):
+    """The eta kernel on sub-slices of an 8192-point span (each 4096-point
+    block, a run across the block boundary, single points, short and long
+    runs, a strided slice) gives the per-point bits of the whole span:
+    every operation is per point on batch-last vectors.  Also for a
+    coordinate field with no zero coefficient, whose J c sums every term.
+    The span reads its second partials in two chunks, which give L and
+    d2F c the bits of one unchunked read."""
     surface = surfaces[skey]
     grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 48)
-    U = grid.charts[0].points[BLOCK:2 * BLOCK]
+    U = grid.charts[0].span(BLOCK, BLOCK + SPAN)[0]
     for field in (cv.get_field(fkey, surface),
                   coordinate_field(surface, np.linspace(0.3, 1.0, surface.dim))):
         whole = chart_eta(surface, field, 0, U)
-        singles = [slice(i, i + 1) for i in range(0, BLOCK, 97)] + [slice(BLOCK - 1, BLOCK)]
-        for part in singles + [slice(7, 20), slice(100, 1125), slice(2048, BLOCK),
+        singles = [slice(i, i + 1) for i in range(0, SPAN, 97)] + [slice(SPAN - 1, SPAN)]
+        for part in singles + [slice(0, BLOCK), slice(BLOCK, SPAN), slice(BLOCK - 500, BLOCK + 700),
+                               slice(7, 20), slice(100, 1125), slice(2048, BLOCK),
                                slice(3, None, 7)]:
             got = chart_eta(surface, field, 0, U[part])
             np.testing.assert_array_equal(got.view(np.uint64),
                                           whole[part].view(np.uint64))
+
+        assert SECOND_CHUNK < len(U)
+        chunked = geometry_batch(surface, 0, U, coefficients=field.coefficients)
+        with monkeypatch.context() as m:
+            m.setattr(curvint.manifold, "SECOND_CHUNK", len(U))
+            one_read = geometry_batch(surface, 0, U, coefficients=field.coefficients)
+        for got, want in ((chunked.second_form, one_read.second_form),
+                          (chunked.field_jacobian, one_read.field_jacobian)):
+            assert np.moveaxis(got, 0, -1).flags.c_contiguous
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("skey,fkey", [pair for pair in CATALOG_PAIRS if pair[0] != "torus2"])
+def test_span_kernel_memory(surfaces, skey, fkey):
+    """One span of the eta kernel peaks at most at 100 float64 per point
+    (tracemalloc): the second partials, 36 per point for p = 3, are read in
+    chunks and never held for the whole span."""
+    surface = surfaces[skey]
+    field = cv.get_field(fkey, surface)
+    U = QuadratureGrid.build(surface, 48).charts[0].span(0, SPAN)[0]
+    chart_eta(surface, field, 0, U)  # first-call allocations are not the kernel's
+    tracemalloc.start()
+    try:
+        chart_eta(surface, field, 0, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * SPAN) <= 100
 
 
 @pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
@@ -268,7 +318,7 @@ def test_shape_data_matches_ambient_reference(surfaces, skey, fkey):
 
 def adjugate_field_form(surface, field, chart_index, U):
     """D through the adjugate metric inverse, as the chart forms once took it."""
-    geo = geometry_batch(surface, chart_index, U)
+    geo = geometry_batch(surface, chart_index, U, coefficients=field.coefficients)
     raw, rawJ = field_batch(field, surface, geo, chart_index, U)
     rn, _, Pn = project_field_batch(raw, geo, U)
     K = np.swapaxes(geo.tangents @ rawJ, -1, -2) + rn[:, None, None] * geo.second_form
@@ -409,7 +459,7 @@ def test_geometry_route_matches_catalog_callables(surfaces, skey, fkey):
     field = cv.get_field(fkey, surface)
     grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 48)
     for ci, U in grid_blocks(grid):
-        geo = geometry_batch(surface, ci, U, second=True)
+        geo = geometry_batch(surface, ci, U, coefficients=field.coefficients)
         raw, rawJ = field_batch(field, surface, geo, ci, U)
         for got, want in ((raw, field.ambient_value(ci, U)),
                           (rawJ, field.ambient_jacobian(ci, U))):
@@ -441,17 +491,17 @@ def test_replaced_coordinate_field_never_calls_its_callables(surfaces):
     assert calls == {"value": 0, "jacobian": 0}
 
 
-def test_user_field_calls_its_callables_once_per_block(surfaces):
-    """Without coefficients the callables run once per block, and the same
-    callables give the catalog field's integrals bit for bit."""
+def test_user_field_calls_its_callables_once_per_span(surfaces):
+    """Without coefficients the callables run once per span of a pool pass,
+    and the same callables give the catalog field's integrals bit for bit."""
     surface = surfaces["sphere3"]
     field = cv.get_field("hopf", surface)
     calls = {"value": 0, "jacobian": 0}
     user = _counting_field(dataclasses.replace(field, coefficients=None), calls)
-    grid = QuadratureGrid.build(surface, 24)  # 4 blocks, and 1 for the 12^3 half
+    grid = QuadratureGrid.build(surface, 24)  # 2 spans, and 1 for the 12^3 half
     got = cv.integrate_eta(surface, user, grid, workers=2)
     want = cv.integrate_eta(surface, field, grid, workers=2)
-    assert calls == {"value": 5, "jacobian": 5}
+    assert calls == {"value": 3, "jacobian": 3}
     assert repr(got) == repr(want)
 
 

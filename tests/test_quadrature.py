@@ -1,5 +1,6 @@
 """Grid construction, volumes, refinement, and reduction determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvint as cv
+import curvint.fields
 import curvint.quadrature
 from curvint._reduction import exact_row_sums
-from curvint.quadrature import QuadratureGrid
+from curvint.quadrature import BLOCK, SPAN, QuadratureGrid
+from conftest import CATALOG_PAIRS
 
 
 def ones(ci, U):
@@ -110,6 +113,10 @@ def test_grid_bits_match_meshgrid_build(surfaces, name):
             np.testing.assert_array_equal(cg.points.view(np.uint64), points.view(np.uint64))
             np.testing.assert_array_equal(cg.weights.view(np.uint64),
                                           weights.view(np.uint64))
+            for start in (0, 5, cg.size - 3):  # a span is a slice of the grid
+                got = cg.span(start, start + 7)
+                np.testing.assert_array_equal(got[0], points[start:start + 7])
+                np.testing.assert_array_equal(got[1], weights[start:start + 7])
 
 
 def test_gauss_panels_split():
@@ -217,6 +224,77 @@ def test_one_block_pass_starts_no_pool(surfaces, monkeypatch):
 
     (total,), _ = curvint.quadrature._integrate_vector(surface, func, grid, 4)
     assert total == pytest.approx(4.0 * np.pi**2, rel=1e-14)
+
+
+def _all_reports(surfaces, workers):
+    """repr of every grid pass for every catalog pair, on grids whose last
+    span holds one full and one partial block: 24^3 (13824 points) and
+    112 x 120 (13440) for torus2."""
+    out = []
+    for skey, fkey in CATALOG_PAIRS:
+        surface = surfaces[skey]
+        field = cv.get_field(fkey, surface)
+        grid = QuadratureGrid.build(surface, (112, 120) if surface.dim == 2 else 24)
+        out.append(repr((
+            cv.verify_integral_formula(surface, field, grid, workers=workers),
+            cv.integrate_eta(surface, field, grid, workers=workers),
+            cv.gauss_degree(surface, grid, workers=workers),
+            cv.foliation_obstruction_report(surface, field, grid, workers=workers))))
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_spans_give_the_reports_of_blocks(surfaces, monkeypatch, workers):
+    """A pool pass evaluates 8192-point spans and one worker 4096-point
+    blocks; with spans of one block every report keeps its bits."""
+    sizes = set()
+    chart_forms = curvint.quadrature.chart_forms_batch
+
+    def recording(surface, field, ci, U):
+        sizes.add(len(U))
+        return chart_forms(surface, field, ci, U)
+
+    monkeypatch.setattr(curvint.quadrature, "chart_forms_batch", recording)
+    spans = _all_reports(surfaces, workers)
+    assert max(sizes) == (SPAN if workers > 1 else BLOCK)
+    monkeypatch.setattr(curvint.quadrature, "SPAN", BLOCK)
+    sizes.clear()
+    assert _all_reports(surfaces, workers) == spans
+    assert max(sizes) == BLOCK
+
+
+def test_span_error_is_the_first_failing_block(surfaces, monkeypatch):
+    """A user chart whose second half-span is rank-deficient and a user
+    field that vanishes in the first half: the span fails at the chart, and
+    is run again block by block, which names the field's point as
+    block-by-block evaluation does."""
+    base = surfaces["torus2"].charts[0]
+    grid = QuadratureGrid.build(surfaces["torus2"], (128, 64))  # one span of two blocks
+    theta = grid.charts[0].rules[0].nodes
+    assert grid.total_points == SPAN
+
+    def first_partials(U):
+        J = np.array(base.first_partials(U))
+        J[U[:, 0] == theta[100]] = np.nan
+        return J
+
+    chart = dataclasses.replace(base, first_partials=first_partials)
+    surface = cv.ChartedHypersurface(n_intrinsic=1, charts=(chart,))
+
+    def value(ci, U):
+        return base.first_partials(U)[:, :, 0] * (U[:, :1] - theta[10])
+
+    field = cv.TangentField(ambient_value=value, key="pinched")
+    with pytest.raises(cv.DegenerateImmersion, match="rank-deficient"):
+        curvint.fields.chart_forms_batch(surface, field, 0, grid.charts[0].points)
+    errors = []
+    for span in (SPAN, BLOCK):
+        monkeypatch.setattr(curvint.quadrature, "SPAN", span)
+        with pytest.raises(cv.VanishingField) as exc:
+            cv.integrate_eta(surface, field, grid, workers=2)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("chart 0: ") and f"u=[{float(theta[10])!r}, " in errors[0]
 
 
 def test_vanishing_user_field_names_chart_and_point(surfaces):
