@@ -224,7 +224,7 @@ def _chart_forms(
 
     L = geo.second_form
     K = np.einsum("xqa,xqb->xab", rawJ, geo.jacobian)  # (d raw)^T J
-    geo, rawJ = geo._replace(field_jacobian=None), None  # K is its only use
+    geo, rawJ = geo._replace(field_jacobian=None), None  # free d2F c: K was its only use
     K += rn[:, None, None] * L
     s = np.einsum("xqa,xq->xa", geo.jacobian, raw)  # J^T raw
     cP = manifold._cholesky_solve(geo.metric_chol, s.T).T  # g^-1 s: chart coordinates of P

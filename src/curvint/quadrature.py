@@ -262,7 +262,7 @@ def _integrate_vector(surface, func, grid, workers):
         ci, start = task
         return evaluate(ci, *grid.charts[ci].span(start, start + span))
 
-    parts = [part for span in _run_blocks(tasks, worker, workers) for part in span]
+    parts = [part for task_parts in _run_blocks(tasks, worker, workers) for part in task_parts]
     sums = np.atleast_1d(tree_reduce_compensated([s for s, _ in parts]))
     return sums, np.max([p for _, p in parts], axis=0)
 
