@@ -46,26 +46,31 @@ def exact_row_sums(x: np.ndarray) -> np.ndarray:
         return _fsum_rows(x)
     tiny = 2.0 ** (-1021 - M)
     r = x.copy()
-    rows = np.arange(m)  # the row of x that each row of r belongs to
+    rows = list(range(m))  # the row of x that each row of r belongs to
     parts = [[] for _ in range(m)]
     while True:
-        peak = np.max(np.abs(r), axis=1)
-        if not np.isfinite(peak).all():
+        # the per-row bookkeeping is on Python floats: a few numpy calls
+        # per round on m-element arrays would each take the interpreter lock
+        peak = np.max(np.abs(r), axis=1).tolist()
+        if not all(map(math.isfinite, peak)):
             return _fsum_rows(x)
-        live = peak != 0.0
-        if not live.all():  # a row whose remainder is all zero is done
-            rows, r, peak = rows[live], r[live], peak[live]
-            if rows.size == 0:
+        if 0.0 in peak:  # a row whose remainder is all zero is done
+            live = [k for k, v in enumerate(peak) if v != 0.0]
+            if not live:
                 break
-        _, e = np.frexp(np.maximum(peak, _MIN_NORMAL))
-        if e.max() + M > 1023:
-            return _fsum_rows(x)
-        # sigma = 0 takes a row of tiny remainders whole: q = r
-        sigma = np.where(peak > tiny, np.ldexp(1.0, e + M), 0.0)[:, None]
+            rows, r, peak = [rows[k] for k in live], r[live], [peak[k] for k in live]
+        sigma = []
+        for v in peak:
+            e = math.frexp(max(v, _MIN_NORMAL))[1] + M
+            if e > 1023:
+                return _fsum_rows(x)
+            # sigma = 0 takes a row of tiny remainders whole: q = r
+            sigma.append(math.ldexp(1.0, e) if v > tiny else 0.0)
+        sigma = np.array(sigma)[:, None]
         q = r + sigma
         q -= sigma
         r -= q
-        for i, s in zip(rows.tolist(), q.sum(axis=1).tolist()):
+        for i, s in zip(rows, q.sum(axis=1).tolist()):
             parts[i].append(s)
     # a row of zeros sums to -0.0 only when every entry is -0.0, as numpy's sum does
     return np.array([math.fsum(p if p else [x[i].sum()])

@@ -83,8 +83,8 @@ def gauss_degree(
     incoherently oriented input.
     """
 
-    def func(ci, U):
-        det, volume_factor = shape_determinant_batch(surface, ci, U)
+    def func(ci, U, ws):
+        det, volume_factor = shape_determinant_batch(surface, ci, U, ws=ws)
         return det[:, None], volume_factor, np.empty((len(U), 0))
 
     (total,), _ = _integrate_vector(surface, func, grid, workers)
@@ -348,8 +348,8 @@ def foliation_obstruction_report(
     """
     n = surface.n_intrinsic
 
-    def func(ci, U):
-        geo, _, _, D, w = _chart_forms(surface, field, ci, U)
+    def func(ci, U, ws):
+        geo, _, _, D, w = _chart_forms(surface, field, ci, U, ws)
         a = _reduced_a(geo.metric_chol, D, w)
         return (_shape_det(geo)[:, None], geo.volume_factor,
                 np.stack([_defect(a), _rank(a)], axis=-1))

@@ -207,6 +207,7 @@ def _chart_forms(
     field: TangentField,
     chart_index: int,
     U: np.ndarray,
+    ws: manifold.Workspace | None = None,
 ) -> tuple[GeometryBatch, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Geometry, tangential field part P and its norm, the form D, and w.
 
@@ -214,22 +215,26 @@ def _chart_forms(
     ``-geo.second_form``); see ``chart_forms_batch`` for the forms,
     ``_reduced_a`` and ``shape_data_batch`` for their orthonormal
     components.  ``w = g^-1 s / |P|`` (B, p), batch-last, are the chart
-    coordinates of v.
+    coordinates of v.  With a workspace ``ws`` the geometry's forms and D
+    are its buffers (``manifold.geometry_batch``).
     """
     _check_field_allowed(surface)
     U = np.asarray(U, dtype=float)
-    geo = geometry_batch(surface, chart_index, U, coefficients=field.coefficients)
+    geo = geometry_batch(surface, chart_index, U, coefficients=field.coefficients, ws=ws)
     raw, rawJ = field_batch(field, surface, geo, chart_index, U)
     rn, P, Pn = project_field_batch(raw, geo, U)
 
     L = geo.second_form
-    K = np.einsum("xqa,xqb->xab", rawJ, geo.jacobian)  # (d raw)^T J
-    geo, rawJ = geo._replace(field_jacobian=None), None  # free d2F c: K was its only use
+    B, p = L.shape[:2]
+    K = np.einsum("xqa,xqb->xab", rawJ, geo.jacobian,  # (d raw)^T J
+                  out=manifold._empty(ws, "K", B, p, p))
+    geo, rawJ = geo._replace(field_jacobian=None), None  # d2F c is done: K was its only use
     K += rn[:, None, None] * L
     s = np.einsum("xqa,xq->xa", geo.jacobian, raw)  # J^T raw
     cP = manifold._cholesky_solve(geo.metric_chol, s.T).T  # g^-1 s: chart coordinates of P
     Kw = np.sum(K * cP[:, None, :], axis=-1) / (Pn * Pn)[:, None]  # K w / |P|, entry order
-    D = K - Kw[:, :, None] * s[:, None, :]
+    D = K  # formed in K's array, which has no other use
+    D -= Kw[:, :, None] * s[:, None, :]
     D /= Pn[:, None, None]
     if not np.isfinite(D).all():  # a NaN field jacobian; per point only to name it
         pt = U[int(np.argmin(np.isfinite(D).all(axis=(-2, -1))))]
@@ -351,6 +356,7 @@ def chart_forms_batch(
     field: TangentField,
     chart_index: int,
     U: np.ndarray,
+    ws: manifold.Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """h and the field derivative as chart-basis forms, frame-free.
 
@@ -369,11 +375,13 @@ def chart_forms_batch(
     checks: Euler characteristic, ``DegenerateImmersion`` (rank-deficient
     or non-finite chart partials, a metric that is not positive definite)
     and ``VanishingField`` (a vanishing or non-finite field value, a
-    non-finite D), each naming the point.
+    non-finite D), each naming the point.  Given a workspace ``ws`` (a
+    grid pass's), h and D are its buffers, valid until its next batch;
+    without one they are fresh.
     """
-    geo, _, _, D, _ = _chart_forms(surface, field, chart_index, U)
+    geo, _, _, D, _ = _chart_forms(surface, field, chart_index, U, ws)
     vf = geo.volume_factor
-    return -geo.second_form, D, vf * vf, vf
+    return np.negative(geo.second_form, out=geo.second_form), D, vf * vf, vf
 
 
 def shape_data(

@@ -27,6 +27,7 @@ pool threads contend for the interpreter lock at every numpy call, so
 a kernel of many short calls gains little from the second thread.
 """
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, NamedTuple
@@ -178,6 +179,38 @@ class GeometryBatch(NamedTuple):
     field_jacobian: np.ndarray | None = None  # (B, q, p), d2F/du_a du_b c_b
 
 
+class Workspace:
+    """Float64 buffers that one worker's batches reuse, one flat buffer per name.
+
+    ``take(name, shape)`` views the leading part of the name's buffer as a
+    C-contiguous array of ``shape``, whose last axis is the batch.  A
+    buffer holds at least ``points`` batch entries, so every batch of up to
+    ``points`` points (a whole span, a partial last one, a block re-run)
+    reuses it.  A view stays valid until the name is taken again, so only
+    the kernel that took it may keep it, and only one thread may use a
+    workspace at a time (``quadrature`` hands them out).
+    """
+
+    def __init__(self, points: int):
+        self.points = points
+        self._flat = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._flat.get(name)
+        if buf is None or buf.size < size:
+            per_point = size // shape[-1] if shape[-1] else 0
+            buf = self._flat[name] = np.empty(max(size, per_point * self.points))
+        return buf[:size].reshape(shape)
+
+
+def _empty(ws: Workspace | None, name: str, B: int, *entry: int) -> np.ndarray:
+    """A (B, *entry) float64 array stored batch-last: the workspace's buffer
+    ``name`` when ``ws`` is given, else a fresh one."""
+    shape = entry + (B,)
+    return np.moveaxis(np.empty(shape) if ws is None else ws.take(name, shape), -1, 0)
+
+
 def _batch_last(A) -> np.ndarray:
     """(B, ...) float array A as a view of C-contiguous batch-last storage.
 
@@ -217,23 +250,33 @@ def _minors(M: np.ndarray, V: np.ndarray | None = None) -> dict:
     batch, where batched LAPACK pays a call per matrix; on batch-last M
     each entry is one contiguous vector.
     """
-    r, m = M.shape[-2], M.shape[-1]
+    return _expand(lambda i: M[..., i, :], *M.shape[-2:], V)
+
+
+def _expand(row: Callable[[int], np.ndarray], r: int, m: int,
+            V: np.ndarray | None = None) -> dict:
+    """``_minors`` of the r x m matrices whose row i is ``row(i)``, (..., m).
+
+    Each row is asked for once, when its level is expanded, so a caller
+    may build the rows one at a time instead of the whole matrix.
+    """
     if r == 0:
         return {(): np.ones(1)}
-    level = {(c,): M[..., r - 1, c][None] if V is None
-             else np.stack([M[..., r - 1, c], V[..., r - 1, c]]) for c in range(m)}
+    Mi = row(r - 1)
+    level = {(c,): Mi[..., c][None] if V is None
+             else np.stack([Mi[..., c], V[..., r - 1, c]]) for c in range(m)}
     for i in range(r - 2, -1, -1):
-        below, level = level, {}
+        below, level, Mi = level, {}, row(i)
         for cols in combinations(range(m), r - i):
             total = None
             for j, c in enumerate(cols):
                 s = below[cols[:j] + cols[j + 1:]]
                 if V is None:
-                    term = M[..., i, c] * s
+                    term = Mi[..., c] * s
                 else:  # (M + tV) s has one more coefficient
                     b = V[..., i, c]
                     term = np.empty((len(s) + 1,) + s.shape[1:])
-                    np.multiply(M[..., i, c], s, out=term[:-1])
+                    np.multiply(Mi[..., c], s, out=term[:-1])
                     np.multiply(b, s[-1:], out=term[-1:])
                     term[1:-1] += b * s[:-1]
                 if total is None:
@@ -312,17 +355,20 @@ def _cholesky_solve(C: np.ndarray, S: np.ndarray) -> np.ndarray:
     return _upper_solve(C, _lower_solve(C, S))
 
 
-def generalized_cross(vectors: np.ndarray) -> np.ndarray:
+def generalized_cross(vectors: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Vector orthogonal to p = q-1 vectors in q-space (Hodge dual).
 
     ``vectors`` has shape (..., p, q) with the vectors as rows.  The result
     X satisfies <X, y> = det[v_1 | ... | v_p | y] for every y, so the rows
     followed by X are positively oriented and |X| equals the p-volume they
     span.  Entry i is the signed minor of the (q, p) columns without row
-    i.  The q minor matrices are gathered once into entries-first storage,
-    so ``_det`` takes all of them together, one vector operation over the
-    q minors per step, where q separate expansions would make q times as
-    many short calls (see the module docstring); X is stored batch-last.
+    i.  The q minor matrices are expanded together (``_expand``), one
+    vector operation over the q minors per step, where q separate
+    expansions would make q times as many short calls (see the module
+    docstring).  Their rows are gathered into entries-first storage one
+    row at a time, as the expansion reaches them, so a batch holds one
+    row of them, not all p; given a ``Workspace`` ``ws``, into its two
+    row buffers, which the next batch reuses.  X is stored batch-last.
     """
     vs = np.asarray(vectors, dtype=float)
     p, q = vs.shape[-2], vs.shape[-1]
@@ -331,8 +377,15 @@ def generalized_cross(vectors: np.ndarray) -> np.ndarray:
     # kept[a, i] is row a of minor i: the rows that survive deleting row i
     kept = np.array([[r for r in range(q) if r != i] for i in range(q)]).T
     n = vs.ndim
-    table = vs.transpose(n - 2, n - 1, *range(n - 2))[:, kept]  # (p cols, p rows, q, ...)
-    X = _det(table.transpose(*range(2, n + 1), 1, 0))  # (q, ...)
+    cols = vs.transpose(n - 2, n - 1, *range(n - 2))  # (p vectors, q, ...)
+    if p < 2:
+        ws = None  # X would be a view of the one row gathered
+
+    def row(a):  # row a of all q minor matrices, (q, ..., p)
+        out = None if ws is None else ws.take(f"cross{a % 2}", (p, q) + vs.shape[:-2])
+        return np.moveaxis(np.take(cols, kept[a], axis=1, mode="clip", out=out), 0, -1)
+
+    X = _expand(row, p, p)[tuple(range(p))][0]
     X *= np.where((np.arange(q) + p) % 2 == 0, 1.0, -1.0).reshape((q,) + (1,) * (n - 2))
     return X.transpose(*range(1, n - 1), 0)
 
@@ -350,6 +403,7 @@ def geometry_batch(
     U: np.ndarray,
     second: bool = True,
     coefficients: tuple[float, ...] | None = None,
+    ws: Workspace | None = None,
 ) -> GeometryBatch:
     """Evaluate chart geometry at a batch of parameter points.
 
@@ -367,6 +421,12 @@ def geometry_batch(
     the point: the rank check (a NaN first partial fails it), the metric
     factorization, then finite second partials; each raises
     DegenerateImmersion.
+
+    Given a ``Workspace`` ``ws``, the cross product gathers its minor
+    rows into its two row buffers (``generalized_cross``), and
+    ``second_form`` and ``field_jacobian`` are then written into the same
+    buffers: these two are valid until the next batch that uses ``ws``.
+    Without one every array is fresh.
     """
     chart = surface.charts[chart_index]
     U = np.asarray(U, dtype=float)
@@ -375,7 +435,7 @@ def geometry_batch(
     J = _batch_last(chart.first_partials(U))  # (B, q, p)
     tangents = np.swapaxes(J, -1, -2)
 
-    G = generalized_cross(tangents)  # (B, q)
+    G = generalized_cross(tangents, ws)  # (B, q)
     Gnorm = np.sqrt(np.sum(G * G, axis=-1))
     g = np.einsum("xqa,xqb->xab", J, J)
     # product of the tangent norms, read off the metric diagonal
@@ -390,14 +450,16 @@ def geometry_batch(
     L = dc = None
     if second:
         B, q, p = J.shape
-        L = np.empty((p, p, B)).transpose(2, 0, 1)  # batch-last, like every form
+        # batch-last, like every form; the cross product is done with the
+        # workspace's row buffers, which hold p q values per point
+        L = _empty(ws, "cross0", B, p, p)
         if coefficients is not None:
             c = np.asarray(coefficients, dtype=float)
-            dc = np.empty((q, p, B)).transpose(2, 0, 1)
+            dc = _empty(ws, "cross1", B, q, p)
         for s in range(0, B, SECOND_CHUNK):
             rows = slice(s, s + SECOND_CHUNK)
             H2 = _batch_last(chart.second_partials(U[rows]))
-            L[rows] = np.einsum("xq,xqab->xab", normal[rows], H2)
+            np.einsum("xq,xqab->xab", normal[rows], H2, out=L[rows])
             if dc is not None:
                 _dot_last(H2, c, out=dc[rows])
             del H2  # before the next chunk is read
@@ -520,8 +582,10 @@ def _shape_det(geo: GeometryBatch) -> np.ndarray:
 
 
 def shape_determinant_batch(
-    surface: ChartedHypersurface, chart_index: int, U: np.ndarray
+    surface: ChartedHypersurface, chart_index: int, U: np.ndarray,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_shape_det`` at a batch of points, and the volume factor."""
-    geo = geometry_batch(surface, chart_index, U, second=True)
+    """``_shape_det`` at a batch of points, and the volume factor; ``ws``
+    as for ``geometry_batch``."""
+    geo = geometry_batch(surface, chart_index, U, second=True, ws=ws)
     return _shape_det(geo), geo.volume_factor

@@ -9,13 +9,17 @@ degeneracies on the boundary are avoided.
 
 Point evaluations are independent and may be dispatched to a thread
 pool.  Every pass over a grid runs one kernel that returns values to
-integrate and per-point peaks.  With a pool the kernel is called once
-per span of ``SPAN`` = 8192 points, so that each call makes long vector
-operations and the threads meet at the interpreter lock less often; one
-worker calls it once per ``BLOCK`` of 4096 points, which holds less
-memory and has no lock to share.  The nodes and weights of a span are
-gathered from the per-axis rules when it runs; the whole grid is never
-built.  The sums do not depend on the span: the values of every fixed
+integrate and per-point peaks.  The kernel is called once per span of
+``SPAN`` = 8192 points at every worker count, so that each call makes
+long vector operations and pool threads meet at the interpreter lock
+less often.  Each task takes a ``Workspace`` from a free list
+(``_workspace``) and gives it back after its span, so the free list
+holds at most as many as the most tasks that ran at once; the engine's
+kernels write their largest per-span arrays into it (see
+``_integrate_vector``), so a span does not free memory that the next one
+allocates again.  The nodes and weights of a span are gathered from the
+per-axis rules when it runs; the whole grid is never built.  The sums
+do not depend on the span: the values of every fixed
 4096-point block are summed exactly rounded
 (``_reduction.exact_row_sums``: error-free vector extraction in numpy,
 the same bits as ``math.fsum`` without holding the GIL over the data;
@@ -29,8 +33,10 @@ Each integration also runs its half-resolution companion grid; the
 difference is reported as the estimated error.
 """
 
+import contextlib
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -41,10 +47,15 @@ from .errors import CurvintError
 from .fields import TangentField, chart_forms_batch
 from .fields import shape_data_batch  # noqa: F401  perfbench's tracer wraps it here
 from .invariants import ColumnSystem, eta_all
-from .manifold import ChartedHypersurface, geometry_batch
+from .manifold import ChartedHypersurface, Workspace, geometry_batch
 
 BLOCK = 4096  # points per reduction block; fixed so results never depend on workers
-SPAN = 2 * BLOCK  # points per kernel call with a pool: whole blocks, so the sums stay
+SPAN = 2 * BLOCK  # points per kernel call: whole blocks, so the block sums stay
+
+# Workspaces of finished tasks, for the next task to reuse: never more than
+# the most tasks that ran at once, that is the largest worker count.
+_FREE: list[Workspace] = []
+_FREE_LOCK = threading.Lock()
 
 _GL_PANEL = 16
 
@@ -202,6 +213,18 @@ def _run_blocks(tasks, worker, workers):
     return [worker(t) for t in tasks]
 
 
+@contextlib.contextmanager
+def _workspace():
+    """A workspace from the free list, or a new one, returned to it after."""
+    with _FREE_LOCK:
+        ws = _FREE.pop() if _FREE else Workspace(SPAN)
+    try:
+        yield ws
+    finally:
+        with _FREE_LOCK:
+            _FREE.append(ws)
+
+
 def _block_parts(vals, weights, peaks):
     """Exactly rounded sums (m,) and max peaks (j,) of every BLOCK points.
 
@@ -230,10 +253,15 @@ def _block_parts(vals, weights, peaks):
 def _integrate_vector(surface, func, grid, workers):
     """Sums and maxima of one pass over the grid.
 
-    ``func(ci, U)`` returns the (B, m) values, the (B,) volume factor of
-    the geometry it evaluated and (B, j) peaks.  It is called once per span
-    of SPAN points when more than one worker is asked for, and once per
-    BLOCK otherwise (module docstring).  Values are weighted by volume
+    ``func(ci, U, ws)`` returns the (B, m) values, the (B,) volume factor
+    of the geometry it evaluated and (B, j) peaks.  It is called once per
+    span of SPAN points, whatever the worker count, with the task's
+    ``Workspace`` ``ws``, which it passes to the engine's kernels only
+    (``geometry_batch``, ``chart_forms_batch``), never to a user's
+    callable.  They keep in it the cross product's two row buffers, which
+    then hold the second form and d2F c, and K: 2 p q + p^2 float64 per
+    point, 33 for p = 3, that is about 2.2 MB per worker for a
+    SPAN-point workspace.  Values are weighted by volume
     factor and quadrature weight, summed exactly rounded per fixed BLOCK
     of points (``_block_parts``) and the blocks combined by a pairwise
     tree; peaks are reduced by max.  A span whose call raises a
@@ -243,24 +271,24 @@ def _integrate_vector(surface, func, grid, workers):
     count nor on the span size.
     """
     _check_grid(surface, grid)
-    span = SPAN if workers is not None and workers > 1 else BLOCK
     tasks = [(ci, start) for ci, cg in enumerate(grid.charts)
-             for start in range(0, cg.size, span)]
+             for start in range(0, cg.size, SPAN)]
 
-    def evaluate(ci, U, weights):
+    def evaluate(ci, U, weights, ws):
         try:
-            vals, volf, peaks = func(ci, U)
+            vals, volf, peaks = func(ci, U, ws)
         except CurvintError as exc:
             if len(U) > BLOCK:
                 return [part for b in range(0, len(U), BLOCK)
-                        for part in evaluate(ci, U[b:b + BLOCK], weights[b:b + BLOCK])]
+                        for part in evaluate(ci, U[b:b + BLOCK], weights[b:b + BLOCK], ws)]
             raise type(exc)(f"chart {ci}: {exc}") from exc
         wf = surface.charts[ci].weight_fraction
         return _block_parts(vals, wf * weights * volf, peaks)
 
     def worker(task):
         ci, start = task
-        return evaluate(ci, *grid.charts[ci].span(start, start + span))
+        with _workspace() as ws:
+            return evaluate(ci, *grid.charts[ci].span(start, start + SPAN), ws)
 
     parts = [part for task_parts in _run_blocks(tasks, worker, workers) for part in task_parts]
     sums = np.atleast_1d(tree_reduce_compensated([s for s, _ in parts]))
@@ -293,9 +321,9 @@ def integrate(
     IntegralResult
         Integral value, node count and the half-resolution error estimate.
     """
-    def vec(ci, U):
+    def vec(ci, U, ws):
         vals = np.asarray(integrand(ci, U), dtype=float)[:, None]
-        geo = geometry_batch(surface, ci, U, second=False)
+        geo = geometry_batch(surface, ci, U, second=False, ws=ws)
         return vals, geo.volume_factor, np.empty((len(U), 0))
 
     (value,), _ = _integrate_vector(surface, vec, grid, workers)
@@ -323,8 +351,8 @@ def _eta_integrals(surface, field, grid, workers):
     Column 0 is the surface volume, column 1 + k the eta_k integral.  The
     eta_k come from the chart-basis forms, with no adapted frame.
     """
-    def func(ci, U):
-        h, dv, det_g, volume_factor = chart_forms_batch(surface, field, ci, U)
+    def func(ci, U, ws):
+        h, dv, det_g, volume_factor = chart_forms_batch(surface, field, ci, U, ws=ws)
         eta = eta_all(ColumnSystem(H=h, V=dv)).values
         vals = np.empty((1 + eta.shape[1], len(U)))  # batch-last, like eta
         vals[0] = 1.0

@@ -219,7 +219,7 @@ def test_one_block_pass_starts_no_pool(surfaces, monkeypatch):
     surface = surfaces["torus2"]
     grid = QuadratureGrid.build(surface, 16)  # 256 points: one block
 
-    def func(ci, U):
+    def func(ci, U, ws):
         return np.ones((len(U), 1)), np.ones(len(U)), np.zeros((len(U), 1))
 
     (total,), _ = curvint.quadrature._integrate_vector(surface, func, grid, 4)
@@ -245,18 +245,18 @@ def _all_reports(surfaces, workers):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_spans_give_the_reports_of_blocks(surfaces, monkeypatch, workers):
-    """A pool pass evaluates 8192-point spans and one worker 4096-point
-    blocks; with spans of one block every report keeps its bits."""
+    """Every pass evaluates 8192-point spans, whatever the worker count;
+    with spans of one block every report keeps its bits."""
     sizes = set()
     chart_forms = curvint.quadrature.chart_forms_batch
 
-    def recording(surface, field, ci, U):
+    def recording(surface, field, ci, U, **kwargs):
         sizes.add(len(U))
-        return chart_forms(surface, field, ci, U)
+        return chart_forms(surface, field, ci, U, **kwargs)
 
     monkeypatch.setattr(curvint.quadrature, "chart_forms_batch", recording)
     spans = _all_reports(surfaces, workers)
-    assert max(sizes) == (SPAN if workers > 1 else BLOCK)
+    assert max(sizes) == SPAN
     monkeypatch.setattr(curvint.quadrature, "SPAN", BLOCK)
     sizes.clear()
     assert _all_reports(surfaces, workers) == spans
@@ -267,7 +267,7 @@ def test_span_error_is_the_first_failing_block(surfaces, monkeypatch):
     """A user chart whose second half-span is rank-deficient and a user
     field that vanishes in the first half: the span fails at the chart, and
     is run again block by block, which names the field's point as
-    block-by-block evaluation does."""
+    block-by-block evaluation does, at one worker as with a pool."""
     base = surfaces["torus2"].charts[0]
     grid = QuadratureGrid.build(surfaces["torus2"], (128, 64))  # one span of two blocks
     theta = grid.charts[0].rules[0].nodes
@@ -288,13 +288,61 @@ def test_span_error_is_the_first_failing_block(surfaces, monkeypatch):
     with pytest.raises(cv.DegenerateImmersion, match="rank-deficient"):
         curvint.fields.chart_forms_batch(surface, field, 0, grid.charts[0].points)
     errors = []
-    for span in (SPAN, BLOCK):
-        monkeypatch.setattr(curvint.quadrature, "SPAN", span)
-        with pytest.raises(cv.VanishingField) as exc:
-            cv.integrate_eta(surface, field, grid, workers=2)
-        errors.append(str(exc.value))
-    assert errors[0] == errors[1]
+    for workers in (1, 2):
+        for span in (SPAN, BLOCK):
+            monkeypatch.setattr(curvint.quadrature, "SPAN", span)
+            with pytest.raises(cv.VanishingField) as exc:
+                cv.integrate_eta(surface, field, grid, workers=workers)
+            errors.append(str(exc.value))
+    assert len(set(errors)) == 1
     assert errors[0].startswith("chart 0: ") and f"u=[{float(theta[10])!r}, " in errors[0]
+
+
+def test_integrand_views_of_its_own_calls_keep_their_bits(surfaces):
+    """An integrand that returns a view of its own ``geometry_batch`` or
+    ``chart_forms_batch`` output at other points gives, at every worker
+    count, the bits of one that returns a copy: a pass hands its workspaces
+    to the engine's own kernels only, so it never writes into the arrays of
+    a user's call."""
+    surface = surfaces["ellipsoid3"]
+    field = cv.get_field("hopf", surface)
+    grid = QuadratureGrid.build(surface, 24)
+
+    def metric(ci, U):
+        return curvint.quadrature.geometry_batch(surface, ci, 0.9 * U + 0.05).metric[:, 0, 0]
+
+    def second_form(ci, U):
+        return curvint.quadrature.geometry_batch(surface, ci, 0.9 * U + 0.05).second_form[:, 0, 1]
+
+    def field_form(ci, U):
+        return curvint.fields.chart_forms_batch(surface, field, ci, 0.9 * U + 0.05)[1][:, 0, 1]
+
+    for view in (metric, second_form, field_form):
+        want = cv.integrate(surface, lambda ci, U: view(ci, U).copy(), grid, workers=1)
+        for workers in (1, 2, 3):
+            got = cv.integrate(surface, view, grid, workers=workers)
+            assert ((got.value.hex(), got.estimated_error.hex())
+                    == (want.value.hex(), want.estimated_error.hex()))
+
+
+def test_calls_outside_a_pass_return_fresh_arrays(surfaces):
+    """After a pass has left workspaces on the free list, two successive
+    public calls share no memory: only a pass's kernels take a workspace."""
+    surface = surfaces["sphere3"]
+    field = cv.get_field("hopf", surface)
+    cv.integrate_eta(surface, field, QuadratureGrid.build(surface, 24), workers=2)
+    assert curvint.quadrature._FREE
+    U = QuadratureGrid.build(surface, 24).charts[0].span(0, SPAN)[0]
+    calls = (lambda V: curvint.quadrature.geometry_batch(surface, 0, V,
+                                                         coefficients=field.coefficients),
+             lambda V: curvint.fields.chart_forms_batch(surface, field, 0, V))
+    for call in calls:
+        first, second = call(U), call(U[::-1])
+        arrays = [[a for a in out if isinstance(a, np.ndarray)] for out in (first, second)]
+        assert len(arrays[0]) >= 4
+        for a in arrays[0]:
+            for b in arrays[1]:
+                assert not np.shares_memory(a, b)
 
 
 def test_vanishing_user_field_names_chart_and_point(surfaces):
