@@ -208,7 +208,8 @@ def _empty(ws: Workspace | None, name: str, B: int, *entry: int) -> np.ndarray:
     """A (B, *entry) float64 array stored batch-last: the workspace's buffer
     ``name`` when ``ws`` is given, else a fresh one."""
     shape = entry + (B,)
-    return np.moveaxis(np.empty(shape) if ws is None else ws.take(name, shape), -1, 0)
+    store = np.empty(shape) if ws is None else ws.take(name, shape)
+    return store.transpose(len(entry), *range(len(entry)))
 
 
 def _batch_last(A) -> np.ndarray:
@@ -366,9 +367,10 @@ def generalized_cross(vectors: np.ndarray, ws: Workspace | None = None) -> np.nd
     vector operation over the q minors per step, where q separate
     expansions would make q times as many short calls (see the module
     docstring).  Their rows are gathered into entries-first storage one
-    row at a time, as the expansion reaches them, so a batch holds one
-    row of them, not all p; given a ``Workspace`` ``ws``, into its two
-    row buffers, which the next batch reuses.  X is stored batch-last.
+    row at a time, as the expansion reaches them, so a batch holds two
+    rows of them at most, not all p; given a ``Workspace`` ``ws``, into
+    its two row buffers, which the next batch reuses.  X is stored
+    batch-last.
     """
     vs = np.asarray(vectors, dtype=float)
     p, q = vs.shape[-2], vs.shape[-1]
@@ -382,8 +384,9 @@ def generalized_cross(vectors: np.ndarray, ws: Workspace | None = None) -> np.nd
         ws = None  # X would be a view of the one row gathered
 
     def row(a):  # row a of all q minor matrices, (q, ..., p)
+        # alternate buffers: the level below still reads row a + 1
         out = None if ws is None else ws.take(f"cross{a % 2}", (p, q) + vs.shape[:-2])
-        return np.moveaxis(np.take(cols, kept[a], axis=1, mode="clip", out=out), 0, -1)
+        return np.take(cols, kept[a], axis=1, mode="clip", out=out).transpose(*range(1, n), 0)
 
     X = _expand(row, p, p)[tuple(range(p))][0]
     X *= np.where((np.arange(q) + p) % 2 == 0, 1.0, -1.0).reshape((q,) + (1,) * (n - 2))
