@@ -49,6 +49,25 @@ def test_generalized_cross_defining_identity():
         assert abs(X @ y - det) < 1e-12 * max(1.0, abs(det))
 
 
+def test_generalized_cross_row_gather_keeps_the_bits():
+    """The minor rows gathered one at a time, fresh or into a workspace's two
+    alternating row buffers, give the bits of ``_det`` over the whole table
+    of minor matrices, for p = 2 to 5; results of two workspace calls share
+    no memory."""
+    rng = np.random.default_rng(9)
+    ws = cv.manifold.Workspace(64)
+    for p in range(2, 6):
+        vs = rng.normal(size=(50, p, p + 1))
+        q = p + 1
+        kept = np.array([[r for r in range(q) if r != i] for i in range(q)]).T
+        table = vs.transpose(1, 2, 0)[:, kept]  # (p, p, q, B)
+        want = _det(table.transpose(2, 3, 1, 0)) * np.where((np.arange(q) + p) % 2, -1.0, 1.0)[:, None]
+        fresh, first, second = generalized_cross(vs), generalized_cross(vs, ws), generalized_cross(vs, ws)
+        for got in (fresh, first, second):
+            np.testing.assert_array_equal(got.view(np.uint64), want.T.view(np.uint64))
+        assert not np.shares_memory(first, second)
+
+
 def _assert_det_inverse_match_lapack(M):
     det = _det(M)
     ref_det = np.linalg.det(M)
