@@ -37,7 +37,7 @@ from .degree import (
     verify_integral_formula,
 )
 from .errors import CurvintError
-from .quadrature import QuadratureGrid, _select_ks, integrate_eta
+from .quadrature import QuadratureGrid, _select_ks, default_workers, integrate_eta
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -239,10 +239,7 @@ def _parse_workers(args, config) -> int:
     if val is None:
         val = os.environ.get("CURVINT_WORKERS")
     if val is None:
-        # the CPUs this process may run on, not all the machine's
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+        return default_workers()
     try:
         workers = int(val)
     except ValueError:

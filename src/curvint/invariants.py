@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 from .fields import ShapeData
-from .manifold import _minors
+from .manifold import _det, _minors
 
 
 @dataclass(frozen=True)
@@ -104,4 +104,4 @@ def tilt_jacobian(cols: ColumnSystem, t: float) -> tuple[np.ndarray, np.ndarray]
     M = np.array(cols.H, copy=True)
     M[..., :, :n] = M[..., :, :n] + t * cols.V
     M[..., :, n] = np.sqrt(1.0 + t * t) * cols.H[..., :, n]
-    return M, np.linalg.det(M)
+    return M, _det(M)

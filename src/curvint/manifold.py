@@ -185,8 +185,7 @@ class Workspace:
     ``take(name, shape)`` views the leading part of the name's buffer as a
     C-contiguous array of ``shape``, whose last axis is the batch.  A
     buffer holds at least ``points`` batch entries, so every batch of up to
-    ``points`` points (a whole span, a partial last one, a block re-run)
-    reuses it.  A view stays valid until the name is taken again, so only
+    ``points`` points (a whole block or a partial last one) reuses it.  A view stays valid until the name is taken again, so only
     the kernel that took it may keep it, and only one thread may use a
     workspace at a time (``quadrature`` hands them out).
     """

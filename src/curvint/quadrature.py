@@ -9,25 +9,25 @@ degeneracies on the boundary are avoided.
 
 Point evaluations are independent and may be dispatched to a thread
 pool.  Every pass over a grid runs one kernel that returns values to
-integrate and per-point peaks.  The kernel is called once per span of
-``SPAN`` = 8192 points at every worker count, so that each call makes
+integrate and per-point peaks.  The kernel is called once per block of
+``BLOCK`` = 8192 points at every worker count, so that each call makes
 long vector operations and pool threads meet at the interpreter lock
 less often.  Each task takes a ``Workspace`` from a free list
-(``_workspace``) and gives it back after its span, so the free list
-holds at most as many as the most tasks that ran at once; the engine's
-kernels write their largest per-span arrays into it (see
-``_integrate_vector``), so a span does not free memory that the next one
-allocates again.  The nodes and weights of a span are gathered from the
-per-axis rules when it runs; the whole grid is never built.  The sums
-do not depend on the span: the values of every fixed
-4096-point block are summed exactly rounded
-(``_reduction.exact_row_sums``: error-free vector extraction in numpy,
-the same bits as ``math.fsum`` without holding the GIL over the data;
-an exactly rounded sum is unique) and the block sums combined by a
-fixed-shape pairwise tree with compensated nodes, while peaks are
-reduced by max, which does not depend on order.  The module guarantee
-is: same inputs give bit-identical results for any number of workers,
-with total summation error at the few-ulp level.
+(``_workspace``) and gives it back after its block, while the list holds
+fewer than ``default_workers()``; the engine's kernels write their
+largest per-block arrays into it (see ``_integrate_vector``), so a block
+does not free memory that the next one allocates again.  The nodes and
+weights of a block are gathered from the per-axis rules when it runs;
+the whole grid is never built.  The weighted values of every block are
+summed exactly rounded (``_reduction.exact_row_sums``: error-free vector
+extraction in numpy, the same bits as ``math.fsum`` without holding the
+GIL over the data; an exactly rounded sum is unique) and the block sums
+combined by a fixed-shape pairwise tree with compensated nodes, while
+peaks are reduced by max, which does not depend on order.  The block
+size is fixed, since it shapes the tree: another size moves the sums in
+their last digits.  The module guarantee is: same inputs give
+bit-identical results for any number of workers, with total summation
+error at the few-ulp level.
 
 Each integration also runs its half-resolution companion grid; the
 difference is reported as the estimated error.
@@ -36,6 +36,7 @@ difference is reported as the estimated error.
 import contextlib
 import functools
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -49,11 +50,10 @@ from .fields import shape_data_batch  # noqa: F401  perfbench's tracer wraps it 
 from .invariants import ColumnSystem, eta_all
 from .manifold import ChartedHypersurface, Workspace, geometry_batch
 
-BLOCK = 4096  # points per reduction block; fixed so results never depend on workers
-SPAN = 2 * BLOCK  # points per kernel call: whole blocks, so the block sums stay
+BLOCK = 8192  # points per kernel call and exact sum; fixed so results never depend on workers
 
 # Workspaces of finished tasks, for the next task to reuse: never more than
-# the most tasks that ran at once, that is the largest worker count.
+# the default worker count (``_workspace``).
 _FREE: list[Workspace] = []
 _FREE_LOCK = threading.Lock()
 
@@ -142,7 +142,7 @@ def _build_chart_grid(chart, counts) -> ChartGrid:
     rules = tuple(_periodic_rule(lo, hi, c) if per else _gauss_rule(lo, hi, c)
                   for lo, hi, per, c in zip(chart.lo, chart.hi, chart.periodic, counts))
     size = math.prod(len(r.nodes) for r in rules)
-    # the passes gather nodes per span, but a grid whose (N, p) node array
+    # the passes gather nodes per block, but a grid whose (N, p) node array
     # numpy cannot allocate is refused as before (MemoryError, ValueError);
     # np.empty only reserves that memory
     np.empty((size, len(rules)))
@@ -205,6 +205,14 @@ def _check_grid(surface: ChartedHypersurface, grid: QuadratureGrid):
             raise ValueError("grid domains do not match the surface charts")
 
 
+def default_workers() -> int:
+    """The default worker count: the CPUs this process may run on, not all
+    the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_blocks(tasks, worker, workers):
     # one task gains nothing from a pool and would pay for starting it
     if workers is not None and workers > 1 and len(tasks) > 1:
@@ -215,39 +223,17 @@ def _run_blocks(tasks, worker, workers):
 
 @contextlib.contextmanager
 def _workspace():
-    """A workspace from the free list, or a new one, returned to it after."""
+    """A workspace from the free list, or a new one, returned to it after
+    while the list holds fewer than ``default_workers()``."""
     with _FREE_LOCK:
-        ws = _FREE.pop() if _FREE else Workspace(SPAN)
+        ws = _FREE.pop() if _FREE else Workspace(BLOCK)
     try:
         yield ws
     finally:
+        keep = default_workers()
         with _FREE_LOCK:
-            _FREE.append(ws)
-
-
-def _block_parts(vals, weights, peaks):
-    """Exactly rounded sums (m,) and max peaks (j,) of every BLOCK points.
-
-    ``vals`` (B, m) are weighted by ``weights`` (B,) into one row per
-    (block, value) of the full blocks, all summed in one
-    ``exact_row_sums`` call, and a last partial block in another: an
-    exactly rounded sum is unique, so each block sum has the bits of its
-    block alone.
-    """
-    (B, m), j = vals.shape, peaks.shape[1]
-    nb = B // BLOCK
-    full = nb * BLOCK
-    vt = vals.T
-    sums, maxima = [], []
-    if nb:
-        terms = np.multiply(vt[:, :full].reshape(m, nb, BLOCK).transpose(1, 0, 2),
-                            weights[:full].reshape(nb, 1, BLOCK), order="C")
-        sums = list(exact_row_sums(terms.reshape(nb * m, BLOCK)).reshape(nb, m))
-        maxima = list(np.max(peaks[:full].reshape(nb, BLOCK, j), axis=1))
-    if full < B:
-        sums.append(exact_row_sums(np.multiply(vt[:, full:], weights[full:], order="C")))
-        maxima.append(np.max(peaks[full:], axis=0))
-    return list(zip(sums, maxima))
+            if len(_FREE) < keep:
+                _FREE.append(ws)
 
 
 def _integrate_vector(surface, func, grid, workers):
@@ -255,42 +241,36 @@ def _integrate_vector(surface, func, grid, workers):
 
     ``func(ci, U, ws)`` returns the (B, m) values, the (B,) volume factor
     of the geometry it evaluated and (B, j) peaks.  It is called once per
-    span of SPAN points, whatever the worker count, with the task's
+    block of BLOCK points, whatever the worker count, with the task's
     ``Workspace`` ``ws``, which it passes to the engine's kernels only
     (``geometry_batch``, ``chart_forms_batch``), never to a user's
     callable.  They keep in it the cross product's two row buffers, which
     then hold the second form and d2F c, and K: 2 p q + p^2 float64 per
     point, 33 for p = 3, that is about 2.2 MB per worker for a
-    SPAN-point workspace.  Values are weighted by volume
-    factor and quadrature weight, summed exactly rounded per fixed BLOCK
-    of points (``_block_parts``) and the blocks combined by a pairwise
-    tree; peaks are reduced by max.  A span whose call raises a
-    ``CurvintError`` is run again one block at a time, so the error and
-    the point it names are those of the first failing block.  Returns the
-    (m,) sums and the (j,) maxima, whose bits depend neither on the worker
-    count nor on the span size.
+    BLOCK-point workspace.  Values are weighted by volume factor and
+    quadrature weight, each row of a block summed exactly rounded, and the
+    blocks combined by a pairwise tree; peaks are reduced by max.
+    A ``CurvintError`` gets the prefix ``chart {ci}:``; the error raised is
+    that of the first failing block.  Returns the (m,) sums and the (j,)
+    maxima, whose bits do not depend on the worker count.
     """
     _check_grid(surface, grid)
     tasks = [(ci, start) for ci, cg in enumerate(grid.charts)
-             for start in range(0, cg.size, SPAN)]
-
-    def evaluate(ci, U, weights, ws):
-        try:
-            vals, volf, peaks = func(ci, U, ws)
-        except CurvintError as exc:
-            if len(U) > BLOCK:
-                return [part for b in range(0, len(U), BLOCK)
-                        for part in evaluate(ci, U[b:b + BLOCK], weights[b:b + BLOCK], ws)]
-            raise type(exc)(f"chart {ci}: {exc}") from exc
-        wf = surface.charts[ci].weight_fraction
-        return _block_parts(vals, wf * weights * volf, peaks)
+             for start in range(0, cg.size, BLOCK)]
 
     def worker(task):
         ci, start = task
+        U, weights = grid.charts[ci].span(start, start + BLOCK)
         with _workspace() as ws:
-            return evaluate(ci, *grid.charts[ci].span(start, start + SPAN), ws)
+            try:
+                vals, volf, peaks = func(ci, U, ws)
+            except CurvintError as exc:
+                raise type(exc)(f"chart {ci}: {exc}") from exc
+            wf = surface.charts[ci].weight_fraction
+            terms = np.multiply(vals.T, wf * weights * volf, order="C")  # (m, B)
+            return exact_row_sums(terms), np.max(peaks, axis=0)
 
-    parts = [part for task_parts in _run_blocks(tasks, worker, workers) for part in task_parts]
+    parts = _run_blocks(tasks, worker, workers)
     sums = np.atleast_1d(tree_reduce_compensated([s for s, _ in parts]))
     return sums, np.max([p for _, p in parts], axis=0)
 
@@ -307,13 +287,13 @@ def integrate(
     ----------
     integrand : callable
         Batched contract ``integrand(chart_index, U) -> (B,)`` evaluated at
-        chart parameter points, in batches of up to ``SPAN`` = 8192 points
-        (a batch that raises a ``CurvintError`` is retried in 4096-point
-        blocks); the induced volume form is applied by the engine.
+        chart parameter points, in batches of up to ``BLOCK`` = 8192
+        points, each called once; the induced volume form is applied by
+        the engine.
     grid : QuadratureGrid
         Built for this surface via ``QuadratureGrid.build``.
     workers : int, optional
-        Thread count for span dispatch; the result bits do not depend on
+        Thread count for block dispatch; the result bits do not depend on
         it.
 
     Returns

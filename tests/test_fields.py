@@ -16,7 +16,7 @@ from curvint.fields import (
     chart_forms_batch, coordinate_field, field_batch, project_field_batch,
     shape_data_batch)
 from curvint.manifold import SECOND_CHUNK, geometry_batch
-from curvint.quadrature import BLOCK, SPAN, QuadratureGrid
+from curvint.quadrature import BLOCK, QuadratureGrid
 from conftest import (
     CATALOG_PAIRS, ambient_shape_data, domain_samples, metric_inv,
     without_second_partials)
@@ -232,22 +232,23 @@ def grid_blocks(grid):
 
 @pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
 def test_chart_eta_bits_do_not_depend_on_the_slice(surfaces, skey, fkey, monkeypatch):
-    """The eta kernel on sub-slices of an 8192-point span (each 4096-point
-    block, a run across the block boundary, single points, short and long
-    runs, a strided slice) gives the per-point bits of the whole span:
-    every operation is per point on batch-last vectors.  Also for a
-    coordinate field with no zero coefficient, whose J c sums every term.
-    The span reads its second partials in two chunks, which give L and
-    d2F c the bits of one unchunked read."""
+    """The eta kernel on sub-slices of a BLOCK-point batch (each chunk of
+    SECOND_CHUNK points, a run across the chunk boundary, single points,
+    short and long runs, a strided slice) gives the per-point bits of the
+    whole block: every operation is per point on batch-last vectors.  Also
+    for a coordinate field with no zero coefficient, whose J c sums every
+    term.  The block reads its second partials in two chunks, which give L
+    and d2F c the bits of one unchunked read."""
     surface = surfaces[skey]
     grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 48)
-    U = grid.charts[0].span(BLOCK, BLOCK + SPAN)[0]
+    U = grid.charts[0].span(BLOCK, 2 * BLOCK)[0]
+    C = SECOND_CHUNK
     for field in (cv.get_field(fkey, surface),
                   coordinate_field(surface, np.linspace(0.3, 1.0, surface.dim))):
         whole = chart_eta(surface, field, 0, U)
-        singles = [slice(i, i + 1) for i in range(0, SPAN, 97)] + [slice(SPAN - 1, SPAN)]
-        for part in singles + [slice(0, BLOCK), slice(BLOCK, SPAN), slice(BLOCK - 500, BLOCK + 700),
-                               slice(7, 20), slice(100, 1125), slice(2048, BLOCK),
+        singles = [slice(i, i + 1) for i in range(0, BLOCK, 97)] + [slice(BLOCK - 1, BLOCK)]
+        for part in singles + [slice(0, C), slice(C, BLOCK), slice(C - 500, C + 700),
+                               slice(7, 20), slice(100, 1125), slice(2048, C),
                                slice(3, None, 7)]:
             got = chart_eta(surface, field, 0, U[part])
             np.testing.assert_array_equal(got.view(np.uint64),
@@ -266,12 +267,12 @@ def test_chart_eta_bits_do_not_depend_on_the_slice(surfaces, skey, fkey, monkeyp
 
 @pytest.mark.parametrize("skey,fkey", [pair for pair in CATALOG_PAIRS if pair[0] != "torus2"])
 def test_span_kernel_memory(surfaces, skey, fkey):
-    """One span of the eta kernel peaks at most at 100 float64 per point
+    """One block of the eta kernel peaks at most at 100 float64 per point
     (tracemalloc): the second partials, 36 per point for p = 3, are read in
-    chunks and never held for the whole span."""
+    chunks and never held for the whole block."""
     surface = surfaces[skey]
     field = cv.get_field(fkey, surface)
-    U = QuadratureGrid.build(surface, 48).charts[0].span(0, SPAN)[0]
+    U = QuadratureGrid.build(surface, 48).charts[0].span(0, BLOCK)[0]
     chart_eta(surface, field, 0, U)  # first-call allocations are not the kernel's
     tracemalloc.start()
     try:
@@ -279,20 +280,20 @@ def test_span_kernel_memory(surfaces, skey, fkey):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * SPAN) <= 100
+    assert peak / (8 * BLOCK) <= 100
 
 
 @pytest.mark.parametrize("skey,fkey", [pair for pair in CATALOG_PAIRS if pair[0] != "torus2"])
 def test_span_kernel_memory_over_a_workspace(surfaces, skey, fkey):
-    """Over a warmed workspace, one span of the eta kernel allocates at most
+    """Over a warmed workspace, one block of the eta kernel allocates at most
     70 float64 per point (tracemalloc; measured 65.2, 75.2 for tube-t3,
     whose chart keeps more per point, so its bound is 80), on top of the
     33 per point (2 p q + p^2) the workspace holds: its buffers take the
     cross product's rows, the second form, d2F c and K."""
     surface = surfaces[skey]
     field = cv.get_field(fkey, surface)
-    U = QuadratureGrid.build(surface, 48).charts[0].span(0, SPAN)[0]
-    ws = curvint.manifold.Workspace(SPAN)
+    U = QuadratureGrid.build(surface, 48).charts[0].span(0, BLOCK)[0]
+    ws = curvint.manifold.Workspace(BLOCK)
     chart_eta(surface, field, 0, U, ws)  # warms the workspace
     held = sum(buf.nbytes for buf in ws._flat.values())
     tracemalloc.start()
@@ -301,8 +302,8 @@ def test_span_kernel_memory_over_a_workspace(surfaces, skey, fkey):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert held == 8 * 33 * SPAN
-    assert peak / (8 * SPAN) <= (80 if skey == "tube-t3" else 70)
+    assert held == 8 * 33 * BLOCK
+    assert peak / (8 * BLOCK) <= (80 if skey == "tube-t3" else 70)
 
 
 def _workspace_buffers():
@@ -327,13 +328,16 @@ def test_second_pass_reuses_the_workspace(surfaces, monkeypatch):
 
 def test_free_list_holds_at_most_the_largest_worker_count(surfaces, monkeypatch):
     """After each pass the free list holds distinct workspaces, at least one
-    and no more than the largest worker count that ran; with more workers
-    than cores and a short switch interval, no two tasks share one (a lost
-    update would give two tasks one workspace, and other bits)."""
+    and no more than the largest worker count that ran, nor than the
+    default worker count (set to 2 here), even after a pass at 8 workers;
+    with more workers than cores and a short switch interval, no two tasks
+    share one (a lost update would give two tasks one workspace, and other
+    bits)."""
     monkeypatch.setattr(curvint.quadrature, "_FREE", [])
+    monkeypatch.setattr(curvint.quadrature, "default_workers", lambda: 2)
     surface = surfaces["sphere3"]
     field = cv.get_field("hopf", surface)
-    grid = QuadratureGrid.build(surface, 48)  # 14 spans, and 2 for the half grid
+    grid = QuadratureGrid.build(surface, 48)  # 14 blocks, and 2 for the half grid
     want = repr(cv.integrate_eta(surface, field, grid, workers=1))
     most = 1
     interval = sys.getswitchinterval()
@@ -343,7 +347,7 @@ def test_free_list_holds_at_most_the_largest_worker_count(surfaces, monkeypatch)
             most = max(most, workers)
             assert repr(cv.integrate_eta(surface, field, grid, workers=workers)) == want
             free = curvint.quadrature._FREE
-            assert 1 <= len(free) <= most
+            assert 1 <= len(free) <= min(most, 2)
             assert len({id(ws) for ws in free}) == len(free)
     finally:
         sys.setswitchinterval(interval)
@@ -561,13 +565,13 @@ def test_replaced_coordinate_field_never_calls_its_callables(surfaces):
 
 
 def test_user_field_calls_its_callables_once_per_span(surfaces):
-    """Without coefficients the callables run once per span of a pool pass,
+    """Without coefficients the callables run once per block of a pool pass,
     and the same callables give the catalog field's integrals bit for bit."""
     surface = surfaces["sphere3"]
     field = cv.get_field("hopf", surface)
     calls = {"value": 0, "jacobian": 0}
     user = _counting_field(dataclasses.replace(field, coefficients=None), calls)
-    grid = QuadratureGrid.build(surface, 24)  # 2 spans, and 1 for the 12^3 half
+    grid = QuadratureGrid.build(surface, 24)  # 2 blocks, and 1 for the 12^3 half
     got = cv.integrate_eta(surface, user, grid, workers=2)
     want = cv.integrate_eta(surface, field, grid, workers=2)
     assert calls == {"value": 3, "jacobian": 3}

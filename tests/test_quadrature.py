@@ -12,7 +12,7 @@ import curvint as cv
 import curvint.fields
 import curvint.quadrature
 from curvint._reduction import exact_row_sums
-from curvint.quadrature import BLOCK, SPAN, QuadratureGrid
+from curvint.quadrature import BLOCK, QuadratureGrid
 from conftest import CATALOG_PAIRS
 
 
@@ -227,9 +227,9 @@ def test_one_block_pass_starts_no_pool(surfaces, monkeypatch):
 
 
 def _all_reports(surfaces, workers):
-    """repr of every grid pass for every catalog pair, on grids whose last
-    span holds one full and one partial block: 24^3 (13824 points) and
-    112 x 120 (13440) for torus2."""
+    """repr of every grid pass for every catalog pair, on grids of one full
+    and one partial block: 24^3 (13824 points) and 112 x 120 (13440) for
+    torus2."""
     out = []
     for skey, fkey in CATALOG_PAIRS:
         surface = surfaces[skey]
@@ -243,10 +243,15 @@ def _all_reports(surfaces, workers):
     return out
 
 
+@pytest.fixture(scope="module")
+def one_worker_reports(surfaces):
+    return _all_reports(surfaces, 1)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_spans_give_the_reports_of_blocks(surfaces, monkeypatch, workers):
-    """Every pass evaluates 8192-point spans, whatever the worker count;
-    with spans of one block every report keeps its bits."""
+def test_spans_give_the_reports_of_blocks(surfaces, one_worker_reports, monkeypatch, workers):
+    """Every pass evaluates BLOCK-point batches, whatever the worker count,
+    and every report has the bits of the one-worker run."""
     sizes = set()
     chart_forms = curvint.quadrature.chart_forms_batch
 
@@ -255,47 +260,43 @@ def test_spans_give_the_reports_of_blocks(surfaces, monkeypatch, workers):
         return chart_forms(surface, field, ci, U, **kwargs)
 
     monkeypatch.setattr(curvint.quadrature, "chart_forms_batch", recording)
-    spans = _all_reports(surfaces, workers)
-    assert max(sizes) == SPAN
-    monkeypatch.setattr(curvint.quadrature, "SPAN", BLOCK)
-    sizes.clear()
-    assert _all_reports(surfaces, workers) == spans
+    assert _all_reports(surfaces, workers) == one_worker_reports
     assert max(sizes) == BLOCK
 
 
-def test_span_error_is_the_first_failing_block(surfaces, monkeypatch):
-    """A user chart whose second half-span is rank-deficient and a user
-    field that vanishes in the first half: the span fails at the chart, and
-    is run again block by block, which names the field's point as
-    block-by-block evaluation does, at one worker as with a pool."""
+def test_span_error_is_the_first_failing_block(surfaces):
+    """A user chart rank-deficient on one theta row and a user field that
+    vanishes on another.  In one block the kernel checks the chart first,
+    so the pass names the chart's point; over two blocks the earlier
+    block's error wins.  Each names chart 0 and the failing point, with
+    the same message at one worker as with a pool."""
     base = surfaces["torus2"].charts[0]
-    grid = QuadratureGrid.build(surfaces["torus2"], (128, 64))  # one span of two blocks
-    theta = grid.charts[0].rules[0].nodes
-    assert grid.total_points == SPAN
+    cases = [((128, 64), 100, 10, cv.DegenerateImmersion, "rank-deficient", 100),  # one block
+             ((256, 64), 200, 10, cv.VanishingField, "vanishes", 10)]  # two blocks
+    for counts, chart_at, field_at, error, what, named in cases:
+        grid = QuadratureGrid.build(surfaces["torus2"], counts)
+        theta = grid.charts[0].rules[0].nodes
+        assert grid.total_points == counts[0] // 128 * BLOCK
 
-    def first_partials(U):
-        J = np.array(base.first_partials(U))
-        J[U[:, 0] == theta[100]] = np.nan
-        return J
+        def first_partials(U, row=theta[chart_at]):
+            J = np.array(base.first_partials(U))
+            J[U[:, 0] == row] = np.nan
+            return J
 
-    chart = dataclasses.replace(base, first_partials=first_partials)
-    surface = cv.ChartedHypersurface(n_intrinsic=1, charts=(chart,))
+        def value(ci, U, row=theta[field_at]):
+            return base.first_partials(U)[:, :, 0] * (U[:, :1] - row)
 
-    def value(ci, U):
-        return base.first_partials(U)[:, :, 0] * (U[:, :1] - theta[10])
-
-    field = cv.TangentField(ambient_value=value, key="pinched")
-    with pytest.raises(cv.DegenerateImmersion, match="rank-deficient"):
-        curvint.fields.chart_forms_batch(surface, field, 0, grid.charts[0].points)
-    errors = []
-    for workers in (1, 2):
-        for span in (SPAN, BLOCK):
-            monkeypatch.setattr(curvint.quadrature, "SPAN", span)
-            with pytest.raises(cv.VanishingField) as exc:
+        chart = dataclasses.replace(base, first_partials=first_partials)
+        surface = cv.ChartedHypersurface(n_intrinsic=1, charts=(chart,))
+        field = cv.TangentField(ambient_value=value, key="pinched")
+        errors = []
+        for workers in (1, 2, 3):
+            with pytest.raises(error, match=what) as exc:
                 cv.integrate_eta(surface, field, grid, workers=workers)
             errors.append(str(exc.value))
-    assert len(set(errors)) == 1
-    assert errors[0].startswith("chart 0: ") and f"u=[{float(theta[10])!r}, " in errors[0]
+        assert len(set(errors)) == 1
+        assert errors[0].startswith("chart 0: ")
+        assert f"u=[{float(theta[named])!r}, " in errors[0]
 
 
 def test_integrand_views_of_its_own_calls_keep_their_bits(surfaces):
@@ -332,7 +333,7 @@ def test_calls_outside_a_pass_return_fresh_arrays(surfaces):
     field = cv.get_field("hopf", surface)
     cv.integrate_eta(surface, field, QuadratureGrid.build(surface, 24), workers=2)
     assert curvint.quadrature._FREE
-    U = QuadratureGrid.build(surface, 24).charts[0].span(0, SPAN)[0]
+    U = QuadratureGrid.build(surface, 24).charts[0].span(0, BLOCK)[0]
     calls = (lambda V: curvint.quadrature.geometry_batch(surface, 0, V,
                                                          coefficients=field.coefficients),
              lambda V: curvint.fields.chart_forms_batch(surface, field, 0, V))
