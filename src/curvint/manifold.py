@@ -185,9 +185,10 @@ class Workspace:
     ``take(name, shape)`` views the leading part of the name's buffer as a
     C-contiguous array of ``shape``, whose last axis is the batch.  A
     buffer holds at least ``points`` batch entries, so every batch of up to
-    ``points`` points (a whole block or a partial last one) reuses it.  A view stays valid until the name is taken again, so only
-    the kernel that took it may keep it, and only one thread may use a
-    workspace at a time (``quadrature`` hands them out).
+    ``points`` points (a whole block or a partial last one) reuses it.  A
+    view stays valid until the name is taken again, so only the kernel
+    that took it may keep it, and only one thread may use a workspace at a
+    time (``quadrature`` hands them out).
     """
 
     def __init__(self, points: int):

@@ -50,7 +50,7 @@ from .fields import shape_data_batch  # noqa: F401  perfbench's tracer wraps it 
 from .invariants import ColumnSystem, eta_all
 from .manifold import ChartedHypersurface, Workspace, geometry_batch
 
-BLOCK = 8192  # points per kernel call and exact sum; fixed so results never depend on workers
+BLOCK = 8192  # points per kernel call and exact sum; fixed, as it shapes the sum tree
 
 # Workspaces of finished tasks, for the next task to reuse: never more than
 # the default worker count (``_workspace``).
@@ -223,8 +223,8 @@ def _run_blocks(tasks, worker, workers):
 
 @contextlib.contextmanager
 def _workspace():
-    """A workspace from the free list, or a new one, returned to it after
-    while the list holds fewer than ``default_workers()``."""
+    """A workspace from the free list, or a new one; put back after use
+    only while the list holds fewer than ``default_workers()``."""
     with _FREE_LOCK:
         ws = _FREE.pop() if _FREE else Workspace(BLOCK)
     try:
