@@ -248,13 +248,15 @@ def _reflection(C: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     C is the (p, p, B) metric factor and w (B, p) the chart coordinates of
     v, so y are v's coordinates in the orthonormal basis ``J C^-T``.  The
-    shift in u takes y_p's sign, so nothing cancels (Golub & Van Loan,
-    *Matrix Computations*, 4th ed., 5.1).
+    shift in u is +|y| unless y_p < -|y| / 2, so |u_p| >= |y| / 2 and
+    nothing cancels (Golub & Van Loan, *Matrix Computations*, 4th ed.,
+    5.1); where v is a chart direction, y_p is rounding noise, and its
+    sign does not choose between two reflected bases.
     """
     n = C.shape[0] - 1
     u = np.sum(C * w.T[:, None], axis=0)  # y = C^T w
     ny = np.sqrt(np.sum(u * u, axis=0))
-    u[n] += np.where(u[n] < 0.0, -ny, ny)
+    u[n] += np.where(u[n] < -0.5 * ny, -ny, ny)
     return u, 1.0 / (ny * np.abs(u[n]))  # beta = 2 / |u|^2
 
 

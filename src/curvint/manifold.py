@@ -16,10 +16,11 @@ single-point operations wrap the batched kernels.
 
 Layout: every per-point array of a block keeps its (B, ...) shape but is
 stored batch-last, so that ``np.moveaxis(A, 0, -1)`` is C-contiguous and
-each entry ``A[:, i, j]`` is one contiguous (B,) vector.  The minor
-table, the Cholesky recurrence and the frame read such entries directly,
-and each contraction (the metric, the second form) is one ``einsum``
-whose output keeps the layout.  Catalog charts write their partials in
+each entry ``A[:, i, j]`` is one contiguous (B,) vector.  One minor
+table (``_minors``) gives the unit normal and every determinant; it,
+the Cholesky recurrence and the frame read such entries directly, and
+each contraction (the metric, the second form) is one ``einsum`` whose
+output keeps the layout.  Catalog charts write their partials in
 this layout; ``geometry_batch`` copies partials of any other layout once
 (``_batch_last``), so results do not depend on the layout a chart
 returns.  Work on one block stays in few, long vector operations: two
@@ -188,7 +189,9 @@ class Workspace:
     ``points`` points (a whole block or a partial last one) reuses it.  A
     view stays valid until the name is taken again, so only the kernel
     that took it may keep it, and only one thread may use a workspace at a
-    time (``quadrature`` hands them out).
+    time (``quadrature`` hands them out).  The engine's kernels keep the
+    second form ``L``, a coordinate field's ``d2Fc`` and the field form
+    ``K`` in it: 2 p^2 + p q float64 per point.
     """
 
     def __init__(self, points: int):
@@ -249,25 +252,16 @@ def _minors(M: np.ndarray, V: np.ndarray | None = None) -> dict:
     along the first row, whose ``0.0 +`` start above 2 x 2 fixes the sign
     of a zero.  For p <= 5 that is a few dozen vector operations per
     batch, where batched LAPACK pays a call per matrix; on batch-last M
-    each entry is one contiguous vector.
+    each entry is one contiguous vector.  The 1 x 1 minors without V are
+    views of M.
     """
-    return _expand(lambda i: M[..., i, :], *M.shape[-2:], V)
-
-
-def _expand(row: Callable[[int], np.ndarray], r: int, m: int,
-            V: np.ndarray | None = None) -> dict:
-    """``_minors`` of the r x m matrices whose row i is ``row(i)``, (..., m).
-
-    Each row is asked for once, when its level is expanded, so a caller
-    may build the rows one at a time instead of the whole matrix.
-    """
+    r, m = M.shape[-2:]
     if r == 0:
         return {(): np.ones(1)}
-    Mi = row(r - 1)
-    level = {(c,): Mi[..., c][None] if V is None
-             else np.stack([Mi[..., c], V[..., r - 1, c]]) for c in range(m)}
+    level = {(c,): M[..., r - 1, c][None] if V is None
+             else np.stack([M[..., r - 1, c], V[..., r - 1, c]]) for c in range(m)}
     for i in range(r - 2, -1, -1):
-        below, level, Mi = level, {}, row(i)
+        below, level, Mi = level, {}, M[..., i, :]
         for cols in combinations(range(m), r - i):
             total = None
             for j, c in enumerate(cols):
@@ -356,41 +350,26 @@ def _cholesky_solve(C: np.ndarray, S: np.ndarray) -> np.ndarray:
     return _upper_solve(C, _lower_solve(C, S))
 
 
-def generalized_cross(vectors: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+def generalized_cross(vectors: np.ndarray) -> np.ndarray:
     """Vector orthogonal to p = q-1 vectors in q-space (Hodge dual).
 
     ``vectors`` has shape (..., p, q) with the vectors as rows.  The result
     X satisfies <X, y> = det[v_1 | ... | v_p | y] for every y, so the rows
     followed by X are positively oriented and |X| equals the p-volume they
-    span.  Entry i is the signed minor of the (q, p) columns without row
-    i.  The q minor matrices are expanded together (``_expand``), one
-    vector operation over the q minors per step, where q separate
-    expansions would make q times as many short calls (see the module
-    docstring).  Their rows are gathered into entries-first storage one
-    row at a time, as the expansion reaches them, so a batch holds two
-    rows of them at most, not all p; given a ``Workspace`` ``ws``, into
-    its two row buffers, which the next batch reuses.  X is stored
-    batch-last.
+    span.  Entry i is ``(-1)^(i+p)`` times the p x p minor of the rows
+    without column i.  All q of them are the maximal minors of one
+    ``_minors`` table over the rows, so the q expansions share their lower
+    levels, and each step is one vector operation over the batch (see the
+    module docstring).  X is fresh and stored batch-last.
     """
     vs = np.asarray(vectors, dtype=float)
-    p, q = vs.shape[-2], vs.shape[-1]
+    p, q = vs.shape[-2:]
     if q != p + 1:
         raise ValueError(f"need q = p+1 vectors, got {p} vectors in R^{q}")
-    # kept[a, i] is row a of minor i: the rows that survive deleting row i
-    kept = np.array([[r for r in range(q) if r != i] for i in range(q)]).T
-    n = vs.ndim
-    cols = vs.transpose(n - 2, n - 1, *range(n - 2))  # (p vectors, q, ...)
-    if p < 2:
-        ws = None  # X would be a view of the one row gathered
-
-    def row(a):  # row a of all q minor matrices, (q, ..., p)
-        # alternate buffers: the level below still reads row a + 1
-        out = None if ws is None else ws.take(f"cross{a % 2}", (p, q) + vs.shape[:-2])
-        return np.take(cols, kept[a], axis=1, mode="clip", out=out).transpose(*range(1, n), 0)
-
-    X = _expand(row, p, p)[tuple(range(p))][0]
-    X *= np.where((np.arange(q) + p) % 2 == 0, 1.0, -1.0).reshape((q,) + (1,) * (n - 2))
-    return X.transpose(*range(1, n - 1), 0)
+    minors = _minors(vs)
+    X = np.stack([minors[tuple(c for c in range(q) if c != i)][0] for i in range(q)])
+    X[(p + 1) % 2::2] *= -1.0  # the entries with i + p odd
+    return np.moveaxis(X, 0, -1)
 
 
 def _as_batch(u: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -418,18 +397,17 @@ def geometry_batch(
     holds its whole (B, q, p, p) second partials.  By the Weingarten
     equation ``<dN/du_a, F_b>`` is ``-second_form[a, b]``, so no ambient
     derivative of the normal is formed.  The metric is factored once by
-    Cholesky (``metric_chol``); its inverse is not formed.  The volume factor is |G| for the generalized cross product G
-    of the tangents, which equals sqrt(det g) (Cauchy-Binet), so no
-    determinant of g is taken.  The checks run in this order, each naming
-    the point: the rank check (a NaN first partial fails it), the metric
-    factorization, then finite second partials; each raises
-    DegenerateImmersion.
+    Cholesky (``metric_chol``); its inverse is not formed.  The normal and
+    the volume factor come from the generalized cross product G of the
+    tangents (``generalized_cross``, one minor table): |G| equals
+    sqrt(det g) (Cauchy-Binet), so no determinant of g is taken.  The
+    checks run in this order, each naming the point: the rank check (a NaN
+    first partial fails it), the metric factorization, then finite second
+    partials; each raises DegenerateImmersion.
 
-    Given a ``Workspace`` ``ws``, the cross product gathers its minor
-    rows into its two row buffers (``generalized_cross``), and
-    ``second_form`` and ``field_jacobian`` are then written into the same
-    buffers: these two are valid until the next batch that uses ``ws``.
-    Without one every array is fresh.
+    Given a ``Workspace`` ``ws``, ``second_form`` and ``field_jacobian``
+    are written into its buffers ``L`` and ``d2Fc`` and are valid until
+    the next batch that uses ``ws``.  Without one every array is fresh.
     """
     chart = surface.charts[chart_index]
     U = np.asarray(U, dtype=float)
@@ -438,7 +416,7 @@ def geometry_batch(
     J = _batch_last(chart.first_partials(U))  # (B, q, p)
     tangents = np.swapaxes(J, -1, -2)
 
-    G = generalized_cross(tangents, ws)  # (B, q)
+    G = generalized_cross(tangents)  # (B, q)
     Gnorm = np.sqrt(np.sum(G * G, axis=-1))
     g = np.einsum("xqa,xqb->xab", J, J)
     # product of the tangent norms, read off the metric diagonal
@@ -453,12 +431,10 @@ def geometry_batch(
     L = dc = None
     if second:
         B, q, p = J.shape
-        # batch-last, like every form; the cross product is done with the
-        # workspace's row buffers, which hold p q values per point
-        L = _empty(ws, "cross0", B, p, p)
+        L = _empty(ws, "L", B, p, p)  # batch-last, like every form
         if coefficients is not None:
             c = np.asarray(coefficients, dtype=float)
-            dc = _empty(ws, "cross1", B, q, p)
+            dc = _empty(ws, "d2Fc", B, q, p)
         for s in range(0, B, SECOND_CHUNK):
             rows = slice(s, s + SECOND_CHUNK)
             H2 = _batch_last(chart.second_partials(U[rows]))

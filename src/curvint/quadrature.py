@@ -244,10 +244,9 @@ def _integrate_vector(surface, func, grid, workers):
     block of BLOCK points, whatever the worker count, with the task's
     ``Workspace`` ``ws``, which it passes to the engine's kernels only
     (``geometry_batch``, ``chart_forms_batch``), never to a user's
-    callable.  They keep in it the cross product's two row buffers, which
-    then hold the second form and d2F c, and K: 2 p q + p^2 float64 per
-    point, 33 for p = 3, that is about 2.2 MB per worker for a
-    BLOCK-point workspace.  Values are weighted by volume factor and
+    callable.  They keep in it the second form, d2F c and K: 2 p^2 + p q
+    float64 per point, 30 for p = 3, that is about 2.0 MB per worker for
+    a BLOCK-point workspace.  Values are weighted by volume factor and
     quadrature weight, each row of a block summed exactly rounded, and the
     blocks combined by a pairwise tree; peaks are reduced by max.
     A ``CurvintError`` gets the prefix ``chart {ci}:``; the error raised is

@@ -132,18 +132,20 @@ def test_frame_pivot_discards_field_aligned_column(surfaces):
 
 @pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
 def test_frame_routes_span_the_same_v_perp(surfaces, skey, fkey):
-    """adapted_frame and shape_data_batch give orthonormal bases of the same
-    v^perp: their projectors e^T e agree within 1e-15 at every point of the
-    12^k grid.  The bases themselves may differ (by up to 1.93 on torus2,
-    revs1s2 and tube-t3), because each route takes v's chart coordinates in
-    its own way and the reflection's sign follows y_p, which is rounding
-    noise where v is a chart direction."""
+    """adapted_frame and shape_data_batch give the same orthonormal basis
+    of v^perp: the bases, and their projectors e^T e, agree within 1e-15 at
+    every point of the 12^k grid.  Each route takes v's chart coordinates
+    in its own way, so y_p, rounding noise where v is a chart direction,
+    may differ in sign between them; the reflection's shift does not follow
+    that sign (a shift that did gave bases up to 1.93 apart on torus2,
+    revs1s2 and tube-t3)."""
     surface = surfaces[skey]
     field = cv.get_field(fkey, surface)
     U = QuadratureGrid.build(surface, 12).charts[0].points
     frame = shape_data_batch(surface, field, 0, U).frame
     for u, v, e in zip(U, frame.v, frame.e):
         got = cv.adapted_frame(surface, 0, u, v).e
+        assert np.max(np.abs(got - e)) <= 1e-15
         assert np.max(np.abs(got.T @ got - e.T @ e)) <= 1e-15
 
 
@@ -288,8 +290,8 @@ def test_span_kernel_memory_over_a_workspace(surfaces, skey, fkey):
     """Over a warmed workspace, one block of the eta kernel allocates at most
     70 float64 per point (tracemalloc; measured 65.2, 75.2 for tube-t3,
     whose chart keeps more per point, so its bound is 80), on top of the
-    33 per point (2 p q + p^2) the workspace holds: its buffers take the
-    cross product's rows, the second form, d2F c and K."""
+    30 per point (2 p^2 + p q) the workspace holds: its buffers take the
+    second form, d2F c and K."""
     surface = surfaces[skey]
     field = cv.get_field(fkey, surface)
     U = QuadratureGrid.build(surface, 48).charts[0].span(0, BLOCK)[0]
@@ -302,7 +304,8 @@ def test_span_kernel_memory_over_a_workspace(surfaces, skey, fkey):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert held == 8 * 33 * BLOCK
+    p, q = surface.dim, surface.ambient_dim
+    assert held == 8 * (2 * p * p + p * q) * BLOCK
     assert peak / (8 * BLOCK) <= (80 if skey == "tube-t3" else 70)
 
 
@@ -320,7 +323,7 @@ def test_second_pass_reuses_the_workspace(surfaces, monkeypatch):
     grid = QuadratureGrid.build(surface, 24)
     cv.integrate_eta(surface, field, grid, workers=1)
     first = _workspace_buffers()
-    assert {name for _, name, _ in first} == {"cross0", "cross1", "K"}
+    assert {name for _, name, _ in first} == {"L", "d2Fc", "K"}
     cv.verify_integral_formula(surface, field, grid, workers=1)
     cv.gauss_degree(surface, grid, workers=1)
     assert _workspace_buffers() == first
