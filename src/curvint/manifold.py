@@ -16,8 +16,8 @@ single-point operations wrap the batched kernels.
 
 Layout: every per-point array of a block keeps its (B, ...) shape but is
 stored batch-last, so that ``np.moveaxis(A, 0, -1)`` is C-contiguous and
-each entry ``A[:, i, j]`` is one contiguous (B,) vector.  One minor
-table (``_minors``) gives the unit normal and every determinant; it,
+each entry ``A[:, i, j]`` is one contiguous (B,) vector.  The minor
+table (``_minors``, which gives the unit normal and every determinant),
 the Cholesky recurrence and the frame read such entries directly, and
 each contraction (the metric, the second form) is one ``einsum`` whose
 output keeps the layout.  Catalog charts write their partials in
