@@ -1,9 +1,11 @@
 """Golden reports: every catalog pair at a small grid.
 
 The committed reports under ``tests/golden/`` were written by
-``curvint verify --workers 1`` and ``curvint compute --workers 1`` (JSON
-for every pair, CSV for one pair each).  The test runs the same commands
-again and compares the reports field by field (CSV cell by cell):
+``curvint verify``, ``compute``, ``degree`` and ``foliation`` at
+``--workers 1`` (JSON for every pair, CSV for one pair each of
+``verify`` and ``compute``), and by ``curvint milnor`` from a surface and
+from an explicit degree.  The test runs the same commands again and
+compares the reports field by field (CSV cell by cell):
 strings, integers, booleans, nulls and exit codes exactly, floats within
 ``1e-12 * max(1, |golden|)``.  The float bound absorbs last-digit
 differences between numpy/LAPACK builds and deliberate reorderings of the
@@ -34,24 +36,32 @@ CASES = [
     ("tube-t3", "fiber", 24),
 ]
 
-# (command, surface, field, nodes, format)
-RUNS = ([("verify", *case, "json") for case in CASES]
-        + [("compute", *case, "json") for case in CASES]
-        + [("compute", "torus2", "theta", 64, "csv"),
-           ("verify", "sphere3", "hopf", 24, "csv")])
-CSV_RUNS = [run for run in RUNS if run[4] == "csv"]
-
 FLOAT_RTOL = 1e-12
 
 
-def _argv(command, surface, field, nodes, fmt, out):
-    return [command, "--surface", surface, "--field", field,
-            "--grid", str(nodes), "--workers", "1", "--format", fmt,
-            "--out", str(out)]
+def _pair_run(command, surface, field, nodes, fmt="json"):
+    """(report name, argv) of one run on a catalog pair at ``nodes`` per axis.
+
+    ``degree`` and ``milnor`` take no ``--field``, so their name and argv
+    leave the field out.
+    """
+    if command in ("degree", "milnor"):
+        field = None
+    names = [command, surface] + ([field] if field else []) + [str(nodes)]
+    argv = [command, "--surface", surface] + (["--field", field] if field else [])
+    argv += ["--grid", str(nodes), "--workers", "1", "--format", fmt]
+    return "-".join(names) + "." + fmt, argv
 
 
-def _report_name(command, surface, field, nodes, fmt):
-    return f"{command}-{surface}-{field}-{nodes}.{fmt}"
+CSV_RUNS = [_pair_run("compute", "torus2", "theta", 64, "csv"),
+            _pair_run("verify", "sphere3", "hopf", 24, "csv")]
+MILNOR_RUNS = [_pair_run("milnor", "sphere3", None, 24),
+               ("milnor-d3-betti1001.json",  # violates the bound: exit 1
+                ["milnor", "--d", "3", "--betti", "1,0,0,1", "--format", "json"])]
+RUNS = ([_pair_run(command, *case)
+         for command in ("verify", "compute", "degree", "foliation")
+         for case in CASES]
+        + CSV_RUNS + MILNOR_RUNS)
 
 
 def _csv_value(cell):
@@ -114,11 +124,10 @@ def test_mismatch_rules():
     assert golden_mismatches([1.0], [1.0, 2.0])
 
 
-def _check_golden(tmp_path, capsys, run):
-    name = _report_name(*run)
+def _check_golden(tmp_path, capsys, name, argv):
     expected_code = json.loads(MANIFEST.read_text())[name]
     out = tmp_path / name
-    code = cli.main(_argv(*run, out))
+    code = cli.main(argv + ["--out", str(out)])
     capsys.readouterr()
     assert code == expected_code
     assert golden_mismatches(_load(GOLDEN_DIR / name), _load(out)) == []
@@ -129,26 +138,40 @@ _CASE_IDS = [f"{s}-{f}-{n}" for s, f, n in CASES]
 
 @pytest.mark.parametrize("surface,field,nodes", CASES, ids=_CASE_IDS)
 def test_verify_matches_golden(tmp_path, capsys, surface, field, nodes):
-    _check_golden(tmp_path, capsys, ("verify", surface, field, nodes, "json"))
+    _check_golden(tmp_path, capsys, *_pair_run("verify", surface, field, nodes))
 
 
 @pytest.mark.parametrize("surface,field,nodes", CASES, ids=_CASE_IDS)
 def test_compute_matches_golden(tmp_path, capsys, surface, field, nodes):
-    _check_golden(tmp_path, capsys, ("compute", surface, field, nodes, "json"))
+    _check_golden(tmp_path, capsys, *_pair_run("compute", surface, field, nodes))
 
 
-@pytest.mark.parametrize("run", CSV_RUNS, ids=[_report_name(*r) for r in CSV_RUNS])
-def test_csv_matches_golden(tmp_path, capsys, run):
-    _check_golden(tmp_path, capsys, run)
+@pytest.mark.parametrize("surface,field,nodes", CASES, ids=_CASE_IDS)
+def test_degree_matches_golden(tmp_path, capsys, surface, field, nodes):
+    _check_golden(tmp_path, capsys, *_pair_run("degree", surface, field, nodes))
+
+
+@pytest.mark.parametrize("surface,field,nodes", CASES, ids=_CASE_IDS)
+def test_foliation_matches_golden(tmp_path, capsys, surface, field, nodes):
+    _check_golden(tmp_path, capsys, *_pair_run("foliation", surface, field, nodes))
+
+
+@pytest.mark.parametrize("name,argv", MILNOR_RUNS, ids=[n for n, _ in MILNOR_RUNS])
+def test_milnor_matches_golden(tmp_path, capsys, name, argv):
+    _check_golden(tmp_path, capsys, name, argv)
+
+
+@pytest.mark.parametrize("name,argv", CSV_RUNS, ids=[n for n, _ in CSV_RUNS])
+def test_csv_matches_golden(tmp_path, capsys, name, argv):
+    _check_golden(tmp_path, capsys, name, argv)
 
 
 def regenerate(runs=RUNS):
     """Rewrite the golden reports of ``runs`` and their manifest entries."""
     GOLDEN_DIR.mkdir(exist_ok=True)
     codes = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
-    for run in runs:
-        name = _report_name(*run)
-        codes[name] = cli.main(_argv(*run, GOLDEN_DIR / name))
+    for name, argv in runs:
+        codes[name] = cli.main(argv + ["--out", str(GOLDEN_DIR / name)])
     MANIFEST.write_text(json.dumps(codes, indent=2) + "\n")
     return codes
 
