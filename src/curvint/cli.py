@@ -14,8 +14,13 @@ Exit codes: 0 success / all checks pass, 1 any check failed,
 
 Reports are byte-deterministic: identical configuration produces
 byte-identical output regardless of the worker count.  Wall-clock
-timings therefore go to stderr and the report's ``timings_ms`` field is
-always null.  Floats are printed with 17 significant digits.
+timings therefore go to stderr: every subcommand but ``list`` ends with a
+stderr summary that gives its wall time, and the report's ``timings_ms``
+field is always null.  Floats are printed with 17 significant digits.
+
+A usage error in the flags, the config file or the format exits 64 before
+any grid pass; only an unwritable ``--out`` shows after the run, when the
+report is written.
 """
 
 import argparse
@@ -143,18 +148,6 @@ def _write_report(text: str, out_path: str | None):
 # ---------------------------------------------------------------------------
 # configuration
 
-# The value flags of each subcommand.  The parser is built from this table
-# and a --config file may set exactly these keys, so a key the subcommand
-# does not read is a usage error in the file as on the command line.
-_FLAGS = {
-    "verify": ("surface", "field", "grid", "k", "tol", "abs-tol", "workers",
-               "out", "format"),
-    "compute": ("surface", "field", "grid", "k", "workers", "out", "format"),
-    "degree": ("surface", "grid", "workers", "out", "format"),
-    "milnor": ("surface", "grid", "workers", "out", "format"),
-    "foliation": ("surface", "field", "grid", "workers", "out", "format"),
-}
-
 _FLAG_HELP = {
     "surface": "catalog surface identifier",
     "field": "catalog field identifier",
@@ -168,7 +161,9 @@ _FLAG_HELP = {
 }
 
 
-def _read_config(path: str, command: str) -> dict:
+def _merge_config(args) -> None:
+    """Fill each value flag not given on the command line from ``--config``."""
+    path = args.config
     try:
         fh = open(path)
     except OSError as exc:
@@ -183,20 +178,13 @@ def _read_config(path: str, command: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _FLAGS[command]:
+            if key not in _COMMANDS[args.command][1]:
                 raise UsageError(
-                    f"{path}:{lineno}: unknown key {key!r} for {command}")
-            values[key] = val.strip()
-    return values
-
-
-def _resolve(args, config: dict, key: str, default=None):
-    cli_val = getattr(args, key.replace("-", "_"), None)
-    if cli_val is not None:
-        return cli_val
-    if key in config:
-        return config[key]
-    return default
+                    f"{path}:{lineno}: unknown key {key!r} for {args.command}")
+            values[key.replace("-", "_")] = val.strip()
+    for attr, val in values.items():
+        if getattr(args, attr) is None:
+            setattr(args, attr, val)
 
 
 def _parse_grid(text, dim: int) -> tuple[int, ...]:
@@ -234,8 +222,8 @@ def _parse_betti(text) -> tuple[int, ...]:
     return betti
 
 
-def _parse_workers(args, config) -> int:
-    val = _resolve(args, config, "workers")
+def _parse_workers(args) -> int:
+    val = args.workers
     if val is None:
         val = os.environ.get("CURVINT_WORKERS")
     if val is None:
@@ -249,10 +237,10 @@ def _parse_workers(args, config) -> int:
     return workers
 
 
-def _positive_float(args, config, key, default):
-    val = _resolve(args, config, key, default)
+def _positive_float(args, key, default):
+    val = getattr(args, key.replace("-", "_"))
     if val is None:
-        return None
+        return default
     try:
         out = float(val)
     except ValueError:
@@ -262,30 +250,20 @@ def _positive_float(args, config, key, default):
     return out
 
 
-def _get_surface(key: str):
-    try:
-        return catalog.get_surface(key)
-    except KeyError as exc:
-        raise UsageError(str(exc))
-
-
-def _get_field(key: str, surface):
-    try:
-        return catalog.get_field(key, surface)
-    except KeyError as exc:
-        raise UsageError(str(exc))
-
-
-def _setup(args, config, field=True):
+def _setup(args, field=True):
     """Catalog surface, its bound field (None unless ``field``) and grid."""
-    surface = _get_surface(_resolve(args, config, "surface"))
-    bound = None
-    if field:
-        field_key = _resolve(args, config, "field")
-        if field_key is None:
-            raise UsageError(f"{args.command} requires --field")
-        bound = _get_field(field_key, surface)
-    counts = _parse_grid(_resolve(args, config, "grid"), surface.dim)
+    if args.surface is None:
+        raise UsageError(f"{args.command} requires --surface")
+    try:
+        surface = catalog.get_surface(args.surface)
+        bound = None
+        if field:
+            if args.field is None:
+                raise UsageError(f"{args.command} requires --field")
+            bound = catalog.get_field(args.field, surface)
+    except KeyError as exc:
+        raise UsageError(str(exc))
+    counts = _parse_grid(args.grid, surface.dim)
     try:
         grid = QuadratureGrid.build(surface, counts)
     except (MemoryError, ValueError):  # numpy refuses the node array up front
@@ -305,53 +283,35 @@ def _header(surface, field, grid):
     return head
 
 
-def _degree_dict(deg):
-    return {"raw": deg.raw, "rounded": deg.rounded, "residual": deg.residual}
+def _pick(obj, names: str) -> dict:
+    """Attributes of ``obj`` in the order named; ``key=attr`` renames one."""
+    out = {}
+    for name in names.split():
+        key, _, attr = name.partition("=")
+        out[key] = getattr(obj, attr or key)
+    return out
 
 
-def _milnor_dict(rep):
-    return {
-        "d": rep.d,
-        "beta_sum": rep.beta_sum,
-        "parity_ok": rep.parity_ok,
-        "bound_ok": rep.bound_ok,
-        "oriented_bound_ok": rep.oriented_bound_ok,
-        "all_ok": rep.all_ok,
-    }
+_DEGREE_KEYS = "raw rounded residual"
+_MILNOR_KEYS = "d beta_sum parity_ok bound_ok oriented_bound_ok all_ok"
+_ETA_KEYS = ("k integral predicted abs_dev rel_dev pass=passed "
+             "est_err=estimated_error resolved")
+_FOLIATION_KEYS = ("samples max_defect max_rank rank_threshold integrable "
+                   "hypothesis degree_zero_concluded degree consistent note")
 
 
 def _foliation_dict(rep):
-    return {
-        "samples": rep.samples,
-        "max_defect": rep.max_defect,
-        "max_rank": rep.max_rank,
-        "rank_threshold": rep.rank_threshold,
-        "integrable": rep.integrable,
-        "hypothesis": rep.hypothesis,
-        "degree_zero_concluded": rep.degree_zero_concluded,
-        "degree": None if rep.degree is None else _degree_dict(rep.degree),
-        "consistent": rep.consistent,
-        "note": rep.note,
-    }
-
-
-def _finish(report: dict, args, config, default_format="json") -> None:
-    fmt = _resolve(args, config, "format", default_format)
-    if fmt not in ("json", "csv"):
-        raise UsageError(f"unknown format {fmt!r}")
-    if fmt == "csv":
-        if "eta" not in report:
-            raise UsageError("csv format is only available for verify/compute")
-        text = _eta_csv(report)
-    else:
-        text = _emit_json(report) + "\n"
-    _write_report(text, _resolve(args, config, "out"))
+    out = _pick(rep, _FOLIATION_KEYS)
+    if rep.degree is not None:
+        out["degree"] = _pick(rep.degree, _DEGREE_KEYS)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each but list returns (report, ok, summary); main appends
+# "version" to the report, writes it, and ends the summary with the wall time
 
-def cmd_list(args, config) -> int:
+def cmd_list(args) -> int:
     lines = []
     for key in catalog.surface_names():
         e = catalog.surface_entry(key)
@@ -365,13 +325,12 @@ def cmd_list(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, config) -> int:
-    t0 = time.perf_counter()
-    surface, field, grid = _setup(args, config)
-    workers = _parse_workers(args, config)
-    rel_tol = _positive_float(args, config, "tol", DEFAULT_REL_TOL)
-    abs_tol = _positive_float(args, config, "abs-tol", None)
-    ks = _parse_k(_resolve(args, config, "k"), surface.n_intrinsic)
+def cmd_verify(args):
+    surface, field, grid = _setup(args)
+    workers = _parse_workers(args)
+    rel_tol = _positive_float(args, "tol", DEFAULT_REL_TOL)
+    abs_tol = _positive_float(args, "abs-tol", None)
+    ks = _parse_k(args.k, surface.n_intrinsic)
 
     rep = verify_integral_formula(
         surface, field, grid, rel_tol=rel_tol, abs_tol=abs_tol,
@@ -390,48 +349,28 @@ def cmd_verify(args, config) -> int:
 
     report = {
         **_header(surface, field, grid),
-        "degree": _degree_dict(rep.degree),
-        "eta": [
-            {
-                "k": r.k,
-                "integral": r.integral,
-                "predicted": r.predicted,
-                "abs_dev": r.abs_dev,
-                "rel_dev": r.rel_dev,
-                "pass": r.passed,
-                "est_err": r.estimated_error,
-                "resolved": r.resolved,
-            }
-            for r in rep.rows
-        ],
-        "milnor": None if milnor is None else _milnor_dict(milnor),
+        "degree": _pick(rep.degree, _DEGREE_KEYS),
+        "eta": [_pick(r, _ETA_KEYS) for r in rep.rows],
+        "milnor": None if milnor is None else _pick(milnor, _MILNOR_KEYS),
         "foliation": _foliation_dict(fol),
         "timings_ms": None,
-        "version": __version__,
     }
-    _finish(report, args, config)
-
-    elapsed = 1000.0 * (time.perf_counter() - t0)
     ok = (rep.all_passed and rep.all_resolved
           and (milnor is None or milnor.all_ok) and fol.consistent)
-    for r in rep.rows:
-        status = "pass" if (r.passed and r.resolved) else "FAIL"
-        print(f"k={r.k}: integral={r.integral:.12g} predicted={r.predicted:.12g} "
-              f"dev={r.abs_dev:.3g} est_err={r.estimated_error:.3g} [{status}]",
-              file=sys.stderr)
-    print(f"degree {rep.degree.rounded} (residual {rep.degree.residual:.3g}); "
-          f"{'all checks passed' if ok else 'CHECKS FAILED'}; {elapsed:.0f} ms",
-          file=sys.stderr)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    lines = [f"k={r.k}: integral={r.integral:.12g} predicted={r.predicted:.12g} "
+             f"dev={r.abs_dev:.3g} est_err={r.estimated_error:.3g} "
+             f"[{'pass' if (r.passed and r.resolved) else 'FAIL'}]"
+             for r in rep.rows]
+    lines.append(f"degree {rep.degree.rounded} (residual {rep.degree.residual:.3g}); "
+                 f"{'all checks passed' if ok else 'CHECKS FAILED'};")
+    return report, ok, "\n".join(lines)
 
 
-def cmd_compute(args, config) -> int:
-    t0 = time.perf_counter()
-    surface, field, grid = _setup(args, config)
+def cmd_compute(args):
+    surface, field, grid = _setup(args)
     results = integrate_eta(surface, field, grid,
-                            k=_parse_k(_resolve(args, config, "k"),
-                                       surface.n_intrinsic),
-                            workers=_parse_workers(args, config))
+                            k=_parse_k(args.k, surface.n_intrinsic),
+                            workers=_parse_workers(args))
     report = {
         **_header(surface, field, grid),
         "eta": [
@@ -439,109 +378,92 @@ def cmd_compute(args, config) -> int:
             for k, r in sorted(results.items())
         ],
         "timings_ms": None,
-        "version": __version__,
     }
-    _finish(report, args, config)
-    print(f"computed {len(results)} integrals in "
-          f"{1000 * (time.perf_counter() - t0):.0f} ms", file=sys.stderr)
-    return EXIT_OK
+    return report, True, f"computed {len(results)} integrals in"
 
 
-def cmd_degree(args, config) -> int:
-    t0 = time.perf_counter()
-    surface, _, grid = _setup(args, config, field=False)
-    deg = gauss_degree(surface, grid, workers=_parse_workers(args, config))
+def cmd_degree(args):
+    surface, _, grid = _setup(args, field=False)
+    deg = gauss_degree(surface, grid, workers=_parse_workers(args))
     report = {
         **_header(surface, None, grid),
-        "degree": _degree_dict(deg),
+        "degree": _pick(deg, _DEGREE_KEYS),
         "timings_ms": None,
-        "version": __version__,
     }
-    _finish(report, args, config)
-    print(f"degree {deg.rounded} (residual {deg.residual:.3g}) in "
-          f"{1000 * (time.perf_counter() - t0):.0f} ms", file=sys.stderr)
-    return EXIT_OK
+    return report, True, f"degree {deg.rounded} (residual {deg.residual:.3g}) in"
 
 
-def cmd_milnor(args, config) -> int:
-    betti_arg = args.betti
-    d_arg = args.d
-    surface_key = _resolve(args, config, "surface")
-
-    if d_arg is None:
-        if surface_key is None:
+def cmd_milnor(args):
+    if args.d is None:
+        if args.surface is None:
             raise UsageError("milnor requires --d or --surface")
-        surface, _, grid = _setup(args, config, field=False)
-        if betti_arg is None:
+        surface, _, grid = _setup(args, field=False)
+        if args.betti is None:
             betti = surface.metadata.betti
             if betti is None:
                 raise UsageError("surface has no Betti data; pass --betti")
         else:
-            betti = _parse_betti(betti_arg)
-        d = gauss_degree(surface, grid,
-                         workers=_parse_workers(args, config)).rounded
+            betti = _parse_betti(args.betti)
+        d = gauss_degree(surface, grid, workers=_parse_workers(args)).rounded
     else:
         try:
-            d = int(d_arg)
+            d = int(args.d)
         except ValueError:
-            raise UsageError(f"bad degree {d_arg!r}")
-        if betti_arg is None:
+            raise UsageError(f"bad degree {args.d!r}")
+        if args.betti is None:
             raise UsageError("milnor with --d requires --betti")
-        betti = _parse_betti(betti_arg)
+        betti = _parse_betti(args.betti)
 
     rep = milnor_constraints(MilnorInput(d=d, betti=betti,
                                          oriented=not args.unoriented))
-    report = {
-        "d": d,
-        "betti": list(betti),
-        "milnor": _milnor_dict(rep),
-        "version": __version__,
-    }
-    _finish(report, args, config)
-    print("constraints " + ("hold" if rep.all_ok else "VIOLATED"),
-          file=sys.stderr)
-    return EXIT_OK if rep.all_ok else EXIT_CHECK_FAILED
+    report = {"d": d, "betti": list(betti), "milnor": _pick(rep, _MILNOR_KEYS)}
+    return report, rep.all_ok, f"constraints {'hold' if rep.all_ok else 'VIOLATED'} in"
 
 
-def cmd_foliation(args, config) -> int:
-    t0 = time.perf_counter()
-    surface, field, grid = _setup(args, config)
+def cmd_foliation(args):
+    surface, field, grid = _setup(args)
     rep = foliation_obstruction_report(
-        surface, field, grid, workers=_parse_workers(args, config))
-    report = {
-        **_header(surface, field, grid),
-        "foliation": _foliation_dict(rep),
-        "version": __version__,
-    }
-    _finish(report, args, config)
-    print(f"integrable={str(rep.integrable).lower()} "
-          f"max_defect={rep.max_defect:.3g} max_rank={rep.max_rank} in "
-          f"{1000 * (time.perf_counter() - t0):.0f} ms", file=sys.stderr)
-    return EXIT_OK if rep.consistent else EXIT_CHECK_FAILED
+        surface, field, grid, workers=_parse_workers(args))
+    report = {**_header(surface, field, grid), "foliation": _foliation_dict(rep)}
+    return report, rep.consistent, (
+        f"integrable={str(rep.integrable).lower()} "
+        f"max_defect={rep.max_defect:.3g} max_rank={rep.max_rank} in")
 
 
 # ---------------------------------------------------------------------------
+
+# Each subcommand's help text, value flags and handler.  The parser is built
+# from this table, and a --config file may set exactly the value flags, so a
+# key the subcommand does not read is a usage error in the file as on the
+# command line.
+_COMMON = ("workers", "out", "format")
+_COMMANDS = {
+    "list": ("list catalog surfaces and fields", (), cmd_list),
+    "verify": ("verify the invariant integral identity",
+               ("surface", "field", "grid", "k", "tol", "abs-tol", *_COMMON),
+               cmd_verify),
+    "compute": ("compute invariant integrals",
+                ("surface", "field", "grid", "k", *_COMMON), cmd_compute),
+    "degree": ("normal-map degree", ("surface", "grid", *_COMMON), cmd_degree),
+    "milnor": ("Betti constraints on the degree", ("surface", "grid", *_COMMON),
+               cmd_milnor),
+    "foliation": ("foliation obstruction report",
+                  ("surface", "field", "grid", *_COMMON), cmd_foliation),
+}
+
 
 @functools.cache  # built once per process: parse_args keeps no state on it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="curvint", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    helps = {
-        "verify": "verify the invariant integral identity",
-        "compute": "compute invariant integrals",
-        "degree": "normal-map degree",
-        "milnor": "Betti constraints on the degree",
-        "foliation": "foliation obstruction report",
-    }
-    sub.add_parser("list", help="list catalog surfaces and fields")
-    for command, keys in _FLAGS.items():
-        p = sub.add_parser(command, help=helps[command])
+    for command, (help_text, keys, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         for key in keys:
             choices = ("json", "csv") if key == "format" else None
             p.add_argument(f"--{key}", choices=choices, help=_FLAG_HELP[key])
-        p.add_argument("--config", help="key=value config file; flags win")
+        if keys:
+            p.add_argument("--config", help="key=value config file; flags win")
 
     p = sub.choices["milnor"]
     p.add_argument("--d", help="degree value (skips the surface run)")
@@ -551,28 +473,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_COMMANDS = {
-    "list": cmd_list,
-    "verify": cmd_verify,
-    "compute": cmd_compute,
-    "degree": cmd_degree,
-    "milnor": cmd_milnor,
-    "foliation": cmd_foliation,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler = _COMMANDS[args.command][2]
+    if args.command == "list":  # no report: the listing is the output
+        return handler(args)
     try:
-        config = {}
-        cfg_path = getattr(args, "config", None)
-        if cfg_path:
-            config = _read_config(cfg_path, args.command)
-        if args.command != "list" and args.command != "milnor":
-            if _resolve(args, config, "surface") is None:
-                raise UsageError(f"{args.command} requires --surface")
-        return _COMMANDS[args.command](args, config)
+        if args.config:
+            _merge_config(args)
+        fmt = args.format or "json"
+        if fmt not in ("json", "csv"):
+            raise UsageError(f"unknown format {fmt!r}")
+        if fmt == "csv" and args.command not in ("verify", "compute"):
+            raise UsageError("csv format is only available for verify/compute")
+        t0 = time.perf_counter()
+        report, ok, summary = handler(args)
+        report["version"] = __version__
+        _write_report(_eta_csv(report) if fmt == "csv" else _emit_json(report) + "\n",
+                      args.out)
+        print(f"{summary} {1000 * (time.perf_counter() - t0):.0f} ms", file=sys.stderr)
+        return EXIT_OK if ok else EXIT_CHECK_FAILED
     except UsageError as exc:
         print(f"curvint: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

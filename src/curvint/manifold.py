@@ -171,7 +171,6 @@ class GeometryBatch(NamedTuple):
     """
 
     jacobian: np.ndarray       # (B, q, p)
-    tangents: np.ndarray       # (B, p, q), the transpose of jacobian
     metric: np.ndarray         # (B, p, p)
     metric_chol: np.ndarray    # (p, p, B), metric = C C^T, C lower triangular
     volume_factor: np.ndarray  # (B,), |cross product| = sqrt(det metric)
@@ -414,9 +413,8 @@ def geometry_batch(
     sgn = float(surface.orientation_sign)
 
     J = _batch_last(chart.first_partials(U))  # (B, q, p)
-    tangents = np.swapaxes(J, -1, -2)
 
-    G = generalized_cross(tangents)  # (B, q)
+    G = generalized_cross(np.swapaxes(J, -1, -2))  # (B, q), over the p tangent rows
     Gnorm = np.sqrt(np.sum(G * G, axis=-1))
     g = np.einsum("xqa,xqb->xab", J, J)
     # product of the tangent norms, read off the metric diagonal
@@ -450,7 +448,7 @@ def geometry_batch(
         pt = U[int(np.argmin(np.isfinite(L).all(axis=(-2, -1))))]
         raise DegenerateImmersion(f"second partials not finite at u={pt.tolist()}")
 
-    return GeometryBatch(J, tangents, g, chol, Gnorm, normal, L, dc)
+    return GeometryBatch(J, g, chol, Gnorm, normal, L, dc)
 
 
 def tangent_coefficients(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:

@@ -2,6 +2,11 @@
 
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,6 +322,72 @@ def test_non_finite_tolerance_exits_64(tmp_path, capsys, flag, value):
     assert f"{flag} must be finite and positive" in err
 
 
+@pytest.mark.parametrize("argv,config", [
+    (("degree", "--surface", "sphere3", "--grid", "8", "--format", "csv"), None),
+    (("milnor", "--surface", "sphere3", "--grid", "8", "--format", "csv"), None),
+    (("foliation", "--surface", "sphere3", "--field", "hopf", "--grid", "8",
+      "--format", "csv"), None),
+    (("verify",), "surface=sphere3\nfield=hopf\ngrid=8\nformat=xml\n"),
+], ids=["degree-csv", "milnor-csv", "foliation-csv", "verify-config-xml"])
+def test_format_usage_error_before_any_pass(tmp_path, capsys, monkeypatch, argv, config):
+    """A format the subcommand cannot write exits 64 before any grid pass."""
+    def no_pass(*args, **kwargs):
+        raise AssertionError("grid pass ran before the format check")
+
+    for name in ("verify_integral_formula", "gauss_degree",
+                 "foliation_obstruction_report", "integrate_eta"):
+        monkeypatch.setattr(cli, name, no_pass)
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv += ("--config", str(cfg))
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    message = "unknown format 'xml'" if config else \
+        "csv format is only available for verify/compute"
+    assert err == f"curvint: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--surface", "torus2", "--field", "theta", "--grid", "16"),
+    ("compute", "--surface", "torus2", "--field", "theta", "--grid", "16"),
+    ("degree", "--surface", "torus2", "--grid", "16"),
+    ("milnor", "--surface", "torus2", "--grid", "16"),
+    ("milnor", "--d", "0", "--betti", "1,2,1"),
+    ("foliation", "--surface", "torus2", "--field", "theta", "--grid", "16"),
+], ids=["verify", "compute", "degree", "milnor-surface", "milnor-d", "foliation"])
+def test_stderr_summary_ends_with_wall_time(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out
+    assert re.search(r" \d+ ms$", err.splitlines()[-1])
+
+
+def test_usage_error_prints_only_its_error_line(capsys):
+    code, out, err = run(capsys, "degree", "--surface", "torus2", "--grid", "4")
+    assert code == 64 and out == ""
+    assert err == f"curvint: error: node counts must be >= {cli.MIN_NODES}\n"
+
+
+def test_entry_exit_status(capsys, monkeypatch):
+    for argv, status in ((["list"], 0), (["degree"], 64)):
+        monkeypatch.setattr(sys, "argv", ["curvint", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == status
+    capsys.readouterr()
+
+
+def test_module_entry_lists_the_catalog():
+    """``python -m curvint.cli list`` from a checkout, with src on the path."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-m", "curvint.cli", "list"], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    listed = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert listed == list(catalog.surface_names()) and len(listed) == 5
+
+
 def test_unwritable_out_exits_64(tmp_path, capsys):
     out_path = tmp_path / "missing" / "r.json"
     code, out, err = run(capsys, "degree", "--surface", "torus2",
@@ -349,9 +420,9 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     args = cli._build_parser().parse_args(["degree", "--surface", "torus2"])
-    assert cli._parse_workers(args, {}) == 1
+    assert cli._parse_workers(args) == 1
     monkeypatch.delattr(cli.os, "sched_getaffinity")
-    assert cli._parse_workers(args, {}) == 64
+    assert cli._parse_workers(args) == 64
 
 
 def test_out_file_written(tmp_path, capsys):

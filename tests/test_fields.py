@@ -394,8 +394,9 @@ def adjugate_field_form(surface, field, chart_index, U):
     geo = geometry_batch(surface, chart_index, U, coefficients=field.coefficients)
     raw, rawJ = field_batch(field, surface, geo, chart_index, U)
     rn, _, Pn = project_field_batch(raw, geo, U)
-    K = np.swapaxes(geo.tangents @ rawJ, -1, -2) + rn[:, None, None] * geo.second_form
-    s = geo.tangents @ raw[:, :, None]
+    tangents = np.swapaxes(geo.jacobian, -1, -2)
+    K = np.swapaxes(tangents @ rawJ, -1, -2) + rn[:, None, None] * geo.second_form
+    s = tangents @ raw[:, :, None]
     Kw = K @ (metric_inv(geo) @ s) / (Pn * Pn)[:, None, None]
     return (K - Kw * np.swapaxes(s, -1, -2)) / Pn[:, None, None]
 
