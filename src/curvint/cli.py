@@ -18,9 +18,8 @@ timings therefore go to stderr: every subcommand but ``list`` ends with a
 stderr summary that gives its wall time, and the report's ``timings_ms``
 field is always null.  Floats are printed with 17 significant digits.
 
-A usage error in the flags, the config file or the format exits 64 before
-any grid pass; only an unwritable ``--out`` shows after the run, when the
-report is written.
+A usage error in the flags, the config file, the format or the
+directory of ``--out`` exits 64 before any grid pass.
 """
 
 import argparse
@@ -134,6 +133,14 @@ def _eta_csv(report_dict) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _check_out(out_path: str):
+    """A usage error unless the report's directory exists and is writable;
+    the report file itself is neither created nor truncated here."""
+    folder = os.path.dirname(out_path) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise UsageError(f"cannot write {out_path}: {folder} is not a writable directory")
+
+
 def _write_report(text: str, out_path: str | None):
     if out_path:
         try:
@@ -155,7 +162,7 @@ _FLAG_HELP = {
     "k": 'invariant selection: "all" or e.g. 0,2',
     "tol": f"relative tolerance (default {DEFAULT_REL_TOL:g})",
     "abs-tol": "absolute tolerance (default 1e-6 * surface volume)",
-    "workers": "thread count (env CURVINT_WORKERS, default: CPUs this process may use)",
+    "workers": "worker process count (env CURVINT_WORKERS, default: CPUs this process may use)",
     "out": "report file (default: stdout)",
     "format": "report format (default json)",
 }
@@ -486,6 +493,8 @@ def main(argv=None) -> int:
             raise UsageError(f"unknown format {fmt!r}")
         if fmt == "csv" and args.command not in ("verify", "compute"):
             raise UsageError("csv format is only available for verify/compute")
+        if args.out:
+            _check_out(args.out)
         t0 = time.perf_counter()
         report, ok, summary = handler(args)
         report["version"] = __version__

@@ -23,9 +23,11 @@ each contraction (the metric, the second form) is one ``einsum`` whose
 output keeps the layout.  Catalog charts write their partials in
 this layout; ``geometry_batch`` copies partials of any other layout once
 (``_batch_last``), so results do not depend on the layout a chart
-returns.  Work on one block stays in few, long vector operations: two
-pool threads contend for the interpreter lock at every numpy call, so
-a kernel of many short calls gains little from the second thread.
+returns.  Work on one block stays in few, long vector operations, as
+every numpy call has a fixed cost of a few microseconds.  The grid
+passes run blocks in worker processes (``quadrature._run_blocks``):
+threads would contend for the interpreter lock at every numpy call, so a
+kernel of many short calls would gain little from a second thread.
 """
 
 import math
@@ -188,7 +190,7 @@ class Workspace:
     ``points`` points (a whole block or a partial last one) reuses it.  A
     view stays valid until the name is taken again, so only the kernel
     that took it may keep it, and only one thread may use a workspace at a
-    time (``quadrature`` hands them out).  The engine's kernels keep the
+    time (``quadrature`` keeps one per thread).  The engine's kernels keep the
     second form ``L``, a coordinate field's ``d2Fc`` and the field form
     ``K`` in it: 2 p^2 + p q float64 per point.
     """

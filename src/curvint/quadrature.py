@@ -7,15 +7,18 @@ whose rules are computed once per panel size and cached read-only.
 Grid nodes never touch the chart domain boundary, so coordinate
 degeneracies on the boundary are avoided.
 
-Point evaluations are independent and may be dispatched to a thread
-pool.  Every pass over a grid runs one kernel that returns values to
+Point evaluations are independent and may be dispatched to worker
+processes.  Every pass over a grid runs one kernel that returns values to
 integrate and per-point peaks.  The kernel is called once per block of
 ``BLOCK`` = 8192 points at every worker count, so that each call makes
-long vector operations and pool threads meet at the interpreter lock
-less often.  Each task takes a ``Workspace`` from a free list
-(``_workspace``) and gives it back after its block, while the list holds
-fewer than ``default_workers()``; the engine's kernels write their
-largest per-block arrays into it (see ``_integrate_vector``), so a block
+long vector operations.  The blocks of a grid and of its half-resolution
+companion go out as one task list (``_integrate_grids``); above
+``FORK_POINTS`` points, ``_run_blocks`` forks worker processes for it,
+each of which sends back only the sums and peaks of its blocks.  Threads
+would meet at the interpreter lock at every numpy call, and two of them
+ran the block kernel hardly faster than one.  Each thread keeps one
+``Workspace`` (``_workspace``), which forked children inherit; the
+engine's kernels write their largest per-block arrays into it, so a block
 does not free memory that the next one allocates again.  The nodes and
 weights of a block are gathered from the per-axis rules when it runs;
 the whole grid is never built.  The weighted values of every block are
@@ -37,8 +40,9 @@ import contextlib
 import functools
 import math
 import os
+import pickle
+import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +56,13 @@ from .manifold import ChartedHypersurface, Workspace, geometry_batch
 
 BLOCK = 8192  # points per kernel call and exact sum; fixed, as it shapes the sum tree
 
-# Workspaces of finished tasks, for the next task to reuse: never more than
-# the default worker count (``_workspace``).
-_FREE: list[Workspace] = []
-_FREE_LOCK = threading.Lock()
+# Points of one dispatch above which its blocks go to forked worker
+# processes: the crossover measured on sphere3 eta passes (CHANGES.md).
+# Below it, the fork and the copy-on-write faults that it brings on in
+# both processes cost more than the second process gains.
+FORK_POINTS = 7 * BLOCK
+
+_LOCAL = threading.local()  # each thread's workspace; a forked child inherits it
 
 _GL_PANEL = 16
 
@@ -213,53 +220,123 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _share(tasks, worker) -> list:
+    """``worker(t)`` for the tasks in order, up to the first that raises."""
+    out = []
+    for task in tasks:
+        try:
+            out.append(worker(task))
+        except Exception:  # _run_blocks runs the task again, to raise it
+            break
+    return out
+
+
+def _fork(tasks, worker):
+    """Fork a child that runs ``_share(tasks, worker)``, writes its results
+    pickled to a pipe and exits; return its pid and the pipe's read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # the child: it never returns from here
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pickle.dump(_share(tasks, worker), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
 def _run_blocks(tasks, worker, workers):
-    # one task gains nothing from a pool and would pay for starting it
-    if workers is not None and workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(worker, tasks))
-    return [worker(t) for t in tasks]
+    """``[worker(t) for t in tasks]``, on up to ``workers`` processes.
+
+    With ``procs = min(workers, len(tasks), default_workers())`` above 1,
+    this process runs the tasks ``0::procs`` and each of ``procs - 1``
+    forked children the tasks ``k::procs``, sending back only its results
+    through a pipe.  Each share stops at its first failing task.  Once
+    every child is reaped, the tasks left without a result run here in
+    task order, so the first failing task raises its own error, as with
+    one worker; a share whose fork failed or whose child died is computed
+    here too.  Anything raised before that (a ``KeyboardInterrupt``, say)
+    kills and reaps the children first.  Tasks run inline where there is
+    no ``os.fork`` or another thread is alive: a child would inherit only
+    the forking thread, and maybe a lock that another one held.
+    """
+    procs = min(workers or 1, len(tasks), default_workers())
+    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [worker(t) for t in tasks]
+    live = {}  # share -> (pid, pipe) of each child not yet reaped
+    try:
+        for k in range(1, procs):
+            with contextlib.suppress(OSError):  # not forked: the share runs below
+                live[k] = _fork(tasks[k::procs], worker)
+        shares = {0: _share(tasks[0::procs], worker)}
+        for k in list(live):
+            pid, pipe = live[k]
+            with pipe:
+                data = pipe.read()
+            del live[k]
+            shares[k] = pickle.loads(data) if os.waitpid(pid, 0)[1] == 0 else []
+    except BaseException:
+        for pid, pipe in live.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    parts = [None] * len(tasks)
+    for k, results in shares.items():
+        for i, part in zip(range(k, len(tasks), procs), results):
+            parts[i] = part
+    return [worker(t) if part is None else part for t, part in zip(tasks, parts)]
 
 
 @contextlib.contextmanager
 def _workspace():
-    """A workspace from the free list, or a new one; put back after use
-    only while the list holds fewer than ``default_workers()``."""
-    with _FREE_LOCK:
-        ws = _FREE.pop() if _FREE else Workspace(BLOCK)
+    """The calling thread's workspace, made on first use.  While a block
+    holds it, a pass that the block's user callable runs makes its own."""
+    ws = getattr(_LOCAL, "ws", None) or Workspace(BLOCK)
+    _LOCAL.ws = None
     try:
         yield ws
     finally:
-        keep = default_workers()
-        with _FREE_LOCK:
-            if len(_FREE) < keep:
-                _FREE.append(ws)
+        _LOCAL.ws = ws
 
 
-def _integrate_vector(surface, func, grid, workers):
-    """Sums and maxima of one pass over the grid.
+def _integrate_grids(surface, func, grids, workers):
+    """Sums and maxima of one pass over each grid, in one dispatch.
 
     ``func(ci, U, ws)`` returns the (B, m) values, the (B,) volume factor
     of the geometry it evaluated and (B, j) peaks.  It is called once per
-    block of BLOCK points, whatever the worker count, with the task's
-    ``Workspace`` ``ws``, which it passes to the engine's kernels only
-    (``geometry_batch``, ``chart_forms_batch``), never to a user's
+    block of BLOCK points, whatever the worker count, with the calling
+    thread's ``Workspace`` ``ws``, which it passes to the engine's kernels
+    only (``geometry_batch``, ``chart_forms_batch``), never to a user's
     callable.  They keep in it the second form, d2F c and K: 2 p^2 + p q
-    float64 per point, 30 for p = 3, that is about 2.0 MB per worker for
+    float64 per point, 30 for p = 3, that is about 2.0 MB per process for
     a BLOCK-point workspace.  Values are weighted by volume factor and
     quadrature weight, each row of a block summed exactly rounded, and the
-    blocks combined by a pairwise tree; peaks are reduced by max.
-    A ``CurvintError`` gets the prefix ``chart {ci}:``; the error raised is
-    that of the first failing block.  Returns the (m,) sums and the (j,)
-    maxima, whose bits do not depend on the worker count.
+    blocks of each grid combined by a pairwise tree; peaks are reduced by
+    max.  The blocks of all grids are one task list for ``_run_blocks``,
+    on ``workers`` processes when the grids hold more than ``FORK_POINTS``
+    points together, else inline.  A ``CurvintError`` gets the prefix
+    ``chart {ci}:``; the error raised is that of the first failing block.
+    Returns the (m,) sums and the (j,) maxima of each grid, whose bits do
+    not depend on the worker count.
     """
-    _check_grid(surface, grid)
-    tasks = [(ci, start) for ci, cg in enumerate(grid.charts)
-             for start in range(0, cg.size, BLOCK)]
+    for grid in grids:
+        _check_grid(surface, grid)
+    tasks = [(g, ci, start) for g, grid in enumerate(grids)
+             for ci, cg in enumerate(grid.charts) for start in range(0, cg.size, BLOCK)]
 
     def worker(task):
-        ci, start = task
-        U, weights = grid.charts[ci].span(start, start + BLOCK)
+        g, ci, start = task
+        U, weights = grids[g].charts[ci].span(start, start + BLOCK)
         with _workspace() as ws:
             try:
                 vals, volf, peaks = func(ci, U, ws)
@@ -269,9 +346,20 @@ def _integrate_vector(surface, func, grid, workers):
             terms = np.multiply(vals.T, wf * weights * volf, order="C")  # (m, B)
             return exact_row_sums(terms), np.max(peaks, axis=0)
 
-    parts = _run_blocks(tasks, worker, workers)
-    sums = np.atleast_1d(tree_reduce_compensated([s for s, _ in parts]))
-    return sums, np.max([p for _, p in parts], axis=0)
+    points = sum(grid.total_points for grid in grids)
+    parts = _run_blocks(tasks, worker, workers if points > FORK_POINTS else 1)
+    out = []
+    for g in range(len(grids)):
+        mine = [part for task, part in zip(tasks, parts) if task[0] == g]
+        out.append((np.atleast_1d(tree_reduce_compensated([s for s, _ in mine])),
+                    np.max([p for _, p in mine], axis=0)))
+    return out
+
+
+def _integrate_vector(surface, func, grid, workers):
+    """The (m,) sums and (j,) maxima of one pass over one grid
+    (``_integrate_grids``)."""
+    return _integrate_grids(surface, func, (grid,), workers)[0]
 
 
 def integrate(
@@ -292,8 +380,10 @@ def integrate(
     grid : QuadratureGrid
         Built for this surface via ``QuadratureGrid.build``.
     workers : int, optional
-        Thread count for block dispatch; the result bits do not depend on
-        it.
+        Process count for block dispatch; the result bits do not depend
+        on it.  Above ``FORK_POINTS`` points, some batches then run in
+        forked processes, whose side effects the caller does not see, and
+        the first failing batch runs once more in the calling process.
 
     Returns
     -------
@@ -305,8 +395,8 @@ def integrate(
         geo = geometry_batch(surface, ci, U, second=False, ws=ws)
         return vals, geo.volume_factor, np.empty((len(U), 0))
 
-    (value,), _ = _integrate_vector(surface, vec, grid, workers)
-    (half,), _ = _integrate_vector(surface, vec, grid.half(surface), workers)
+    ((value,), _), ((half,), _) = _integrate_grids(
+        surface, vec, (grid, grid.half(surface)), workers)
     return IntegralResult(
         value=float(value),
         nodes=grid.total_points,
@@ -338,8 +428,9 @@ def _eta_integrals(surface, field, grid, workers):
         np.divide(eta.T, det_g, out=vals[1:])
         return vals.T, volume_factor, np.empty((len(U), 0))
 
-    return (_integrate_vector(surface, func, grid, workers)[0],
-            _integrate_vector(surface, func, grid.half(surface), workers)[0])
+    (values, _), (halves, _) = _integrate_grids(
+        surface, func, (grid, grid.half(surface)), workers)
+    return values, halves
 
 
 def integrate_eta(

@@ -70,7 +70,8 @@ def test_verify_torus2(capsys):
 
 @pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)
 def test_json_byte_identical_across_workers(tmp_path, capsys, skey, fkey):
-    # several 4096-point blocks, so the workers really split the grid
+    # several blocks, but below FORK_POINTS, so they run inline at every
+    # worker count; criterion 9 compares forked passes at the default grid
     grid = "96,96" if skey == "torus2" else "24,24,24"
     p1 = tmp_path / "w1.json"
     p8 = tmp_path / "w8.json"
@@ -388,12 +389,19 @@ def test_module_entry_lists_the_catalog():
     assert listed == list(catalog.surface_names()) and len(listed) == 5
 
 
-def test_unwritable_out_exits_64(tmp_path, capsys):
+def test_unwritable_out_exits_64(tmp_path, capsys, monkeypatch):
+    """A report directory that does not exist is a usage error before any
+    grid pass, and nothing is created."""
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a grid pass ran")
+
+    monkeypatch.setattr(cli, "gauss_degree", no_pass)
     out_path = tmp_path / "missing" / "r.json"
     code, out, err = run(capsys, "degree", "--surface", "torus2",
                          "--grid", "16,16", "--out", str(out_path))
     assert code == 64 and out == ""
     assert f"curvint: error: cannot write {out_path}: " in err
+    assert not out_path.parent.exists()
 
 
 def test_missing_config_exits_64(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Field projection, adapted frames, and derivative components."""
 
 import dataclasses
+import os
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -310,47 +313,63 @@ def test_span_kernel_memory_over_a_workspace(surfaces, skey, fkey):
 
 
 def _workspace_buffers():
-    return {(id(ws), name, buf.ctypes.data)
-            for ws in curvint.quadrature._FREE for name, buf in ws._flat.items()}
+    ws = curvint.quadrature._LOCAL.ws
+    return {(name, buf.ctypes.data) for name, buf in ws._flat.items()}
 
 
-def test_second_pass_reuses_the_workspace(surfaces, monkeypatch):
-    """A pass returns its workspace to the free list, and the next pass
-    runs in the same buffers (same data pointers), full and half grid."""
-    monkeypatch.setattr(curvint.quadrature, "_FREE", [])
+def test_each_thread_reuses_its_workspace(surfaces, monkeypatch):
+    """A pass leaves the calling thread its workspace, and the next passes
+    run in the same buffers (same data pointers), full and half grid;
+    another thread runs in buffers of its own."""
+    monkeypatch.setattr(curvint.quadrature, "_LOCAL", threading.local())
     surface = surfaces["sphere3"]
     field = cv.get_field("hopf", surface)
     grid = QuadratureGrid.build(surface, 24)
     cv.integrate_eta(surface, field, grid, workers=1)
     first = _workspace_buffers()
-    assert {name for _, name, _ in first} == {"L", "d2Fc", "K"}
+    assert {name for name, _ in first} == {"L", "d2Fc", "K"}
     cv.verify_integral_formula(surface, field, grid, workers=1)
     cv.gauss_degree(surface, grid, workers=1)
     assert _workspace_buffers() == first
 
+    def other_thread():
+        cv.integrate_eta(surface, field, grid, workers=1)
+        return _workspace_buffers()
 
-def test_free_list_holds_at_most_the_largest_worker_count(surfaces, monkeypatch):
-    """After each pass the free list holds distinct workspaces, at least one
-    and no more than the default worker count (set to 2 here), also after
-    a pass at 8 workers; with more workers than cores and a short switch
-    interval, no two tasks share one (a lost update would give two tasks
-    one workspace, and other bits)."""
-    monkeypatch.setattr(curvint.quadrature, "_FREE", [])
-    monkeypatch.setattr(curvint.quadrature, "default_workers", lambda: 2)
+    with ThreadPoolExecutor(1) as ex:
+        other = ex.submit(other_thread).result(timeout=60)
+    assert len(other) == 3 and not {p for _, p in other} & {p for _, p in first}
+
+
+def test_user_threads_get_the_serial_bits_and_fork_nothing(surfaces, monkeypatch):
+    """Two user threads that run integrate_eta at once, at 2 workers above
+    the fork threshold, get the bits of a one-worker run and fork nothing:
+    a child would inherit only the forking thread.  A short switch
+    interval makes the threads interleave their blocks."""
     surface = surfaces["sphere3"]
     field = cv.get_field("hopf", surface)
-    grid = QuadratureGrid.build(surface, 48)  # 14 blocks, and 2 for the half grid
+    grid = QuadratureGrid.build(surface, 48)
+    assert grid.total_points > curvint.quadrature.FORK_POINTS
     want = repr(cv.integrate_eta(surface, field, grid, workers=1))
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    start = threading.Barrier(2)
+
+    def run():
+        start.wait(timeout=60)
+        return repr(cv.integrate_eta(surface, field, grid, workers=2))
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for workers in (8, 2, 3):
-            assert repr(cv.integrate_eta(surface, field, grid, workers=workers)) == want
-            free = curvint.quadrature._FREE
-            assert 1 <= len(free) <= 2
-            assert len({id(ws) for ws in free}) == len(free)
+        with ThreadPoolExecutor(2) as ex:
+            got = [f.result(timeout=60) for f in [ex.submit(run) for _ in range(2)]]
     finally:
         sys.setswitchinterval(interval)
+    assert got == [want, want]
 
 
 @pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)

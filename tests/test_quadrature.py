@@ -1,7 +1,9 @@
 """Grid construction, volumes, refinement, and reduction determinism."""
 
 import dataclasses
+import errno
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import curvint as cv
 import curvint.fields
 import curvint.quadrature
 from curvint._reduction import exact_row_sums
-from curvint.quadrature import BLOCK, QuadratureGrid
+from curvint.quadrature import BLOCK, FORK_POINTS, QuadratureGrid
 from conftest import CATALOG_PAIRS
 
 
@@ -210,20 +212,150 @@ def test_error_carries_chart_point(surfaces):
         cv.integrate(surface, bad, QuadratureGrid.build(surface, 8))
 
 
-def test_one_block_pass_starts_no_pool(surfaces, monkeypatch):
-    """A pass with one block runs inline, whatever the worker count."""
-    def no_pool(*args, **kwargs):
-        raise AssertionError("thread pool started for a one-block pass")
+def _no_fork():
+    raise AssertionError("os.fork called")
 
-    monkeypatch.setattr(curvint.quadrature, "ThreadPoolExecutor", no_pool)
+
+def _counting_fork(monkeypatch):
+    """Count the calls of os.fork, which still forks; return the count list."""
+    calls, fork = [], os.fork
+
+    def counting():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pass_below_the_threshold_does_not_fork(surfaces, monkeypatch):
+    """A dispatch of at most FORK_POINTS points runs inline, whatever the
+    worker count: torus2 at 128 x 128 with its half grid (20480 points)."""
+    monkeypatch.setattr(os, "fork", _no_fork)
     surface = surfaces["torus2"]
-    grid = QuadratureGrid.build(surface, 16)  # 256 points: one block
+    grid = QuadratureGrid.build(surface, 128)
+    assert grid.total_points + grid.half(surface).total_points <= FORK_POINTS
+    res = cv.integrate(surface, ones, grid, workers=4)
+    assert res.value == pytest.approx(8.0 * np.pi**2, rel=1e-12)
 
-    def func(ci, U, ws):
-        return np.ones((len(U), 1)), np.ones(len(U)), np.zeros((len(U), 1))
 
-    (total,), _ = curvint.quadrature._integrate_vector(surface, func, grid, 4)
-    assert total == pytest.approx(4.0 * np.pi**2, rel=1e-14)
+def test_fork_count_is_capped(monkeypatch):
+    """A dispatch forks at most min(workers, tasks, default_workers()) - 1
+    children, however many workers it is asked for, and a share whose fork
+    fails runs in the calling process.  The fork here counts its calls and
+    fails, so the test starts no process."""
+    calls = []
+
+    def failing_fork():
+        calls.append(1)
+        raise OSError(errno.EAGAIN, "no fork in this test")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(curvint.quadrature, "default_workers", lambda: 3)
+    for tasks, workers, forks in ((5, 10000, 2), (2, 10000, 1), (5, 2, 1), (1, 10000, 0)):
+        calls.clear()
+        got = curvint.quadrature._run_blocks(list(range(tasks)), lambda t: t * t, workers)
+        assert got == [t * t for t in range(tasks)]
+        assert len(calls) == forks
+
+
+def _torus_above_the_threshold(surface):
+    """A torus2 grid of whole 128-row blocks whose pass (with or without
+    its half grid) forks; block b starts at theta row 128 b."""
+    grid = QuadratureGrid.build(surface, (128 * (FORK_POINTS // BLOCK + 1), 64))
+    assert grid.total_points > FORK_POINTS
+    return grid, grid.charts[0].rules[0].nodes[::128]
+
+
+@pytest.mark.parametrize("failing", [(1, 2), (2, 3)])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_forked_pass_raises_the_first_failing_block(surfaces, monkeypatch, workers, failing):
+    """Two blocks of a pass above the threshold fail with different
+    messages, and the lower block's error is raised at every worker count:
+    at 2 workers, (1, 2) has it in the child and (2, 3) in this process.
+    The pass forks workers - 1 children and leaves none."""
+    monkeypatch.setattr(curvint.quadrature, "default_workers", lambda: 3)
+    forks = _counting_fork(monkeypatch)
+    surface = surfaces["torus2"]
+    grid, starts = _torus_above_the_threshold(surface)
+
+    def integrand(ci, U):
+        for b in failing:
+            if U[0, 0] == starts[b]:
+                raise cv.DegenerateImmersion(f"block {b}")
+        return np.ones(len(U))
+
+    with pytest.raises(cv.DegenerateImmersion, match=rf"^chart 0: block {failing[0]}$"):
+        cv.integrate(surface, integrand, grid, workers=workers)
+    assert len(forks) == workers - 1
+    _assert_no_child()
+
+
+def test_interrupt_in_a_forked_pass_reaps_the_children(surfaces, monkeypatch):
+    """A KeyboardInterrupt in this process's own share of a forked pass
+    kills and reaps the children before it propagates."""
+    surface = surfaces["torus2"]
+    grid, _ = _torus_above_the_threshold(surface)
+    parent = os.getpid()
+
+    def integrand(ci, U):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return np.ones(len(U))
+
+    forks = _counting_fork(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        cv.integrate(surface, integrand, grid, workers=2)
+    assert forks
+    _assert_no_child()
+
+
+def test_share_of_a_dead_child_runs_here(surfaces):
+    """A child that dies without sending its results (here it exits at its
+    first block) leaves its share to this process: the pass gives the bits
+    of one worker."""
+    surface = surfaces["torus2"]
+    grid, _ = _torus_above_the_threshold(surface)
+    parent = os.getpid()
+
+    def integrand(ci, U):
+        if os.getpid() != parent:
+            os._exit(3)
+        return np.cos(U[:, 0]) ** 2
+
+    want = repr(cv.integrate(surface, integrand, grid, workers=1))
+    assert repr(cv.integrate(surface, integrand, grid, workers=2)) == want
+    _assert_no_child()
+
+
+def test_forked_passes_keep_the_bits(surfaces, monkeypatch):
+    """sphere3/hopf at 48^3, above the threshold: verify, integrate and
+    the degree give the bits of one worker at 2 and 3 processes, which
+    fork 1 and 2 children per pass, and leave no child."""
+    monkeypatch.setattr(curvint.quadrature, "default_workers", lambda: 3)
+    surface = surfaces["sphere3"]
+    field = cv.get_field("hopf", surface)
+    grid = QuadratureGrid.build(surface, 48)
+    assert grid.total_points > FORK_POINTS
+
+    def reports(workers):
+        return repr((cv.verify_integral_formula(surface, field, grid, workers=workers),
+                     cv.integrate(surface, ones, grid, workers=workers),
+                     cv.gauss_degree(surface, grid, workers=workers)))
+
+    forks = _counting_fork(monkeypatch)
+    want = reports(1)
+    assert not forks
+    assert reports(2) == want
+    assert len(forks) == 3
+    assert reports(3) == want
+    assert len(forks) == 3 + 6
+    _assert_no_child()
 
 
 def _all_reports(surfaces, workers):
@@ -269,7 +401,7 @@ def test_span_error_is_the_first_failing_block(surfaces):
     vanishes on another.  In one block the kernel checks the chart first,
     so the pass names the chart's point; over two blocks the earlier
     block's error wins.  Each names chart 0 and the failing point, with
-    the same message at one worker as with a pool."""
+    the same message at every worker count."""
     base = surfaces["torus2"].charts[0]
     cases = [((128, 64), 100, 10, cv.DegenerateImmersion, "rank-deficient", 100),  # one block
              ((256, 64), 200, 10, cv.VanishingField, "vanishes", 10)]  # two blocks
@@ -326,13 +458,33 @@ def test_integrand_views_of_its_own_calls_keep_their_bits(surfaces):
                     == (want.value.hex(), want.estimated_error.hex()))
 
 
+def test_pass_inside_a_user_field_keeps_the_bits(surfaces):
+    """A user field whose callable runs a grid pass of its own, while the
+    block that called it holds the thread's workspace, gives the bits of
+    the same field without it: the inner pass makes a workspace of its own."""
+    surface = surfaces["sphere3"]
+    hopf = cv.get_field("hopf", surface)
+    inner = QuadratureGrid.build(surface, 8)
+    plain = cv.TangentField(ambient_value=hopf.ambient_value,
+                            ambient_jacobian=hopf.ambient_jacobian, key="hopf")
+
+    def value(ci, U):
+        cv.integrate_eta(surface, hopf, inner)
+        return hopf.ambient_value(ci, U)
+
+    nesting = dataclasses.replace(plain, ambient_value=value)
+    grid = QuadratureGrid.build(surface, 16)
+    assert (repr(cv.integrate_eta(surface, nesting, grid))
+            == repr(cv.integrate_eta(surface, plain, grid)))
+
+
 def test_calls_outside_a_pass_return_fresh_arrays(surfaces):
-    """After a pass has left workspaces on the free list, two successive
+    """After a pass has left the thread its workspace, two successive
     public calls share no memory: only a pass's kernels take a workspace."""
     surface = surfaces["sphere3"]
     field = cv.get_field("hopf", surface)
     cv.integrate_eta(surface, field, QuadratureGrid.build(surface, 24), workers=2)
-    assert curvint.quadrature._FREE
+    assert curvint.quadrature._LOCAL.ws is not None
     U = QuadratureGrid.build(surface, 24).charts[0].span(0, BLOCK)[0]
     calls = (lambda V: curvint.quadrature.geometry_batch(surface, 0, V,
                                                          coefficients=field.coefficients),
