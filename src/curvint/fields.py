@@ -22,12 +22,12 @@ Layout: field values, their derivatives and the chart forms keep their
 (B, ...) shapes but are stored batch-last, like the block geometry
 (``manifold``): each matrix entry is one contiguous (B,) vector, and each
 contraction is one ``einsum`` whose output keeps that layout.  The sums
-``<raw, N>``, ``K w`` and a coordinate field's ``J c`` and ``d2F c`` are
-taken in entry order instead: for a block of one point einsum would sum
-that lone contiguous axis in another order, and a point is to get the
-same bits alone as in a block.  A field that returns another layout is
-copied once, so the forms' bits depend only on the values a field
-returns.
+``<raw, N>``, ``|P|``, ``K w`` and a coordinate field's ``J c`` and
+``d2F c`` are taken in entry order instead: for a block of one point
+einsum would sum that lone contiguous axis in another order, and a point
+is to get the same bits alone as in a block.  A field that returns
+another layout is copied once, so the forms' bits depend only on the
+values a field returns.
 """
 
 from dataclasses import dataclass
@@ -96,35 +96,40 @@ def field_batch(
     geo: GeometryBatch,
     chart_index: int,
     U: np.ndarray,
-    jacobian: bool = True,
+    form: bool = True,
+    ws: manifold.Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Raw field values (B, q) and their parameter derivatives (B, q, p).
+    """Raw field values (B, q) and the field form ``(d raw)^T J`` (B, p, p).
 
     The one place a pass evaluates a field.  A coordinate field is read off
-    the block's chart partials (its derivative is the ``field_jacobian`` of
-    geometry evaluated with ``second=True`` and the field's coefficients,
-    else ValueError); any other field calls ``ambient_value`` and
+    the block's chart partials (its form is the ``field_form`` of geometry
+    evaluated with ``second=True`` and the field's coefficients, else
+    ValueError); any other field calls ``ambient_value`` and
     ``ambient_jacobian`` once each, or takes finite differences of the value
-    when it has no jacobian.  Both come back batch-last (a field's own
-    arrays are copied once when they are not): einsum's summation order,
-    and so the bits, follow the strides.  The derivative is None when
-    ``jacobian`` is False.
+    when it has no jacobian, and contracts the derivatives with J into the
+    workspace's buffer ``K`` when ``ws`` is given.  Values and derivatives
+    are batch-last (a field's own arrays are copied once when they are
+    not): einsum's summation order, and so the bits, follow the strides.
+    The form is None when ``form`` is False.
     """
     if field.coefficients is not None:
-        if jacobian and geo.field_jacobian is None:
+        if form and geo.field_form is None:
             raise ValueError("a coordinate field's derivative needs the geometry "
                              "evaluated with second=True and its coefficients")
         raw = manifold._dot_last(geo.jacobian, np.asarray(field.coefficients, dtype=float))
-        return raw, geo.field_jacobian if jacobian else None
+        return raw, geo.field_form if form else None
     raw = manifold._batch_last(field.ambient_value(chart_index, U))
-    if not jacobian:
+    if not form:
         return raw, None
     if field.ambient_jacobian is not None:
-        return raw, manifold._batch_last(field.ambient_jacobian(chart_index, U))
-    chart = surface.charts[chart_index]
-    fd = partial_stack(lambda V: np.asarray(field.ambient_value(chart_index, V)),
-                       chart.lo, chart.hi)
-    return raw, manifold._batch_last(fd(U))
+        rawJ = field.ambient_jacobian(chart_index, U)
+    else:
+        chart = surface.charts[chart_index]
+        rawJ = partial_stack(lambda V: np.asarray(field.ambient_value(chart_index, V)),
+                             chart.lo, chart.hi)(U)
+    B, q, p = geo.jacobian.shape
+    return raw, np.einsum("xqa,xqb->xab", manifold._batch_last(rawJ), geo.jacobian,
+                          out=manifold._empty(ws, "K", B, p, p))
 
 
 @dataclass(frozen=True)
@@ -175,18 +180,33 @@ def _check_field_allowed(surface: ChartedHypersurface):
         )
 
 
-def project_field_batch(
+def _tangential_norm(
     raw: np.ndarray, geo: GeometryBatch, U: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normal component, tangential part and its norm of raw field values."""
-    rn = np.sum(raw * geo.normal, axis=-1)  # entry order for any B (module docstring)
-    P = raw - rn[:, None] * geo.normal
-    Pn = np.sqrt(np.sum(P * P, axis=-1))
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normal component ``rn`` of raw field values and the norm of their
+    tangential part ``raw - rn N``, which is formed one entry at a time,
+    in entry order (module docstring), and not kept."""
+    N = geo.normal
+    rn = np.sum(raw * N, axis=-1)
+    sq = None
+    for i in range(N.shape[1]):
+        d = raw[:, i] - rn * N[:, i]
+        d *= d
+        sq = d if sq is None else np.add(sq, d, out=sq)
+    Pn = np.sqrt(sq, out=sq)
     ok = Pn >= _VANISHING_TOL  # a NaN value counts as vanishing
     if not ok.all():
         pt = np.asarray(U)[int(np.argmin(ok))]
         raise VanishingField(f"tangential part of field vanishes at u={pt.tolist()}")
-    return rn, P, Pn
+    return rn, Pn
+
+
+def project_field_batch(
+    raw: np.ndarray, geo: GeometryBatch, U: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normal component, tangential part and its norm of raw field values."""
+    rn, Pn = _tangential_norm(raw, geo, U)
+    return rn, raw - rn[:, None] * geo.normal, Pn
 
 
 def normalize_and_project(
@@ -196,7 +216,7 @@ def normalize_and_project(
     _check_field_allowed(surface)
     U, single = manifold._as_batch(u)
     geo = geometry_batch(surface, chart_index, U, second=False)
-    raw, _ = field_batch(field, surface, geo, chart_index, U, jacobian=False)
+    raw, _ = field_batch(field, surface, geo, chart_index, U, form=False)
     _, P, Pn = project_field_batch(raw, geo, U)
     v = P / Pn[:, None]
     return v[0] if single else v
@@ -209,37 +229,38 @@ def _chart_forms(
     U: np.ndarray,
     ws: manifold.Workspace | None = None,
 ) -> tuple[GeometryBatch, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Geometry, tangential field part P and its norm, the form D, and w.
+    """Geometry, raw field values, the norm |P| of their tangential part,
+    the form D, and w.
 
     The one place the field derivative is computed (h is
     ``-geo.second_form``); see ``chart_forms_batch`` for the forms,
     ``_reduced_a`` and ``shape_data_batch`` for their orthonormal
-    components.  ``w = g^-1 s / |P|`` (B, p), batch-last, are the chart
-    coordinates of v.  With a workspace ``ws`` the geometry's forms and D
-    are its buffers (``manifold.geometry_batch``).
+    components.  P itself is not formed.  ``w = g^-1 s / |P|`` (B, p),
+    batch-last, are the chart coordinates of v.  With a workspace ``ws``
+    the geometry's forms and D are its buffers (``manifold.geometry_batch``).
     """
     _check_field_allowed(surface)
     U = np.asarray(U, dtype=float)
     geo = geometry_batch(surface, chart_index, U, coefficients=field.coefficients, ws=ws)
-    raw, rawJ = field_batch(field, surface, geo, chart_index, U)
-    rn, P, Pn = project_field_batch(raw, geo, U)
-
+    raw, K = field_batch(field, surface, geo, chart_index, U, ws=ws)  # K = (d raw)^T J
+    rn, Pn = _tangential_norm(raw, geo, U)
+    geo = geo._replace(field_form=None)  # K is D's array
     L = geo.second_form
-    B, p = L.shape[:2]
-    K = np.einsum("xqa,xqb->xab", rawJ, geo.jacobian,  # (d raw)^T J
-                  out=manifold._empty(ws, "K", B, p, p))
-    geo, rawJ = geo._replace(field_jacobian=None), None  # d2F c is done: K was its only use
-    K += rn[:, None, None] * L
+    p = L.shape[1]
+    for a in range(p):  # row by row: each temporary is (B, p)
+        K[:, a] += rn[:, None] * L[:, a]
     s = np.einsum("xqa,xq->xa", geo.jacobian, raw)  # J^T raw
     cP = manifold._cholesky_solve(geo.metric_chol, s.T).T  # g^-1 s: chart coordinates of P
-    Kw = np.sum(K * cP[:, None, :], axis=-1) / (Pn * Pn)[:, None]  # K w / |P|, entry order
+    Kw = manifold._dot_last(K, cP.T[:, :, None])  # K g^-1 s, entry order
+    Kw /= (Pn * Pn)[:, None]  # K w / |P|
     D = K  # formed in K's array, which has no other use
-    D -= Kw[:, :, None] * s[:, None, :]
+    for a in range(p):
+        D[:, a] -= Kw[:, a, None] * s
     D /= Pn[:, None, None]
     if not np.isfinite(D).all():  # a NaN field jacobian; per point only to name it
         pt = U[int(np.argmin(np.isfinite(D).all(axis=(-2, -1))))]
         raise VanishingField(f"field derivative not finite at u={pt.tolist()}")
-    return geo, P, Pn, D, cP / Pn[:, None]
+    return geo, raw, Pn, D, cP / Pn[:, None]
 
 
 def _reflection(C: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,14 +292,14 @@ def _adapted_components(C: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarr
     """
     n = C.shape[0] - 1
     u, beta = _reflection(C, w)
-    M = manifold._lower_solve(C, X.transpose(1, 2, 0))  # C^-1 X
-    M = manifold._lower_solve(C, M.transpose(1, 0, 2)).transpose(1, 0, 2)  # C^-1 X C^-T
-    HM = M - (beta * u)[:, None] * np.sum(u[:, None] * M, axis=0)  # rows of H M
-    R = HM - (beta * np.sum(HM * u, axis=1))[:, None] * u
+    M = manifold._lower_solve(C, np.array(X.transpose(1, 2, 0)))  # C^-1 X
+    manifold._lower_solve(C, M.transpose(1, 0, 2))  # C^-1 X C^-T, in M
+    M -= (beta * u)[:, None] * np.sum(u[:, None] * M, axis=0)  # H M
+    M -= (beta * np.sum(M * u, axis=1))[:, None] * u  # H M H
     flip = np.where(u[n] < 0.0, 1.0, -1.0)  # H e_p = -+y / |y|
-    R[n] *= flip
-    R[:, n] *= flip
-    return R.transpose(2, 0, 1)
+    M[n] *= flip
+    M[:, n] *= flip
+    return M.transpose(2, 0, 1)
 
 
 def _frame_vectors(geo: GeometryBatch, w: np.ndarray) -> np.ndarray:
@@ -338,7 +359,8 @@ def shape_data_batch(
     and the two ``<nabla v, v>`` residuals.  The frame vectors e_i are
     ``_frame_vectors``, from the same reflection.
     """
-    geo, P, Pn, D, w = _chart_forms(surface, field, chart_index, U)
+    geo, raw, Pn, D, w = _chart_forms(surface, field, chart_index, U)
+    P = project_field_batch(raw, geo, U)[1]
     n = surface.n_intrinsic
     C = geo.metric_chol
     h, h_asym = manifold._symmetrized(_adapted_components(C, w, -geo.second_form))

@@ -19,12 +19,15 @@ stored batch-last, so that ``np.moveaxis(A, 0, -1)`` is C-contiguous and
 each entry ``A[:, i, j]`` is one contiguous (B,) vector.  The minor
 table (``_minors``, which gives the unit normal and every determinant),
 the Cholesky recurrence and the frame read such entries directly, and
-each contraction (the metric, the second form) is one ``einsum`` whose
-output keeps the layout.  Catalog charts write their partials in
-this layout; ``geometry_batch`` copies partials of any other layout once
-(``_batch_last``), so results do not depend on the layout a chart
-returns.  Work on one block stays in few, long vector operations, as
-every numpy call has a fixed cost of a few microseconds.  The grid
+each contraction (the metric, the second form, a row of a field form)
+is one ``einsum`` whose output keeps the layout.  Catalog charts write
+their partials in this layout; ``geometry_batch`` copies partials of any
+other layout once (``_batch_last``), so results do not depend on the
+layout a chart returns.  Work on one block stays in few, long vector
+operations, as every numpy call has a fixed cost of a few microseconds,
+and in a small working set, as a forked worker pays a page fault for
+each page that its first block writes: the Cholesky factor and the
+triangular solves work in place, and the metric is not kept.  The grid
 passes run blocks in worker processes (``quadrature._run_blocks``):
 threads would contend for the interpreter lock at every numpy call, so a
 kernel of many short calls would gain little from a second thread.
@@ -162,23 +165,29 @@ class GeometryBatch(NamedTuple):
     """Chart geometry of one block, from one evaluation of the chart partials.
 
     Every array is stored batch-last (see the module docstring).
-    ``jacobian`` is the chart's first partials in that layout, and
-    ``field_jacobian`` the second partials contracted with a coordinate
-    field's coefficients c, ``d2F c``, so that such a field is read off the
-    block instead of calling the chart again.  ``second_form`` is None when
-    the block was evaluated with ``second=False``, and ``field_jacobian``
-    unless it was evaluated with ``second=True`` and coefficients.
-    ``metric_chol`` is the lower Cholesky factor of the metric, indexed
-    batch-last for ``_cholesky_solve``.  No metric inverse is formed.
+    ``jacobian`` is the chart's first partials J in that layout, and
+    ``field_form`` the form ``(d2F c)^T J`` of a coordinate field with
+    coefficients c, so that such a field is read off the block instead of
+    calling the chart again.  ``second_form`` is None when the block was
+    evaluated with ``second=False``, and ``field_form`` unless it was
+    evaluated with ``second=True`` and coefficients.  ``metric_chol`` is
+    the lower Cholesky factor of the metric, indexed batch-last for
+    ``_cholesky_solve``.  The metric itself is not kept (``metric`` forms
+    it again), and no metric inverse is formed.
     """
 
     jacobian: np.ndarray       # (B, q, p)
-    metric: np.ndarray         # (B, p, p)
     metric_chol: np.ndarray    # (p, p, B), metric = C C^T, C lower triangular
     volume_factor: np.ndarray  # (B,), |cross product| = sqrt(det metric)
     normal: np.ndarray         # (B, q)
     second_form: np.ndarray | None  # (B, p, p), <N, d2F/du_a du_b>
-    field_jacobian: np.ndarray | None = None  # (B, q, p), d2F/du_a du_b c_b
+    field_form: np.ndarray | None = None  # (B, p, p), <d2F/du_a du_c c_c, F_b>
+
+    @property
+    def metric(self) -> np.ndarray:
+        """The (B, p, p) metric J^T J, batch-last, with the bits that
+        ``geometry_batch`` factored."""
+        return np.einsum("xqa,xqb->xab", self.jacobian, self.jacobian)
 
 
 class Workspace:
@@ -191,8 +200,8 @@ class Workspace:
     view stays valid until the name is taken again, so only the kernel
     that took it may keep it, and only one thread may use a workspace at a
     time (``quadrature`` keeps one per thread).  The engine's kernels keep the
-    second form ``L``, a coordinate field's ``d2Fc`` and the field form
-    ``K`` in it: 2 p^2 + p q float64 per point.
+    second form ``L`` and the field form ``K``, which becomes the field
+    derivative D, in it: 2 p^2 float64 per point.
     """
 
     def __init__(self, points: int):
@@ -289,66 +298,66 @@ def _det(M: np.ndarray) -> np.ndarray:
 
 
 def _cholesky(G: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of symmetric positive definite (B, p, p) G.
+    """Lower Cholesky factor of symmetric positive definite matrices, in place.
 
-    Returned batch-last as (p, p, B) with a zero upper triangle.  The
-    column-by-column recurrence is written as vector operations looped
-    over p, each column below the pivot at once (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., ch. 10).  A pivot that is
-    not finite and positive means G is not positive definite to working
-    precision: DegenerateImmersion names the first such point of ``U``.
+    ``G`` holds the matrices batch-last, (p, p, B); their factor is
+    written over it, with a zero upper triangle, and G is returned.  Only
+    the lower triangle is read.  The column-by-column recurrence is
+    written as vector operations looped over p, each column below the
+    pivot at once (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 10).  A pivot that is not finite and
+    positive means G is not positive definite to working precision:
+    DegenerateImmersion names the first such point of ``U``.
     """
-    p = G.shape[-1]
-    Gs = G.transpose(1, 2, 0)  # (p, p, B): a view for batch-last G
-    C = np.zeros((p, p, G.shape[0]))
-    for j in range(p):
-        d = Gs[j, j]
+    for j in range(G.shape[0]):
+        d = G[j, j]
         for k in range(j):
-            d = d - C[j, k] * C[j, k]
+            d = d - G[j, k] * G[j, k]
         if d.size and not (d.min() > 0.0 and d.max() < np.inf):  # NaN fails min
             pt = np.asarray(U)[int(np.argmax(~((d > 0.0) & (d < np.inf))))]
             raise DegenerateImmersion(f"metric not positive definite at u={pt.tolist()}")
-        C[j, j] = np.sqrt(d)
-        r = Gs[j + 1:, j]
+        np.sqrt(d, out=G[j, j])
+        r = G[j + 1:, j]
         for k in range(j):
-            r = r - C[j + 1:, k] * C[j, k]
-        np.divide(r, C[j, j], out=C[j + 1:, j])
-    return C
+            r = r - G[j + 1:, k] * G[j, k]
+        np.divide(r, G[j, j], out=G[j + 1:, j])
+        G[j, j + 1:] = 0.0
+    return G
 
 
 def _lower_solve(C: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Solve C Z = S by forward substitution for the (p, p, B) factor of
-    ``_cholesky``; ``S`` and Z are batch-last, (p, B) or (p, m, B)."""
-    z = []
+    ``_cholesky``, in place: ``S`` is batch-last, (p, B) or (p, m, B), and
+    Z is written over it and returned."""
     for i in range(C.shape[0]):
         r = S[i]
         for k in range(i):
-            r = r - C[i, k] * z[k]
-        z.append(r / C[i, i])
-    return np.stack(z)
+            r = r - C[i, k] * S[k]
+        np.divide(r, C[i, i], out=S[i])
+    return S
 
 
 def _upper_solve(C: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Solve C^T X = Z by back substitution for the (p, p, B) factor of
-    ``_cholesky``; ``Z`` and X are batch-last, (p, B) or (p, m, B)."""
+    ``_cholesky``, in place: ``Z`` is batch-last, (p, B) or (p, m, B), and
+    X is written over it and returned."""
     p = C.shape[0]
-    x = [None] * p
     for i in range(p - 1, -1, -1):
         r = Z[i]
         for k in range(i + 1, p):
-            r = r - C[k, i] * x[k]
-        x[i] = r / C[i, i]
-    return np.stack(x)
+            r = r - C[k, i] * Z[k]
+        np.divide(r, C[i, i], out=Z[i])
+    return Z
 
 
 def _cholesky_solve(C: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Solve C C^T X = S for the (p, p, B) factor of ``_cholesky``.
 
     ``S`` is batch-last, (p, B) or (p, m, B) for m right-hand sides, and
-    so is X.  Two triangular solves as (B,)-vector operations looped over
-    p; no inverse is formed.
+    so is the fresh X.  Two triangular solves as (B,)-vector operations
+    looped over p, in one copy of S; no inverse is formed.
     """
-    return _upper_solve(C, _lower_solve(C, S))
+    return _upper_solve(C, _lower_solve(C, np.array(S)))
 
 
 def generalized_cross(vectors: np.ndarray) -> np.ndarray:
@@ -394,33 +403,36 @@ def geometry_batch(
     With ``second=True`` the second partials are read in chunks of
     ``SECOND_CHUNK`` points, and each chunk is contracted at once with the
     normal into ``second_form`` and, given a coordinate field's
-    ``coefficients`` c, into ``field_jacobian`` = d2F c, so that no batch
-    holds its whole (B, q, p, p) second partials.  By the Weingarten
-    equation ``<dN/du_a, F_b>`` is ``-second_form[a, b]``, so no ambient
-    derivative of the normal is formed.  The metric is factored once by
-    Cholesky (``metric_chol``); its inverse is not formed.  The normal and
-    the volume factor come from the generalized cross product G of the
-    tangents (``generalized_cross``, one minor table): |G| equals
-    sqrt(det g) (Cauchy-Binet), so no determinant of g is taken.  The
-    checks run in this order, each naming the point: the rank check (a NaN
-    first partial fails it), the metric factorization, then finite second
-    partials; each raises DegenerateImmersion.
+    ``coefficients`` c, row by row into the p x p ``field_form`` (d2F c)^T
+    J, so that no batch holds its whole (B, q, p, p) second partials, nor
+    d2F c.  By the Weingarten equation ``<dN/du_a, F_b>`` is
+    ``-second_form[a, b]``, so no ambient derivative of the normal is
+    formed.  The metric g = J^T J is formed after the chunks, in the array
+    that its Cholesky factor (``metric_chol``) then takes, and is not kept;
+    its inverse is not formed.  The normal and the volume factor come from
+    the generalized cross product G of the tangents (``generalized_cross``,
+    one minor table): |G| equals sqrt(det g) (Cauchy-Binet), so no
+    determinant of g is taken, and the rank check reads the tangent norms
+    off the diagonal of g alone.  The checks run in this order, each
+    naming the point: the rank check (a NaN first partial fails it), the
+    metric factorization, then finite second partials; each raises
+    DegenerateImmersion.
 
-    Given a ``Workspace`` ``ws``, ``second_form`` and ``field_jacobian``
-    are written into its buffers ``L`` and ``d2Fc`` and are valid until
-    the next batch that uses ``ws``.  Without one every array is fresh.
+    Given a ``Workspace`` ``ws``, ``second_form`` and ``field_form`` are
+    written into its buffers ``L`` and ``K`` and are valid until the next
+    batch that uses ``ws``.  Without one every array is fresh.
     """
     chart = surface.charts[chart_index]
     U = np.asarray(U, dtype=float)
     sgn = float(surface.orientation_sign)
 
     J = _batch_last(chart.first_partials(U))  # (B, q, p)
+    B, _, p = J.shape
 
     G = generalized_cross(np.swapaxes(J, -1, -2))  # (B, q), over the p tangent rows
     Gnorm = np.sqrt(np.sum(G * G, axis=-1))
-    g = np.einsum("xqa,xqb->xab", J, J)
-    # product of the tangent norms, read off the metric diagonal
-    scale = np.sqrt(np.prod(np.diagonal(g, axis1=-2, axis2=-1), axis=-1))
+    # product of the tangent norms, off the metric diagonal alone
+    scale = np.sqrt(np.prod(np.einsum("xqa,xqa->xa", J, J), axis=-1))
     ok = Gnorm > _DEGENERACY_RTOL * scale  # a NaN partial counts as degenerate
     if not ok.all():
         pt = U[int(np.argmin(ok))]
@@ -428,29 +440,32 @@ def geometry_batch(
     normal = np.multiply(sgn, G, out=G)  # G is not kept: sgn * G / |G| in place
     normal /= Gnorm[:, None]
 
-    L = dc = None
+    L = K = None
     if second:
-        B, q, p = J.shape
         L = _empty(ws, "L", B, p, p)  # batch-last, like every form
         if coefficients is not None:
             c = np.asarray(coefficients, dtype=float)
-            dc = _empty(ws, "d2Fc", B, q, p)
+            K = _empty(ws, "K", B, p, p)
         for s in range(0, B, SECOND_CHUNK):
             rows = slice(s, s + SECOND_CHUNK)
             H2 = _batch_last(chart.second_partials(U[rows]))
             np.einsum("xq,xqab->xab", normal[rows], H2, out=L[rows])
-            if dc is not None:
-                _dot_last(H2, c, out=dc[rows])
+            if K is not None:  # (d2F c)^T J, row by row
+                for a in range(p):
+                    np.einsum("xq,xqb->xb", _dot_last(H2[:, :, a], c), J[rows],
+                              out=K[rows, a])
             del H2  # before the next chunk is read
 
-    # factored after the chunks are read, so that it does not add to their
-    # memory; the checks keep their order
-    chol = _cholesky(g, U)
+    # formed and factored after the chunks are read, so that neither adds
+    # to their memory; the checks keep their order
+    chol = np.empty((p, p, B))
+    np.einsum("xqa,xqb->xab", J, J, out=chol.transpose(2, 0, 1))  # the metric g
+    _cholesky(chol, U)
     if second and not np.isfinite(L).all():  # one flat pass; per point only to name it
         pt = U[int(np.argmin(np.isfinite(L).all(axis=(-2, -1))))]
         raise DegenerateImmersion(f"second partials not finite at u={pt.tolist()}")
 
-    return GeometryBatch(J, g, chol, Gnorm, normal, L, dc)
+    return GeometryBatch(J, chol, Gnorm, normal, L, K)
 
 
 def tangent_coefficients(geo: GeometryBatch, X: np.ndarray) -> np.ndarray:

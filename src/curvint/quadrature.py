@@ -23,8 +23,9 @@ does not free memory that the next one allocates again.  The nodes and
 weights of a block are gathered from the per-axis rules when it runs;
 the whole grid is never built.  The weighted values of every block are
 summed exactly rounded (``_reduction.exact_row_sums``: error-free vector
-extraction in numpy, the same bits as ``math.fsum`` without holding the
-GIL over the data; an exactly rounded sum is unique) and the block sums
+extraction in numpy, the same bits as ``math.fsum`` at about a sixth of
+its time, since fsum makes a Python float of every term; an exactly
+rounded sum is unique) and the block sums
 combined by a fixed-shape pairwise tree with compensated nodes, while
 peaks are reduced by max, which does not depend on order.  The block
 size is fixed, since it shapes the tree: another size moves the sums in
@@ -60,7 +61,7 @@ BLOCK = 8192  # points per kernel call and exact sum; fixed, as it shapes the su
 # processes: the crossover measured on sphere3 eta passes (CHANGES.md).
 # Below it, the fork and the copy-on-write faults that it brings on in
 # both processes cost more than the second process gains.
-FORK_POINTS = 7 * BLOCK
+FORK_POINTS = 7 * BLOCK // 2
 
 _LOCAL = threading.local()  # each thread's workspace; a forked child inherits it
 
@@ -317,8 +318,8 @@ def _integrate_grids(surface, func, grids, workers):
     block of BLOCK points, whatever the worker count, with the calling
     thread's ``Workspace`` ``ws``, which it passes to the engine's kernels
     only (``geometry_batch``, ``chart_forms_batch``), never to a user's
-    callable.  They keep in it the second form, d2F c and K: 2 p^2 + p q
-    float64 per point, 30 for p = 3, that is about 2.0 MB per process for
+    callable.  They keep in it the second form and the field form K: 2 p^2
+    float64 per point, 18 for p = 3, that is about 1.2 MB per process for
     a BLOCK-point workspace.  Values are weighted by volume factor and
     quadrature weight, each row of a block summed exactly rounded, and the
     blocks of each grid combined by a pairwise tree; peaks are reduced by

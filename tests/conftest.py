@@ -97,6 +97,12 @@ def weingarten_dnormal(geo):
     return -coeff @ np.swapaxes(geo.jacobian, -1, -2)
 
 
+def field_jacobian(field, ci, U):
+    """A field's (B, q, p) parameter derivatives from its jacobian callable,
+    batch-last, as ``field_batch`` reads them before forming (d raw)^T J."""
+    return manifold._batch_last(field.ambient_jacobian(ci, U))
+
+
 def ambient_shape_data(surface, field, ci, U):
     """Reference ShapeDataBatch assembled in the ambient space.
 
@@ -111,7 +117,8 @@ def ambient_shape_data(surface, field, ci, U):
     geo = geometry_batch(surface, ci, U, coefficients=field.coefficients)
     n = surface.n_intrinsic
 
-    raw, rawJ = field_batch(field, surface, geo, ci, U)
+    raw, _ = field_batch(field, surface, geo, ci, U, form=False)
+    rawJ = field_jacobian(field, ci, U)
     rn, P, Pn = project_field_batch(raw, geo, U)
     v = P / Pn[:, None]
 

@@ -1,6 +1,7 @@
 """Degree extraction, formula verification, Milnor bounds, foliation."""
 
 import dataclasses
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -12,8 +13,8 @@ import curvint.manifold
 import curvint.quadrature
 from curvint.degree import _defect, _rank, _singular_values
 from curvint.fields import _chart_forms, _reduced_a, shape_data_batch
-from curvint.manifold import _batch_last, _cholesky
-from curvint.quadrature import QuadratureGrid
+from curvint.manifold import Workspace, _batch_last, _cholesky
+from curvint.quadrature import BLOCK, QuadratureGrid
 from conftest import CATALOG_PAIRS, ambient_shape_data
 
 
@@ -225,7 +226,8 @@ def test_reduced_a_is_the_form_on_an_orthonormal_complement(n):
     Q = np.linalg.qr(np.concatenate([J @ w[:, :, None], J[:, :, :n]], axis=2))[0]
     E = np.linalg.solve(g, np.swapaxes(J, 1, 2) @ Q[:, :, 1:])  # their chart coordinates
     want = np.swapaxes(E, 1, 2) @ D @ E
-    got = _reduced_a(_cholesky(g, np.zeros((B, p))), _batch_last(D), _batch_last(w))
+    C = _cholesky(np.moveaxis(g, 0, -1).copy(), np.zeros((B, p)))
+    got = _reduced_a(C, _batch_last(D), _batch_last(w))
     assert got.shape == (B, n, n)
     sv = _singular_values(want)
     np.testing.assert_allclose(_singular_values(got), sv, rtol=0, atol=1e-12 * sv.max())
@@ -456,6 +458,62 @@ def test_foliation_revs1s2_totally_geodesic(surfaces):
     # det h over the samples is the shape determinant, bit for bit
     assert rep.degree.raw == cv.gauss_degree(surface, grid).raw
     assert rep.consistent
+
+
+class _Captured(Exception):
+    pass
+
+
+def _block_kernel(monkeypatch, report, *args):
+    """The block kernel ``func(ci, U, ws)`` that ``report`` hands to its grid pass."""
+    kernels = []
+
+    def capture(surface, func, grid, workers):
+        kernels.append(func)
+        raise _Captured
+
+    monkeypatch.setattr(curvint.degree, "_integrate_vector", capture)
+    with pytest.raises(_Captured):
+        report(*args)
+    return kernels[0]
+
+
+# pass, workspace buffers, bound (and tube-t3's) in float64 per point
+_BLOCK_MEMORY = [("foliation", {"L", "K"}, 62, 68), ("degree", {"L"}, 54, 64)]
+
+
+@pytest.mark.parametrize("skey,fkey", [pair for pair in CATALOG_PAIRS if pair[0] != "torus2"])
+@pytest.mark.parametrize("kind,buffers,bound,tube_bound", _BLOCK_MEMORY)
+def test_block_memory(surfaces, monkeypatch, skey, fkey, kind, buffers, bound, tube_bound):
+    """Over a warmed workspace, one BLOCK-point block of the foliation pass
+    allocates at most 62 float64 per point and one of the degree pass at
+    most 54 (tracemalloc; measured 58.1 and 50.2, and 64.2 and 60.2 for
+    tube-t3, whose chart keeps more per point, so its bounds are 68 and
+    64), on top of the p^2 per point that each workspace buffer holds: the
+    second form, and for the foliation the field form K, which becomes D.
+    At 48^3 both passes hold more than FORK_POINTS points, so every forked
+    process pays for this working set."""
+    surface = surfaces[skey]
+    grid = QuadratureGrid.build(surface, 48)
+    assert grid.total_points > curvint.quadrature.FORK_POINTS
+    if kind == "foliation":
+        field = cv.get_field(fkey, surface)
+        func = _block_kernel(monkeypatch, cv.foliation_obstruction_report, surface, field, grid)
+    else:
+        func = _block_kernel(monkeypatch, cv.gauss_degree, surface, grid)
+    U = grid.charts[0].span(0, BLOCK)[0]
+    ws = Workspace(BLOCK)
+    func(0, U, ws)  # warms the workspace
+    tracemalloc.start()
+    try:
+        func(0, U, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(ws._flat) == buffers
+    p = surface.dim
+    assert sum(buf.nbytes for buf in ws._flat.values()) == 8 * len(buffers) * p * p * BLOCK
+    assert peak / (8 * BLOCK) <= (tube_bound if skey == "tube-t3" else bound)
 
 
 @pytest.mark.parametrize("skey,fkey", CATALOG_PAIRS)

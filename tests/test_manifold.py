@@ -181,7 +181,8 @@ def test_geometry_bits_match_cofactor_expansion(surfaces, monkeypatch, skey, fke
 
 def _spd_solve(G, S):
     """x solving G x = S for (B, p, p) G and (B, p) S, through the factor."""
-    return _cholesky_solve(_cholesky(G, np.zeros((len(G), G.shape[-1]))), S.T).T
+    C = _cholesky(np.moveaxis(G, 0, -1).copy(), np.zeros((len(G), G.shape[-1])))
+    return _cholesky_solve(C, S.T).T
 
 
 def _assert_cholesky_solve_matches_lapack(G, b):
@@ -236,7 +237,7 @@ def test_cholesky_names_a_point_that_is_not_positive_definite(bad):
     U = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
     with pytest.raises(cv.DegenerateImmersion,
                        match=r"^metric not positive definite at u=\[0\.4, 0\.5, 0\.6\]$"):
-        _cholesky(G, U)
+        _cholesky(np.moveaxis(G, 0, -1).copy(), U)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
