@@ -31,7 +31,6 @@ the block's geometry; each catalog entry lists the coefficients c:
     fiber   tube-circle direction (tube-t3)
 """
 
-import functools
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -278,15 +277,36 @@ def surface_entry(key: str) -> CatalogEntry:
         raise KeyError(f"unknown surface {key!r}; known: {', '.join(surface_names())}")
 
 
-@functools.cache  # built and probed once per process: surfaces are frozen
+# key -> the one surface that get_surface returns for it, built and probed
+# once per process: surfaces are frozen
+_BUILT: dict[str, ChartedHypersurface] = {}
+
+
+def _surface(key: str) -> ChartedHypersurface:
+    """The surface of ``key`` in ``_BUILT``, built on first use.  Worker
+    processes rebuild a pass's surface here, not through ``get_surface``,
+    which callers may replace."""
+    surface = _BUILT.get(key)
+    if surface is None:
+        e = surface_entry(key)
+        surface = _BUILT.setdefault(key, ChartedHypersurface(
+            n_intrinsic=e.n,
+            charts=(e.chart(),),
+            metadata=SurfaceMetadata(key=e.key, name=e.name, betti=e.betti,
+                                     euler_characteristic=0),
+        ))
+    return surface
+
+
+def _key_of(surface: ChartedHypersurface) -> str | None:
+    """The key of ``surface`` if it is the very object ``get_surface``
+    returned, else None: a copy or a user surface has none, whatever its
+    metadata says."""
+    return next((key for key, s in list(_BUILT.items()) if s is surface), None)
+
+
 def get_surface(key: str) -> ChartedHypersurface:
-    e = surface_entry(key)
-    return ChartedHypersurface(
-        n_intrinsic=e.n,
-        charts=(e.chart(),),
-        metadata=SurfaceMetadata(key=e.key, name=e.name, betti=e.betti,
-                                 euler_characteristic=0),
-    )
+    return _surface(key)
 
 
 def field_names(surface_key: str) -> tuple[str, ...]:

@@ -162,7 +162,8 @@ _FLAG_HELP = {
     "k": 'invariant selection: "all" or e.g. 0,2',
     "tol": f"relative tolerance (default {DEFAULT_REL_TOL:g})",
     "abs-tol": "absolute tolerance (default 1e-6 * surface volume)",
-    "workers": "worker process count (env CURVINT_WORKERS, default: CPUs this process may use)",
+    "workers": ("processes per large grid pass (env CURVINT_WORKERS, default: CPUs this "
+                "process may use); catalog passes keep theirs for the next pass"),
     "out": "report file (default: stdout)",
     "format": "report format (default json)",
 }

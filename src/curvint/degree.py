@@ -22,7 +22,8 @@ from .fields import TangentField, _chart_forms, _reduced_a
 from .fields import shape_data_batch  # noqa: F401  perfbench's tracer wraps it here
 from .invariants import eta_all  # noqa: F401  perfbench's tracer wraps it here
 from .manifold import ChartedHypersurface, _shape_det, shape_determinant_batch
-from .quadrature import QuadratureGrid, _eta_integrals, _integrate_vector, _select_ks
+from .quadrature import (
+    QuadratureGrid, _eta_integrals, _integrate_vector, _Kernel, _kernel, _select_ks)
 from .quadrature import _run_blocks  # noqa: F401  perfbench's tracer wraps it here
 
 _DEGREE_RESIDUAL_MAX = 0.1
@@ -71,6 +72,13 @@ def _degree_from_integral(integral: float, n: int) -> DegreeResult:
     return result
 
 
+@_kernel("degree")
+def _degree_kernel(surface, field, ci, U, ws):
+    """Block kernel of ``gauss_degree``: det h per point."""
+    det, volume_factor = shape_determinant_batch(surface, ci, U, ws=ws)
+    return det[:, None], volume_factor, np.empty((len(U), 0))
+
+
 def gauss_degree(
     surface: ChartedHypersurface,
     grid: QuadratureGrid,
@@ -83,11 +91,7 @@ def gauss_degree(
     incoherently oriented input.
     """
 
-    def func(ci, U, ws):
-        det, volume_factor = shape_determinant_batch(surface, ci, U, ws=ws)
-        return det[:, None], volume_factor, np.empty((len(U), 0))
-
-    (total,), _ = _integrate_vector(surface, func, grid, workers)
+    (total,), _ = _integrate_vector(surface, _Kernel("degree", surface), grid, workers)
     return _degree_from_integral(total, surface.n_intrinsic)
 
 
@@ -320,6 +324,16 @@ def _defect(a: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
+@_kernel("foliation")
+def _foliation_kernel(surface, field, ci, U, ws):
+    """Block kernel of ``foliation_obstruction_report``: det h per point,
+    and the defect and rank of a as peaks."""
+    geo, _, _, D, w = _chart_forms(surface, field, ci, U, ws)
+    a = _reduced_a(geo.metric_chol, D, w)
+    return (_shape_det(geo)[:, None], geo.volume_factor,
+            np.stack([_defect(a), _rank(a)], axis=-1))
+
+
 def foliation_obstruction_report(
     surface: ChartedHypersurface,
     field: TangentField,
@@ -347,14 +361,8 @@ def foliation_obstruction_report(
     hypothesis holds the cross-check degree is read off that integral.
     """
     n = surface.n_intrinsic
-
-    def func(ci, U, ws):
-        geo, _, _, D, w = _chart_forms(surface, field, ci, U, ws)
-        a = _reduced_a(geo.metric_chol, D, w)
-        return (_shape_det(geo)[:, None], geo.volume_factor,
-                np.stack([_defect(a), _rank(a)], axis=-1))
-
-    (det_integral,), peaks = _integrate_vector(surface, func, grid, workers)
+    (det_integral,), peaks = _integrate_vector(
+        surface, _Kernel("foliation", surface, field), grid, workers)
     max_defect = float(peaks[0])
     max_rank = int(peaks[1])
 

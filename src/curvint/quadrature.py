@@ -7,19 +7,26 @@ whose rules are computed once per panel size and cached read-only.
 Grid nodes never touch the chart domain boundary, so coordinate
 degeneracies on the boundary are avoided.
 
-Point evaluations are independent and may be dispatched to worker
+Point evaluations are independent and may be dispatched to other
 processes.  Every pass over a grid runs one kernel that returns values to
 integrate and per-point peaks.  The kernel is called once per block of
 ``BLOCK`` = 8192 points at every worker count, so that each call makes
 long vector operations.  The blocks of a grid and of its half-resolution
 companion go out as one task list (``_integrate_grids``); above
-``FORK_POINTS`` points, ``_run_blocks`` forks worker processes for it,
-each of which sends back only the sums and peaks of its blocks.  Threads
-would meet at the interpreter lock at every numpy call, and two of them
-ran the block kernel hardly faster than one.  Each thread keeps one
-``Workspace`` (``_workspace``), which forked children inherit; the
-engine's kernels write their largest per-block arrays into it, so a block
-does not free memory that the next one allocates again.  The nodes and
+``FORK_POINTS`` points, ``_run_blocks`` shares it out among processes,
+each of which sends back only the sums and peaks of its blocks.  A pass
+of an engine kernel (eta, degree or foliation) over a catalog surface,
+with no field or a coordinate field, is plain data (``_spec``): it goes
+to worker processes that the first such dispatch forks and that then
+wait for the next, until the host process ends (``_Worker``), so no later
+pass forks or takes copy-on-write faults.  Every other pass, such as
+``integrate``'s over a user integrand, forks children for its dispatch,
+since only a fork shows them the user's callables and the state those
+read.  Threads would meet at the interpreter lock at every numpy call,
+and two of them ran the block kernel hardly faster than one.  Each thread
+keeps one ``Workspace`` (``_workspace``), which forked processes inherit;
+the engine's kernels write their largest per-block arrays into it, so a
+block does not free memory that the next one allocates again.  The nodes and
 weights of a block are gathered from the per-axis rules when it runs;
 the whole grid is never built.  The weighted values of every block are
 summed exactly rounded (``_reduction.exact_row_sums``: error-free vector
@@ -37,6 +44,7 @@ Each integration also runs its half-resolution companion grid; the
 difference is reported as the estimated error.
 """
 
+import atexit
 import contextlib
 import functools
 import math
@@ -45,9 +53,11 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import catalog
 from ._reduction import exact_row_sums, tree_reduce_compensated
 from .errors import CurvintError
 from .fields import TangentField, chart_forms_batch
@@ -57,10 +67,11 @@ from .manifold import ChartedHypersurface, Workspace, geometry_batch
 
 BLOCK = 8192  # points per kernel call and exact sum; fixed, as it shapes the sum tree
 
-# Points of one dispatch above which its blocks go to forked worker
-# processes: the crossover measured on sphere3 eta passes (CHANGES.md).
-# Below it, the fork and the copy-on-write faults that it brings on in
-# both processes cost more than the second process gains.
+# Points of one dispatch above which its blocks go to other processes,
+# worker processes or children forked for it: the crossover of forked
+# children, measured on sphere3 eta passes (CHANGES.md).  Below it, the
+# fork and the copy-on-write faults that it brings on in both processes
+# cost more than the second process gains.
 FORK_POINTS = 7 * BLOCK // 2
 
 _LOCAL = threading.local()  # each thread's workspace; a forked child inherits it
@@ -146,9 +157,13 @@ class ChartGrid:
         return self.span(0, self.size)[1]
 
 
+def _chart_rules(chart, counts) -> tuple[CoordinateRule, ...]:
+    return tuple(_periodic_rule(lo, hi, c) if per else _gauss_rule(lo, hi, c)
+                 for lo, hi, per, c in zip(chart.lo, chart.hi, chart.periodic, counts))
+
+
 def _build_chart_grid(chart, counts) -> ChartGrid:
-    rules = tuple(_periodic_rule(lo, hi, c) if per else _gauss_rule(lo, hi, c)
-                  for lo, hi, per, c in zip(chart.lo, chart.hi, chart.periodic, counts))
+    rules = _chart_rules(chart, counts)
     size = math.prod(len(r.nodes) for r in rules)
     # the passes gather nodes per block, but a grid whose (N, p) node array
     # numpy cannot allocate is refused as before (MemoryError, ValueError);
@@ -232,27 +247,154 @@ def _share(tasks, worker) -> list:
     return out
 
 
-def _fork(tasks, worker):
-    """Fork a child that runs ``_share(tasks, worker)``, writes its results
-    pickled to a pipe and exits; return its pid and the pipe's read end."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:  # the child: it never returns from here
-        code = 1
+def _send(fd, obj):
+    """Write ``obj`` pickled to ``fd``, after its length."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd):
+    """The next object that ``_send`` wrote to ``fd``; EOFError when the
+    writer closed it or died before the whole object was sent."""
+    def read(size):
+        buf = bytearray()
+        while len(buf) < size:
+            chunk = os.read(fd, size - len(buf))
+            if not chunk:
+                raise EOFError
+            buf += chunk
+        return buf
+    return pickle.loads(read(int.from_bytes(read(8), "little")))
+
+
+class _Process:
+    """A forked process that calls ``child(*ends)`` and leaves by
+    ``os._exit``, printing nothing, and this process's ends of its pipes.
+    ``writes`` has one flag per pipe, True where this process writes; the
+    last pipe carries the results."""
+
+    def __init__(self, child, writes):
+        pipes = [os.pipe() for _ in writes]
+        self.fds = [w if out else r for (r, w), out in zip(pipes, writes)]
+        theirs = [r if out else w for (r, w), out in zip(pipes, writes)]
         try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pickle.dump(_share(tasks, worker), pipe)
-            code = 0
+            self.pid = os.fork()
+        except OSError:
+            for fd in self.fds + theirs:
+                os.close(fd)
+            raise
+        if self.pid == 0:  # the child: it never returns from here
+            code = 1
+            try:
+                for fd in self.fds:
+                    os.close(fd)
+                child(*theirs)
+                code = 0
+            finally:
+                os._exit(code)
+        for fd in theirs:
+            os.close(fd)
+
+    def finish(self) -> list:
+        """The results of the share it was given (``_receive``)."""
+        return _receive(self.fds[-1])
+
+    def kill(self):
+        """Close the pipes, then kill and reap the process, once."""
+        for fd in self.fds:
+            with contextlib.suppress(OSError):
+                os.close(fd)
+        pid, self.pid, self.fds = self.pid, None, ()
+        if pid is not None:
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+class _Child(_Process):
+    """A process forked for one share of one dispatch: it runs
+    ``_share(tasks, worker)``, sends the results and exits."""
+
+    def __init__(self, tasks, worker):
+        super().__init__(lambda out: _send(out, _share(tasks, worker)), (False,))
+
+    def finish(self) -> list:
+        try:
+            return super().finish()
         finally:
-            os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
+            self.kill()  # it has sent all it will, or died
+
+
+class _Worker(_Process):
+    """A worker process: forked by the first dispatch that needs it, it
+    runs the shares of every later pass given by a pass spec, until EOF
+    on its request pipe, ``_stop_workers`` or the end of this process."""
+
+    def __init__(self):
+        super().__init__(_serve, (True, False))
+
+    def start(self, spec: bytes, tasks) -> "_Worker":
+        _send(self.fds[0], (spec, tasks))
+        return self
+
+
+_WORKERS: list[_Worker] = []  # this process's workers, in share order
+_KEEP = 8  # passes a worker keeps made, for the latest specs it was sent
+
+
+def _serve(requests, replies):
+    """A worker's loop: for each ``(spec, tasks)`` request, the block
+    worker of the spec (kept for the last ``_KEEP`` specs, keyed by their
+    bytes) runs ``_share`` over the tasks, and the results go back.
+
+    It first closes every file it inherited but its two pipes and the
+    standard streams: a pipe, file or socket that the host closes later
+    is then closed for good, and a reader of it sees EOF."""
+    low, high = sorted((requests, replies))
+    os.closerange(3, low)
+    os.closerange(low + 1, high)
+    os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+    kept = {}
+    while True:
+        try:
+            spec, tasks = _receive(requests)
+        except EOFError:
+            return
+        worker = kept.pop(spec, None) or _rebuild(pickle.loads(spec))
+        kept[spec] = worker
+        if len(kept) > _KEEP:
+            del kept[next(iter(kept))]
+        _send(replies, _share(tasks, worker))
+
+
+def _worker(i: int) -> _Worker:
+    """Worker ``i``, forked now if it does not exist yet."""
+    while len(_WORKERS) <= i:
+        _WORKERS.append(_Worker())
+    return _WORKERS[i]
+
+
+def _stop_workers():
+    """Kill and reap every worker; a later dispatch forks them again."""
+    while _WORKERS:
+        _WORKERS.pop().kill()
+
+
+def _forget_workers():
+    """In a forked process: close the inherited pipes of the parent's
+    workers, so that it never writes to them and they still see EOF when
+    the parent goes, and forget those workers."""
+    for w in _WORKERS:
+        for fd in w.fds:
+            os.close(fd)
+    _WORKERS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+atexit.register(_stop_workers)
 
 
 def _run_blocks(tasks, worker, workers):
@@ -260,37 +402,49 @@ def _run_blocks(tasks, worker, workers):
 
     With ``procs = min(workers, len(tasks), default_workers())`` above 1,
     this process runs the tasks ``0::procs`` and each of ``procs - 1``
-    forked children the tasks ``k::procs``, sending back only its results
-    through a pipe.  Each share stops at its first failing task.  Once
-    every child is reaped, the tasks left without a result run here in
-    task order, so the first failing task raises its own error, as with
-    one worker; a share whose fork failed or whose child died is computed
-    here too.  Anything raised before that (a ``KeyboardInterrupt``, say)
-    kills and reaps the children first.  Tasks run inline where there is
-    no ``os.fork`` or another thread is alive: a child would inherit only
-    the forking thread, and maybe a lock that another one held.
+    other processes the tasks ``k::procs``, sending back only its results
+    through a pipe.  A worker that carries a pass spec (``worker.spec``,
+    from ``_integrate_grids``) sends the tasks to the worker processes
+    (``_Worker``), which make the pass again from the spec; any other
+    forks a child per share for this dispatch (``_Child``), which
+    inherits ``worker`` and the state it reads.  Each share stops at its
+    first failing task.  Once every share is in, the tasks left without a
+    result run here in task order, so the first failing task raises its
+    own error, as with one worker; a share whose process could not start
+    or died is computed here too.  Such a loss, and anything raised before
+    the shares are in (a ``KeyboardInterrupt``, say), kills and reaps the
+    processes of this dispatch, the worker processes among them.  Tasks
+    run inline where there is no ``os.fork`` or another thread is alive:
+    a forked process would inherit only the forking thread, and maybe a
+    lock that another one held.
     """
     procs = min(workers or 1, len(tasks), default_workers())
     if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [worker(t) for t in tasks]
-    live = {}  # share -> (pid, pipe) of each child not yet reaped
+    spec = getattr(worker, "spec", None)
+    started, shares, lost = {}, {}, False
     try:
         for k in range(1, procs):
-            with contextlib.suppress(OSError):  # not forked: the share runs below
-                live[k] = _fork(tasks[k::procs], worker)
-        shares = {0: _share(tasks[0::procs], worker)}
-        for k in list(live):
-            pid, pipe = live[k]
-            with pipe:
-                data = pipe.read()
-            del live[k]
-            shares[k] = pickle.loads(data) if os.waitpid(pid, 0)[1] == 0 else []
+            try:
+                started[k] = (_Child(tasks[k::procs], worker) if spec is None
+                              else _worker(k - 1).start(spec, tasks[k::procs]))
+            except OSError:  # no process for share k: it runs below
+                lost = True
+        shares[0] = _share(tasks[0::procs], worker)
+        for k in list(started):
+            try:
+                shares[k] = started[k].finish()
+            except (EOFError, OSError):  # the process died: its share runs below
+                lost = True
+            del started[k]
     except BaseException:
-        for pid, pipe in live.values():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for proc in started.values():
+            proc.kill()
+        if spec is not None:
+            _stop_workers()
         raise
+    if lost and spec is not None:
+        _stop_workers()
     parts = [None] * len(tasks)
     for k, results in shares.items():
         for i, part in zip(range(k, len(tasks), procs), results):
@@ -310,28 +464,85 @@ def _workspace():
         _LOCAL.ws = ws
 
 
-def _integrate_grids(surface, func, grids, workers):
-    """Sums and maxima of one pass over each grid, in one dispatch.
+class _Kernel(NamedTuple):
+    """The engine block kernel ``_KERNELS[name]`` bound to the surface and
+    the field of a pass: ``func(ci, U, ws)`` for ``_integrate_grids``."""
 
-    ``func(ci, U, ws)`` returns the (B, m) values, the (B,) volume factor
-    of the geometry it evaluated and (B, j) peaks.  It is called once per
-    block of BLOCK points, whatever the worker count, with the calling
-    thread's ``Workspace`` ``ws``, which it passes to the engine's kernels
-    only (``geometry_batch``, ``chart_forms_batch``), never to a user's
-    callable.  They keep in it the second form and the field form K: 2 p^2
-    float64 per point, 18 for p = 3, that is about 1.2 MB per process for
-    a BLOCK-point workspace.  Values are weighted by volume factor and
-    quadrature weight, each row of a block summed exactly rounded, and the
-    blocks of each grid combined by a pairwise tree; peaks are reduced by
-    max.  The blocks of all grids are one task list for ``_run_blocks``,
-    on ``workers`` processes when the grids hold more than ``FORK_POINTS``
-    points together, else inline.  A ``CurvintError`` gets the prefix
-    ``chart {ci}:``; the error raised is that of the first failing block.
-    Returns the (m,) sums and the (j,) maxima of each grid, whose bits do
-    not depend on the worker count.
-    """
-    for grid in grids:
-        _check_grid(surface, grid)
+    name: str
+    surface: ChartedHypersurface
+    field: TangentField | None = None
+
+    def __call__(self, ci, U, ws):
+        return _KERNELS[self.name](self.surface, self.field, ci, U, ws)
+
+
+_KERNELS = {}  # name -> engine block kernel(surface, field, ci, U, ws)
+
+
+def _kernel(name: str):
+    """Register an engine block kernel under ``name``, which specs carry."""
+    def register(kernel):
+        _KERNELS[name] = kernel
+        return kernel
+    return register
+
+
+class _Spec(NamedTuple):
+    """A pass as plain data, from which a worker process makes it again."""
+
+    kernel: str                               # a name in _KERNELS
+    surface: str                              # a catalog key
+    coefficients: tuple[float, ...] | None    # the field's, if any
+    field_key: str
+    counts: tuple[tuple[int, ...], ...]       # node counts of each grid
+
+
+def _spec(surface, func, grids) -> bytes | None:
+    """The pickled ``_Spec`` of a pass, or None unless every part of it
+    can be made again from plain data: an engine kernel (``_Kernel``); the
+    catalog's own surface object (``catalog._key_of``); no field, or one
+    with coefficients, which the passes read off the geometry without
+    calling its callables; and grids with the rules ``QuadratureGrid.build``
+    makes of their counts.  A user's callables, and the state they read,
+    reach another process only through a fork at the dispatch."""
+    key = catalog._key_of(surface)
+    if (not isinstance(func, _Kernel) or key is None
+            or (func.field is not None and func.field.coefficients is None)):
+        return None
+    if not all(_as_built(grid, surface) for grid in grids):
+        return None
+    field = func.field
+    return pickle.dumps(_Spec(
+        func.name, key, None if field is None else field.coefficients,
+        "" if field is None else field.key, tuple(g.counts for g in grids)))
+
+
+def _as_built(grid, surface) -> bool:
+    """Whether each chart grid has the rules and size that
+    ``QuadratureGrid.build`` makes of the grid's counts."""
+    for cg, chart in zip(grid.charts, surface.charts):
+        rules = _chart_rules(chart, grid.counts)
+        if len(cg.rules) != len(rules) or cg.size != math.prod(len(r.nodes) for r in rules):
+            return False
+        if not all(a.periodic == b.periodic and np.array_equal(a.nodes, b.nodes)
+                   and np.array_equal(a.weights, b.weights) for a, b in zip(cg.rules, rules)):
+            return False
+    return True
+
+
+def _rebuild(spec: _Spec):
+    """The block worker of a pass spec (``_blocks``), in a worker process.
+    The field is given its coefficients only: no pass calls its callables."""
+    surface = catalog._surface(spec.surface)
+    field = None if spec.coefficients is None else TangentField(
+        None, key=spec.field_key, coefficients=spec.coefficients)
+    grids = tuple(QuadratureGrid.build(surface, c) for c in spec.counts)
+    return _blocks(surface, _Kernel(spec.kernel, surface, field), grids)[1]
+
+
+def _blocks(surface, func, grids):
+    """The tasks ``(grid, chart, start)`` of a pass over ``grids``, and the
+    worker that returns a task's exactly rounded row sums and its peaks."""
     tasks = [(g, ci, start) for g, grid in enumerate(grids)
              for ci, cg in enumerate(grid.charts) for start in range(0, cg.size, BLOCK)]
 
@@ -347,7 +558,37 @@ def _integrate_grids(surface, func, grids, workers):
             terms = np.multiply(vals.T, wf * weights * volf, order="C")  # (m, B)
             return exact_row_sums(terms), np.max(peaks, axis=0)
 
+    return tasks, worker
+
+
+def _integrate_grids(surface, func, grids, workers):
+    """Sums and maxima of one pass over each grid, in one dispatch.
+
+    ``func(ci, U, ws)`` returns the (B, m) values, the (B,) volume factor
+    of the geometry it evaluated and (B, j) peaks.  It is called once per
+    block of BLOCK points, whatever the worker count, with the calling
+    thread's ``Workspace`` ``ws``, which it passes to the engine's kernels
+    only (``geometry_batch``, ``chart_forms_batch``), never to a user's
+    callable.  They keep in it the second form and the field form K: 2 p^2
+    float64 per point, 18 for p = 3, that is about 1.2 MB per process for
+    a BLOCK-point workspace.  Values are weighted by volume factor and
+    quadrature weight, each row of a block summed exactly rounded, and the
+    blocks of each grid combined by a pairwise tree; peaks are reduced by
+    max.  The blocks of all grids are one task list for ``_run_blocks``,
+    on ``workers`` processes when the grids hold more than ``FORK_POINTS``
+    points together, else inline.  Such a pass goes to the worker
+    processes as its spec (``_spec``) when it has one, and to children
+    forked for it when not.  A ``CurvintError`` gets the prefix ``chart
+    {ci}:``; the error raised is that of the first failing block.
+    Returns the (m,) sums and the (j,) maxima of each grid, whose bits do
+    not depend on the worker count or the route.
+    """
+    for grid in grids:
+        _check_grid(surface, grid)
+    tasks, worker = _blocks(surface, func, grids)
     points = sum(grid.total_points for grid in grids)
+    if points > FORK_POINTS:
+        worker.spec = _spec(surface, func, grids)
     parts = _run_blocks(tasks, worker, workers if points > FORK_POINTS else 1)
     out = []
     for g in range(len(grids)):
@@ -383,8 +624,10 @@ def integrate(
     workers : int, optional
         Process count for block dispatch; the result bits do not depend
         on it.  Above ``FORK_POINTS`` points, some batches then run in
-        forked processes, whose side effects the caller does not see, and
-        the first failing batch runs once more in the calling process.
+        children forked for the pass, whose side effects the caller does
+        not see, and the first failing batch runs once more in the
+        calling process.  The integrand is the caller's code, so this
+        pass never goes to the persistent worker processes.
 
     Returns
     -------
@@ -415,22 +658,25 @@ def _select_ks(n: int, k) -> list[int]:
     return ks
 
 
+@_kernel("eta")
+def _eta_kernel(surface, field, ci, U, ws):
+    """Block kernel of ``_eta_integrals``: (1, eta_0, ..., eta_n) per point."""
+    h, dv, det_g, volume_factor = chart_forms_batch(surface, field, ci, U, ws=ws)
+    eta = eta_all(ColumnSystem(H=h, V=dv)).values
+    vals = np.empty((1 + eta.shape[1], len(U)))  # batch-last, like eta
+    vals[0] = 1.0
+    np.divide(eta.T, det_g, out=vals[1:])
+    return vals.T, volume_factor, np.empty((len(U), 0))
+
+
 def _eta_integrals(surface, field, grid, workers):
     """Full- and half-grid integrals of (1, eta_0, ..., eta_n).
 
     Column 0 is the surface volume, column 1 + k the eta_k integral.  The
     eta_k come from the chart-basis forms, with no adapted frame.
     """
-    def func(ci, U, ws):
-        h, dv, det_g, volume_factor = chart_forms_batch(surface, field, ci, U, ws=ws)
-        eta = eta_all(ColumnSystem(H=h, V=dv)).values
-        vals = np.empty((1 + eta.shape[1], len(U)))  # batch-last, like eta
-        vals[0] = 1.0
-        np.divide(eta.T, det_g, out=vals[1:])
-        return vals.T, volume_factor, np.empty((len(U), 0))
-
     (values, _), (halves, _) = _integrate_grids(
-        surface, func, (grid, grid.half(surface)), workers)
+        surface, _Kernel("eta", surface, field), (grid, grid.half(surface)), workers)
     return values, halves
 
 

@@ -1,10 +1,11 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 import curvint as cv
-from curvint import manifold
+from curvint import manifold, quadrature
 from curvint.fields import (
     FrameBatch, ShapeData, ShapeDataBatch, _chart_forms, _frame_vectors, field_batch,
     project_field_batch)
@@ -152,6 +153,26 @@ def ambient_shape_data(surface, field, ci, U):
         dv_v_dot_v=dv_frame[:, n, n],
         volume_factor=geo.volume_factor,
     )
+
+
+def counting_fork(monkeypatch):
+    """Count the calls of os.fork, which still forks; return the count list."""
+    calls, fork = [], os.fork
+
+    def counting():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+@pytest.fixture(autouse=True)
+def no_worker_processes():
+    """Each test starts with no worker process, so the first dispatch that
+    needs them forks them: they see the module state the test patched, and
+    the counts of forks and children start from nothing."""
+    quadrature._stop_workers()
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvint as cv
+import curvint.degree
 import curvint.fields
 import curvint.quadrature
 from curvint._reduction import exact_row_sums
 from curvint.quadrature import BLOCK, FORK_POINTS, QuadratureGrid
-from conftest import CATALOG_PAIRS
+from conftest import CATALOG_PAIRS, counting_fork
 
 
 def ones(ci, U):
@@ -216,18 +217,6 @@ def _no_fork():
     raise AssertionError("os.fork called")
 
 
-def _counting_fork(monkeypatch):
-    """Count the calls of os.fork, which still forks; return the count list."""
-    calls, fork = [], os.fork
-
-    def counting():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return calls
-
-
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -272,71 +261,131 @@ def _torus_above_the_threshold(surface):
     return grid, grid.charts[0].rules[0].nodes[::128]
 
 
+def _patch_degree_kernel(monkeypatch, action):
+    """Have the degree pass's kernel call ``action(U)`` before each block.
+
+    The degree pass goes to the worker processes, which the first dispatch
+    after this patch forks, so they run ``action`` too."""
+    original = curvint.degree.shape_determinant_batch
+
+    def patched(surface, ci, U, ws=None):
+        action(U)
+        return original(surface, ci, U, ws=ws)
+
+    monkeypatch.setattr(curvint.degree, "shape_determinant_batch", patched)
+
+
+def _stop_and_assert_no_child(workers):
+    """The pass left ``workers`` worker processes and no other child."""
+    assert len(curvint.quadrature._WORKERS) == workers
+    curvint.quadrature._stop_workers()
+    _assert_no_child()
+
+
 @pytest.mark.parametrize("failing", [(1, 2), (2, 3)])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_forked_pass_raises_the_first_failing_block(surfaces, monkeypatch, workers, failing):
     """Two blocks of a pass above the threshold fail with different
-    messages, and the lower block's error is raised at every worker count:
-    at 2 workers, (1, 2) has it in the child and (2, 3) in this process.
-    The pass forks workers - 1 children and leaves none."""
+    messages, and the lower block's error is raised at every worker count,
+    on both routes: at 2 workers, (1, 2) has it in the other process and
+    (2, 3) in this one.  ``integrate``'s user integrand forks workers - 1
+    children for its pass and leaves none; the degree pass of the catalog
+    torus2 forks workers - 1 worker processes, which outlive it, and
+    leaves no other child."""
     monkeypatch.setattr(curvint.quadrature, "default_workers", lambda: 3)
-    forks = _counting_fork(monkeypatch)
+    forks = counting_fork(monkeypatch)
     surface = surfaces["torus2"]
     grid, starts = _torus_above_the_threshold(surface)
 
-    def integrand(ci, U):
+    def fail(U):
         for b in failing:
             if U[0, 0] == starts[b]:
                 raise cv.DegenerateImmersion(f"block {b}")
+
+    def integrand(ci, U):
+        fail(U)
         return np.ones(len(U))
 
     with pytest.raises(cv.DegenerateImmersion, match=rf"^chart 0: block {failing[0]}$"):
         cv.integrate(surface, integrand, grid, workers=workers)
     assert len(forks) == workers - 1
     _assert_no_child()
+    _patch_degree_kernel(monkeypatch, fail)
+    with pytest.raises(cv.DegenerateImmersion, match=rf"^chart 0: block {failing[0]}$"):
+        cv.gauss_degree(surface, grid, workers=workers)
+    assert len(forks) == 2 * (workers - 1)
+    _stop_and_assert_no_child(workers - 1)
 
 
 def test_interrupt_in_a_forked_pass_reaps_the_children(surfaces, monkeypatch):
-    """A KeyboardInterrupt in this process's own share of a forked pass
-    kills and reaps the children before it propagates."""
+    """A KeyboardInterrupt in this process's own share of a pass above the
+    threshold kills and reaps the other processes before it propagates:
+    the children forked for ``integrate``, and the worker processes of a
+    catalog pass.  The next catalog pass forks a worker again and gets the
+    bits of one worker."""
     surface = surfaces["torus2"]
     grid, _ = _torus_above_the_threshold(surface)
     parent = os.getpid()
 
-    def integrand(ci, U):
-        if os.getpid() == parent:
+    def interrupt(U):
+        if os.getpid() == parent and interrupting:
             raise KeyboardInterrupt
+
+    def integrand(ci, U):
+        interrupt(U)
         return np.ones(len(U))
 
-    forks = _counting_fork(monkeypatch)
+    interrupting = True
+    forks = counting_fork(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
         cv.integrate(surface, integrand, grid, workers=2)
     assert forks
     _assert_no_child()
+    _patch_degree_kernel(monkeypatch, interrupt)
+    forks.clear()
+    with pytest.raises(KeyboardInterrupt):
+        cv.gauss_degree(surface, grid, workers=2)
+    assert len(forks) == 1
+    _stop_and_assert_no_child(0)
+    interrupting = False
+    want = repr(cv.gauss_degree(surface, grid, workers=1))
+    assert repr(cv.gauss_degree(surface, grid, workers=2)) == want
+    assert len(forks) == 2
+    _stop_and_assert_no_child(1)
 
 
-def test_share_of_a_dead_child_runs_here(surfaces):
-    """A child that dies without sending its results (here it exits at its
-    first block) leaves its share to this process: the pass gives the bits
-    of one worker."""
+def test_share_of_a_dead_child_runs_here(surfaces, monkeypatch):
+    """A process that dies without sending its results (here it exits at
+    its first block) leaves its share to this process, and the pass gives
+    the bits of one worker: a child forked for ``integrate``, and a worker
+    process of a catalog pass, which leaves no worker behind."""
     surface = surfaces["torus2"]
     grid, _ = _torus_above_the_threshold(surface)
     parent = os.getpid()
 
-    def integrand(ci, U):
+    def die(U):
         if os.getpid() != parent:
             os._exit(3)
+
+    def integrand(ci, U):
+        die(U)
         return np.cos(U[:, 0]) ** 2
 
     want = repr(cv.integrate(surface, integrand, grid, workers=1))
     assert repr(cv.integrate(surface, integrand, grid, workers=2)) == want
     _assert_no_child()
+    _patch_degree_kernel(monkeypatch, die)
+    want = repr(cv.gauss_degree(surface, grid, workers=1))
+    assert repr(cv.gauss_degree(surface, grid, workers=2)) == want
+    _stop_and_assert_no_child(0)
 
 
 def test_forked_passes_keep_the_bits(surfaces, monkeypatch):
     """sphere3/hopf at 48^3, above the threshold: verify, integrate and
-    the degree give the bits of one worker at 2 and 3 processes, which
-    fork 1 and 2 children per pass, and leave no child."""
+    the degree give the bits of one worker at 2 and 3 processes.  Verify
+    and the degree go to the worker processes, which the first pass at 2
+    processes forks (1) and the first at 3 adds to (1 more); integrate
+    forks 1 and 2 children per pass.  No other child is left."""
     monkeypatch.setattr(curvint.quadrature, "default_workers", lambda: 3)
     surface = surfaces["sphere3"]
     field = cv.get_field("hopf", surface)
@@ -348,14 +397,16 @@ def test_forked_passes_keep_the_bits(surfaces, monkeypatch):
                      cv.integrate(surface, ones, grid, workers=workers),
                      cv.gauss_degree(surface, grid, workers=workers)))
 
-    forks = _counting_fork(monkeypatch)
+    forks = counting_fork(monkeypatch)
     want = reports(1)
     assert not forks
     assert reports(2) == want
-    assert len(forks) == 3
+    assert len(forks) == 1 + 1
+    assert reports(2) == want
+    assert len(forks) == 2 + 1
     assert reports(3) == want
-    assert len(forks) == 3 + 6
-    _assert_no_child()
+    assert len(forks) == 3 + 1 + 2
+    _stop_and_assert_no_child(2)
 
 
 def _all_reports(surfaces, workers):
