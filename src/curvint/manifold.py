@@ -25,12 +25,13 @@ their partials in this layout; ``geometry_batch`` copies partials of any
 other layout once (``_batch_last``), so results do not depend on the
 layout a chart returns.  Work on one block stays in few, long vector
 operations, as every numpy call has a fixed cost of a few microseconds,
-and in a small working set, as a forked worker pays a page fault for
-each page that its first block writes: the Cholesky factor and the
-triangular solves work in place, and the metric is not kept.  The grid
-passes run blocks in worker processes (``quadrature._run_blocks``):
-threads would contend for the interpreter lock at every numpy call, so a
-kernel of many short calls would gain little from a second thread.
+and in a small working set, as a process pays a page fault for each
+fresh page that a block writes: the Cholesky factor and the triangular
+solves work in place, and the metric is not kept.  The engine's passes
+over a catalog surface run their blocks in worker processes
+(``quadrature._run_blocks``): threads would contend for the interpreter
+lock at every numpy call, so a kernel of many short calls would gain
+little from a second thread.
 """
 
 import math

@@ -12,19 +12,18 @@ processes.  Every pass over a grid runs one kernel that returns values to
 integrate and per-point peaks.  The kernel is called once per block of
 ``BLOCK`` = 8192 points at every worker count, so that each call makes
 long vector operations.  The blocks of a grid and of its half-resolution
-companion go out as one task list (``_integrate_grids``); above
-``FORK_POINTS`` points, ``_run_blocks`` shares it out among processes,
-each of which sends back only the sums and peaks of its blocks.  A pass
-of an engine kernel (eta, degree or foliation) over a catalog surface,
-with no field or a coordinate field, is plain data (``_spec``): it goes
-to worker processes that the first such dispatch forks and that then
-wait for the next, until the host process ends (``_Worker``), so no later
-pass forks or takes copy-on-write faults.  Every other pass, such as
-``integrate``'s over a user integrand, forks children for its dispatch,
-since only a fork shows them the user's callables and the state those
-read.  Threads would meet at the interpreter lock at every numpy call,
-and two of them ran the block kernel hardly faster than one.  Each thread
-keeps one ``Workspace`` (``_workspace``), which forked processes inherit;
+companion go out as one task list (``_integrate_grids``).  A pass of an
+engine kernel (eta, degree or foliation) over a catalog surface, with no
+field or a coordinate field, is plain data (``_spec``): above
+``FORK_POINTS`` points, ``_run_blocks`` shares its tasks out among worker
+processes that the first such dispatch forks and that then wait for the
+next, until the host process ends (``_Worker``); each sends back only the
+sums and peaks of its blocks.  Every other pass, such as ``integrate``'s
+over a user integrand, runs in the calling process, so a user's callable
+is called once per block, there, and its side effects stay visible.
+Threads would meet at the interpreter lock at every numpy call, and two
+of them ran the block kernel hardly faster than one.  Each thread keeps
+one ``Workspace`` (``_workspace``), which the worker processes inherit;
 the engine's kernels write their largest per-block arrays into it, so a
 block does not free memory that the next one allocates again.  The nodes and
 weights of a block are gathered from the per-axis rules when it runs;
@@ -67,14 +66,15 @@ from .manifold import ChartedHypersurface, Workspace, geometry_batch
 
 BLOCK = 8192  # points per kernel call and exact sum; fixed, as it shapes the sum tree
 
-# Points of one dispatch above which its blocks go to other processes,
-# worker processes or children forked for it: the crossover of forked
-# children, measured on sphere3 eta passes (CHANGES.md).  Below it, the
-# fork and the copy-on-write faults that it brings on in both processes
-# cost more than the second process gains.
+# Points of one dispatch above which the blocks of a spec pass go to the
+# worker processes.  The value is the crossover measured for children
+# forked per dispatch on sphere3 eta passes (CHANGES.md), whose fork and
+# copy-on-write faults cost more than a second process gained below it;
+# the persistent workers' own crossover is lower, two blocks
+# (BENCH_29.json ``crossover``).
 FORK_POINTS = 7 * BLOCK // 2
 
-_LOCAL = threading.local()  # each thread's workspace; a forked child inherits it
+_LOCAL = threading.local()  # each thread's workspace; a worker process inherits it
 
 _GL_PANEL = 16
 
@@ -157,13 +157,9 @@ class ChartGrid:
         return self.span(0, self.size)[1]
 
 
-def _chart_rules(chart, counts) -> tuple[CoordinateRule, ...]:
-    return tuple(_periodic_rule(lo, hi, c) if per else _gauss_rule(lo, hi, c)
-                 for lo, hi, per, c in zip(chart.lo, chart.hi, chart.periodic, counts))
-
-
 def _build_chart_grid(chart, counts) -> ChartGrid:
-    rules = _chart_rules(chart, counts)
+    rules = tuple(_periodic_rule(lo, hi, c) if per else _gauss_rule(lo, hi, c)
+                  for lo, hi, per, c in zip(chart.lo, chart.hi, chart.periodic, counts))
     size = math.prod(len(r.nodes) for r in rules)
     # the passes gather nodes per block, but a grid whose (N, p) node array
     # numpy cannot allocate is refused as before (MemoryError, ValueError);
@@ -269,37 +265,38 @@ def _receive(fd):
     return pickle.loads(read(int.from_bytes(read(8), "little")))
 
 
-class _Process:
-    """A forked process that calls ``child(*ends)`` and leaves by
-    ``os._exit``, printing nothing, and this process's ends of its pipes.
-    ``writes`` has one flag per pipe, True where this process writes; the
-    last pipe carries the results."""
+class _Worker:
+    """A worker process: forked by the first dispatch that needs it, it
+    runs the shares of every later spec pass, until EOF on its request
+    pipe, ``_stop_workers`` or the end of this process.  ``fds`` are this
+    process's ends of its request and reply pipes."""
 
-    def __init__(self, child, writes):
-        pipes = [os.pipe() for _ in writes]
-        self.fds = [w if out else r for (r, w), out in zip(pipes, writes)]
-        theirs = [r if out else w for (r, w), out in zip(pipes, writes)]
+    def __init__(self):
+        (req_r, req_w), (rep_r, rep_w) = os.pipe(), os.pipe()
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in self.fds + theirs:
+            for fd in (req_r, req_w, rep_r, rep_w):
                 os.close(fd)
             raise
-        if self.pid == 0:  # the child: it never returns from here
+        if self.pid == 0:  # the worker: it never returns from here
             code = 1
             try:
-                for fd in self.fds:
-                    os.close(fd)
-                child(*theirs)
+                _serve(req_r, rep_w)
                 code = 0
             finally:
                 os._exit(code)
-        for fd in theirs:
-            os.close(fd)
+        os.close(req_r)
+        os.close(rep_w)
+        self.fds = [req_w, rep_r]
+
+    def start(self, spec: bytes, tasks) -> "_Worker":
+        _send(self.fds[0], (spec, tasks))
+        return self
 
     def finish(self) -> list:
         """The results of the share it was given (``_receive``)."""
-        return _receive(self.fds[-1])
+        return _receive(self.fds[1])
 
     def kill(self):
         """Close the pipes, then kill and reap the process, once."""
@@ -313,41 +310,13 @@ class _Process:
                 os.waitpid(pid, 0)
 
 
-class _Child(_Process):
-    """A process forked for one share of one dispatch: it runs
-    ``_share(tasks, worker)``, sends the results and exits."""
-
-    def __init__(self, tasks, worker):
-        super().__init__(lambda out: _send(out, _share(tasks, worker)), (False,))
-
-    def finish(self) -> list:
-        try:
-            return super().finish()
-        finally:
-            self.kill()  # it has sent all it will, or died
-
-
-class _Worker(_Process):
-    """A worker process: forked by the first dispatch that needs it, it
-    runs the shares of every later pass given by a pass spec, until EOF
-    on its request pipe, ``_stop_workers`` or the end of this process."""
-
-    def __init__(self):
-        super().__init__(_serve, (True, False))
-
-    def start(self, spec: bytes, tasks) -> "_Worker":
-        _send(self.fds[0], (spec, tasks))
-        return self
-
-
 _WORKERS: list[_Worker] = []  # this process's workers, in share order
-_KEEP = 8  # passes a worker keeps made, for the latest specs it was sent
 
 
 def _serve(requests, replies):
     """A worker's loop: for each ``(spec, tasks)`` request, the block
-    worker of the spec (kept for the last ``_KEEP`` specs, keyed by their
-    bytes) runs ``_share`` over the tasks, and the results go back.
+    worker made again from the spec runs ``_share`` over the tasks, and
+    the results go back.  It leaves at EOF on ``requests``.
 
     It first closes every file it inherited but its two pipes and the
     standard streams: a pipe, file or socket that the host closes later
@@ -356,17 +325,12 @@ def _serve(requests, replies):
     os.closerange(3, low)
     os.closerange(low + 1, high)
     os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
-    kept = {}
     while True:
         try:
             spec, tasks = _receive(requests)
         except EOFError:
             return
-        worker = kept.pop(spec, None) or _rebuild(pickle.loads(spec))
-        kept[spec] = worker
-        if len(kept) > _KEEP:
-            del kept[next(iter(kept))]
-        _send(replies, _share(tasks, worker))
+        _send(replies, _share(tasks, _rebuild(pickle.loads(spec))))
 
 
 def _worker(i: int) -> _Worker:
@@ -400,51 +364,41 @@ atexit.register(_stop_workers)
 def _run_blocks(tasks, worker, workers):
     """``[worker(t) for t in tasks]``, on up to ``workers`` processes.
 
-    With ``procs = min(workers, len(tasks), default_workers())`` above 1,
-    this process runs the tasks ``0::procs`` and each of ``procs - 1``
-    other processes the tasks ``k::procs``, sending back only its results
-    through a pipe.  A worker that carries a pass spec (``worker.spec``,
-    from ``_integrate_grids``) sends the tasks to the worker processes
-    (``_Worker``), which make the pass again from the spec; any other
-    forks a child per share for this dispatch (``_Child``), which
-    inherits ``worker`` and the state it reads.  Each share stops at its
-    first failing task.  Once every share is in, the tasks left without a
-    result run here in task order, so the first failing task raises its
-    own error, as with one worker; a share whose process could not start
-    or died is computed here too.  Such a loss, and anything raised before
+    A worker that carries a pass spec (``worker.spec``, from
+    ``_integrate_grids``) shares the tasks out: with ``procs =
+    min(workers, len(tasks), default_workers())`` above 1, this process
+    runs the tasks ``0::procs`` and worker process ``k - 1`` (``_Worker``)
+    the tasks ``k::procs``, which it makes again from the spec, sending
+    back only its results through a pipe.  Each share stops at its first
+    failing task.  Once every share is in, the tasks left without a result
+    run here in task order, so the first failing task raises its own
+    error, as with one worker; a share whose worker could not start or
+    died is computed here too.  Such a loss, and anything raised before
     the shares are in (a ``KeyboardInterrupt``, say), kills and reaps the
-    processes of this dispatch, the worker processes among them.  Tasks
-    run inline where there is no ``os.fork`` or another thread is alive:
-    a forked process would inherit only the forking thread, and maybe a
-    lock that another one held.
+    worker processes, and the next dispatch forks them again.  Any other
+    worker, whose tasks may call a user's callables, runs here, each task
+    once and in order; so does every worker where there is no ``os.fork``
+    or another thread is alive: a forked process would inherit only the
+    forking thread, and maybe a lock that another one held.
     """
     procs = min(workers or 1, len(tasks), default_workers())
-    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [worker(t) for t in tasks]
     spec = getattr(worker, "spec", None)
-    started, shares, lost = {}, {}, False
+    if (spec is None or procs < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return [worker(t) for t in tasks]
+    started, shares = {}, {}
     try:
+        # a share whose worker could not start or died is missing: it runs below
         for k in range(1, procs):
-            try:
-                started[k] = (_Child(tasks[k::procs], worker) if spec is None
-                              else _worker(k - 1).start(spec, tasks[k::procs]))
-            except OSError:  # no process for share k: it runs below
-                lost = True
+            with contextlib.suppress(OSError):
+                started[k] = _worker(k - 1).start(spec, tasks[k::procs])
         shares[0] = _share(tasks[0::procs], worker)
-        for k in list(started):
-            try:
-                shares[k] = started[k].finish()
-            except (EOFError, OSError):  # the process died: its share runs below
-                lost = True
-            del started[k]
-    except BaseException:
-        for proc in started.values():
-            proc.kill()
-        if spec is not None:
+        for k, proc in started.items():
+            with contextlib.suppress(EOFError, OSError):
+                shares[k] = proc.finish()
+    finally:
+        if len(shares) < procs:  # a share is missing, or something raised
             _stop_workers()
-        raise
-    if lost and spec is not None:
-        _stop_workers()
     parts = [None] * len(tasks)
     for k, results in shares.items():
         for i, part in zip(range(k, len(tasks), procs), results):
@@ -494,40 +448,24 @@ class _Spec(NamedTuple):
     surface: str                              # a catalog key
     coefficients: tuple[float, ...] | None    # the field's, if any
     field_key: str
-    counts: tuple[tuple[int, ...], ...]       # node counts of each grid
+    grids: tuple[QuadratureGrid, ...]         # rules and all
 
 
 def _spec(surface, func, grids) -> bytes | None:
-    """The pickled ``_Spec`` of a pass, or None unless every part of it
-    can be made again from plain data: an engine kernel (``_Kernel``); the
-    catalog's own surface object (``catalog._key_of``); no field, or one
-    with coefficients, which the passes read off the geometry without
-    calling its callables; and grids with the rules ``QuadratureGrid.build``
-    makes of their counts.  A user's callables, and the state they read,
-    reach another process only through a fork at the dispatch."""
+    """The pickled ``_Spec`` of a pass, or None unless its kernel and
+    surface can be made again from plain data: an engine kernel
+    (``_Kernel``); the catalog's own surface object (``catalog._key_of``);
+    no field, or one with coefficients, which the passes read off the
+    geometry without calling its callables.  The grids travel as they
+    are.  A pass that calls a user's callables has no spec."""
     key = catalog._key_of(surface)
     if (not isinstance(func, _Kernel) or key is None
             or (func.field is not None and func.field.coefficients is None)):
         return None
-    if not all(_as_built(grid, surface) for grid in grids):
-        return None
     field = func.field
     return pickle.dumps(_Spec(
         func.name, key, None if field is None else field.coefficients,
-        "" if field is None else field.key, tuple(g.counts for g in grids)))
-
-
-def _as_built(grid, surface) -> bool:
-    """Whether each chart grid has the rules and size that
-    ``QuadratureGrid.build`` makes of the grid's counts."""
-    for cg, chart in zip(grid.charts, surface.charts):
-        rules = _chart_rules(chart, grid.counts)
-        if len(cg.rules) != len(rules) or cg.size != math.prod(len(r.nodes) for r in rules):
-            return False
-        if not all(a.periodic == b.periodic and np.array_equal(a.nodes, b.nodes)
-                   and np.array_equal(a.weights, b.weights) for a, b in zip(cg.rules, rules)):
-            return False
-    return True
+        "" if field is None else field.key, tuple(grids)))
 
 
 def _rebuild(spec: _Spec):
@@ -536,8 +474,7 @@ def _rebuild(spec: _Spec):
     surface = catalog._surface(spec.surface)
     field = None if spec.coefficients is None else TangentField(
         None, key=spec.field_key, coefficients=spec.coefficients)
-    grids = tuple(QuadratureGrid.build(surface, c) for c in spec.counts)
-    return _blocks(surface, _Kernel(spec.kernel, surface, field), grids)[1]
+    return _blocks(surface, _Kernel(spec.kernel, surface, field), spec.grids)[1]
 
 
 def _blocks(surface, func, grids):
@@ -574,22 +511,22 @@ def _integrate_grids(surface, func, grids, workers):
     a BLOCK-point workspace.  Values are weighted by volume factor and
     quadrature weight, each row of a block summed exactly rounded, and the
     blocks of each grid combined by a pairwise tree; peaks are reduced by
-    max.  The blocks of all grids are one task list for ``_run_blocks``,
-    on ``workers`` processes when the grids hold more than ``FORK_POINTS``
-    points together, else inline.  Such a pass goes to the worker
-    processes as its spec (``_spec``) when it has one, and to children
-    forked for it when not.  A ``CurvintError`` gets the prefix ``chart
-    {ci}:``; the error raised is that of the first failing block.
-    Returns the (m,) sums and the (j,) maxima of each grid, whose bits do
-    not depend on the worker count or the route.
+    max.  The blocks of all grids are one task list for ``_run_blocks``.
+    When the grids hold more than ``FORK_POINTS`` points together and the
+    pass has a spec (``_spec``: an engine kernel over a catalog surface),
+    the list is shared out among ``workers`` processes; ``workers``
+    parallelises such passes only, and every other pass runs inline.  A
+    ``CurvintError`` gets the prefix ``chart {ci}:``; the error raised is
+    that of the first failing block.  Returns the (m,) sums and the (j,)
+    maxima of each grid, whose bits do not depend on the worker count or
+    the route.
     """
     for grid in grids:
         _check_grid(surface, grid)
     tasks, worker = _blocks(surface, func, grids)
-    points = sum(grid.total_points for grid in grids)
-    if points > FORK_POINTS:
+    if sum(grid.total_points for grid in grids) > FORK_POINTS:
         worker.spec = _spec(surface, func, grids)
-    parts = _run_blocks(tasks, worker, workers if points > FORK_POINTS else 1)
+    parts = _run_blocks(tasks, worker, workers)
     out = []
     for g in range(len(grids)):
         mine = [part for task, part in zip(tasks, parts) if task[0] == g]
@@ -622,12 +559,11 @@ def integrate(
     grid : QuadratureGrid
         Built for this surface via ``QuadratureGrid.build``.
     workers : int, optional
-        Process count for block dispatch; the result bits do not depend
-        on it.  Above ``FORK_POINTS`` points, some batches then run in
-        children forked for the pass, whose side effects the caller does
-        not see, and the first failing batch runs once more in the
-        calling process.  The integrand is the caller's code, so this
-        pass never goes to the persistent worker processes.
+        Accepted like the engine passes' ``workers``, and without effect:
+        the integrand is the caller's code, so the pass runs in the
+        calling process at every worker count.  Each batch is integrated
+        once, in order, its side effects stay visible to the caller, and
+        the first failing batch raises its error.
 
     Returns
     -------

@@ -17,12 +17,20 @@ without rewriting the others, pass just those to ``regenerate(runs)``.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import curvint
 from curvint import cli
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 MANIFEST = GOLDEN_DIR / "manifest.json"
@@ -164,6 +172,47 @@ def test_milnor_matches_golden(tmp_path, capsys, name, argv):
 @pytest.mark.parametrize("name,argv", CSV_RUNS, ids=[n for n, _ in CSV_RUNS])
 def test_csv_matches_golden(tmp_path, capsys, name, argv):
     _check_golden(tmp_path, capsys, name, argv)
+
+
+# numpy's run-time SIMD dispatch groups above the x86-64-v2 baseline
+SIMD_GROUPS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+# Writes the report of every (name, argv) run read from stdin into the
+# directory argv[1], then prints the exit codes and the SIMD groups on.
+_RUN_ALL = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from curvint import cli
+runs = json.load(sys.stdin)
+codes = {name: cli.main(argv + ["--out", sys.argv[1] + "/" + name]) for name, argv in runs}
+print(json.dumps([codes, [g for g in sys.argv[2:] if __cpu_features__.get(g)]]))
+"""
+
+
+def test_reports_keep_their_bytes_without_simd_groups(tmp_path, capsys):
+    """Every golden run gives the same report bytes and exit code in a
+    process with numpy's SIMD dispatch groups above the baseline switched
+    off (``NPY_DISABLE_CPU_FEATURES``) as in this one, where they are on:
+    one numpy build gives the same reports on any x86-64 CPU it runs on."""
+    groups = [g for g in SIMD_GROUPS if __cpu_features__.get(g)]
+    if not groups:
+        pytest.skip("no SIMD dispatch group above the baseline is on")
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    there.mkdir()
+    codes = {name: cli.main(argv + ["--out", str(here / name)]) for name, argv in RUNS}
+    capsys.readouterr()
+    src = str(Path(curvint.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(groups),
+               PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", _RUN_ALL, str(there), *groups],
+                          input=json.dumps(RUNS), capture_output=True, text=True,
+                          env=env, timeout=300, check=True)
+    codes_there, still_on = json.loads(proc.stdout.splitlines()[-1])
+    assert still_on == []
+    assert codes_there == codes
+    assert {name: (there / name).read_bytes() for name, _ in RUNS} == {
+        name: (here / name).read_bytes() for name, _ in RUNS}
 
 
 def regenerate(runs=RUNS):

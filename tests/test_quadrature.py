@@ -234,23 +234,33 @@ def test_pass_below_the_threshold_does_not_fork(surfaces, monkeypatch):
 
 
 def test_fork_count_is_capped(monkeypatch):
-    """A dispatch forks at most min(workers, tasks, default_workers()) - 1
-    children, however many workers it is asked for, and a share whose fork
-    fails runs in the calling process.  The fork here counts its calls and
-    fails, so the test starts no process."""
+    """A dispatch of a worker that carries a pass spec forks at most
+    min(workers, tasks, default_workers()) - 1 worker processes, however
+    many workers it is asked for, and a share whose worker could not be
+    forked runs in the calling process; a worker without a spec forks
+    nothing.  The fork here counts its calls and fails, so the test starts
+    no process."""
     calls = []
 
     def failing_fork():
         calls.append(1)
         raise OSError(errno.EAGAIN, "no fork in this test")
 
+    def square(t):
+        return t * t
+
+    square.spec = b"not sent: no worker starts"
     monkeypatch.setattr(os, "fork", failing_fork)
     monkeypatch.setattr(curvint.quadrature, "default_workers", lambda: 3)
     for tasks, workers, forks in ((5, 10000, 2), (2, 10000, 1), (5, 2, 1), (1, 10000, 0)):
         calls.clear()
-        got = curvint.quadrature._run_blocks(list(range(tasks)), lambda t: t * t, workers)
+        got = curvint.quadrature._run_blocks(list(range(tasks)), square, workers)
         assert got == [t * t for t in range(tasks)]
         assert len(calls) == forks
+    calls.clear()
+    assert curvint.quadrature._run_blocks(list(range(5)), lambda t: t * t, 10000) == [
+        t * t for t in range(5)]
+    assert calls == []
 
 
 def _torus_above_the_threshold(surface):
@@ -287,11 +297,11 @@ def _stop_and_assert_no_child(workers):
 def test_forked_pass_raises_the_first_failing_block(surfaces, monkeypatch, workers, failing):
     """Two blocks of a pass above the threshold fail with different
     messages, and the lower block's error is raised at every worker count,
-    on both routes: at 2 workers, (1, 2) has it in the other process and
-    (2, 3) in this one.  ``integrate``'s user integrand forks workers - 1
-    children for its pass and leaves none; the degree pass of the catalog
-    torus2 forks workers - 1 worker processes, which outlive it, and
-    leaves no other child."""
+    on both routes.  ``integrate``'s user integrand runs in this process
+    and forks nothing; the degree pass of the catalog torus2 forks
+    workers - 1 worker processes, which outlive it, and leaves no other
+    child: at 2 workers, (1, 2) has the lower failing block in the worker
+    and (2, 3) in this process."""
     monkeypatch.setattr(curvint.quadrature, "default_workers", lambda: 3)
     forks = counting_fork(monkeypatch)
     surface = surfaces["torus2"]
@@ -308,21 +318,21 @@ def test_forked_pass_raises_the_first_failing_block(surfaces, monkeypatch, worke
 
     with pytest.raises(cv.DegenerateImmersion, match=rf"^chart 0: block {failing[0]}$"):
         cv.integrate(surface, integrand, grid, workers=workers)
-    assert len(forks) == workers - 1
+    assert forks == []
     _assert_no_child()
     _patch_degree_kernel(monkeypatch, fail)
     with pytest.raises(cv.DegenerateImmersion, match=rf"^chart 0: block {failing[0]}$"):
         cv.gauss_degree(surface, grid, workers=workers)
-    assert len(forks) == 2 * (workers - 1)
+    assert len(forks) == workers - 1
     _stop_and_assert_no_child(workers - 1)
 
 
 def test_interrupt_in_a_forked_pass_reaps_the_children(surfaces, monkeypatch):
-    """A KeyboardInterrupt in this process's own share of a pass above the
-    threshold kills and reaps the other processes before it propagates:
-    the children forked for ``integrate``, and the worker processes of a
-    catalog pass.  The next catalog pass forks a worker again and gets the
-    bits of one worker."""
+    """A KeyboardInterrupt in this process's own share of a catalog pass
+    above the threshold kills and reaps the worker processes before it
+    propagates; in ``integrate``'s pass, which runs here, it forks nothing
+    and leaves no child.  The next catalog pass forks a worker again and
+    gets the bits of one worker."""
     surface = surfaces["torus2"]
     grid, _ = _torus_above_the_threshold(surface)
     parent = os.getpid()
@@ -339,10 +349,9 @@ def test_interrupt_in_a_forked_pass_reaps_the_children(surfaces, monkeypatch):
     forks = counting_fork(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
         cv.integrate(surface, integrand, grid, workers=2)
-    assert forks
+    assert forks == []
     _assert_no_child()
     _patch_degree_kernel(monkeypatch, interrupt)
-    forks.clear()
     with pytest.raises(KeyboardInterrupt):
         cv.gauss_degree(surface, grid, workers=2)
     assert len(forks) == 1
@@ -355,10 +364,11 @@ def test_interrupt_in_a_forked_pass_reaps_the_children(surfaces, monkeypatch):
 
 
 def test_share_of_a_dead_child_runs_here(surfaces, monkeypatch):
-    """A process that dies without sending its results (here it exits at
-    its first block) leaves its share to this process, and the pass gives
-    the bits of one worker: a child forked for ``integrate``, and a worker
-    process of a catalog pass, which leaves no worker behind."""
+    """A worker process that dies without sending its results (here it
+    exits at its first block) leaves its share to this process, and the
+    catalog pass gives the bits of one worker and leaves no worker behind.
+    ``integrate``'s integrand, which would die in another process, runs in
+    this one and gives the bits of one worker too."""
     surface = surfaces["torus2"]
     grid, _ = _torus_above_the_threshold(surface)
     parent = os.getpid()
@@ -380,12 +390,46 @@ def test_share_of_a_dead_child_runs_here(surfaces, monkeypatch):
     _stop_and_assert_no_child(0)
 
 
+def test_user_integrand_runs_here_once_per_block(surfaces, monkeypatch):
+    """``integrate``'s integrand on torus2, above the threshold at 2
+    workers, runs in this process with ``os.fork`` raising: once per block
+    of the grid and of its half grid, in block order, and its appends stay
+    visible.  With blocks 1 and 2 failing, block 1's error is raised after
+    one call for each of blocks 0 and 1."""
+    monkeypatch.setattr(curvint.quadrature, "default_workers", lambda: 2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    surface = surfaces["torus2"]
+    grid, starts = _torus_above_the_threshold(surface)
+    blocks = [(os.getpid(), g.charts[0].span(b, b + 1)[0][0].tolist())
+              for g in (grid, grid.half(surface))
+              for b in range(0, g.charts[0].size, BLOCK)]
+    calls = []
+
+    def integrand(ci, U):
+        calls.append((os.getpid(), U[0].tolist()))
+        for b in failing:
+            if U[0, 0] == starts[b]:
+                raise cv.DegenerateImmersion(f"block {b}")
+        return np.ones(len(U))
+
+    failing = ()
+    res = cv.integrate(surface, integrand, grid, workers=2)
+    assert res.value == pytest.approx(8.0 * np.pi**2, rel=1e-12)
+    assert calls == blocks
+    calls.clear()
+    failing = (1, 2)
+    with pytest.raises(cv.DegenerateImmersion, match=r"^chart 0: block 1$"):
+        cv.integrate(surface, integrand, grid, workers=2)
+    assert calls == blocks[:2]
+    _assert_no_child()
+
+
 def test_forked_passes_keep_the_bits(surfaces, monkeypatch):
     """sphere3/hopf at 48^3, above the threshold: verify, integrate and
     the degree give the bits of one worker at 2 and 3 processes.  Verify
     and the degree go to the worker processes, which the first pass at 2
     processes forks (1) and the first at 3 adds to (1 more); integrate
-    forks 1 and 2 children per pass.  No other child is left."""
+    runs in this process and forks nothing.  No other child is left."""
     monkeypatch.setattr(curvint.quadrature, "default_workers", lambda: 3)
     surface = surfaces["sphere3"]
     field = cv.get_field("hopf", surface)
@@ -401,11 +445,11 @@ def test_forked_passes_keep_the_bits(surfaces, monkeypatch):
     want = reports(1)
     assert not forks
     assert reports(2) == want
-    assert len(forks) == 1 + 1
+    assert len(forks) == 1
     assert reports(2) == want
-    assert len(forks) == 2 + 1
+    assert len(forks) == 1
     assert reports(3) == want
-    assert len(forks) == 3 + 1 + 2
+    assert len(forks) == 2
     _stop_and_assert_no_child(2)
 
 

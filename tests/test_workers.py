@@ -217,27 +217,27 @@ def _route(monkeypatch, surface, field, grid):
     return reports(2), want, len(forks), len(quadrature._WORKERS)
 
 
-def test_user_surface_with_a_catalog_key_forks_per_dispatch(surfaces, monkeypatch):
+def test_user_surface_with_a_catalog_key_runs_inline(surfaces, monkeypatch):
     """A user surface whose metadata key is "sphere3" is not the catalog's
-    object: both its passes fork a child, and no worker is made."""
+    object: both its passes run in this process, and nothing is forked."""
     surface, _, grid = _sphere3(surfaces)
     user = _scaled(surface, 2.0)
     assert user.metadata.key == "sphere3"
     assert cv.catalog._key_of(user) is None
     got, want, forks, workers = _route(monkeypatch, user, cv.get_field("hopf", user), grid)
     assert got == want
-    assert (forks, workers) == (2, 0)
+    assert (forks, workers) == (0, 0)
 
 
-def test_field_without_coefficients_forks_per_dispatch(surfaces, monkeypatch):
+def test_field_without_coefficients_runs_its_verify_inline(surfaces, monkeypatch):
     """The hopf field given by its callables alone is evaluated by calling
-    them, so its verify pass forks a child; the degree pass, which has no
-    field, goes to the worker."""
+    them, so its verify pass runs in this process; the degree pass, which
+    has no field, forks the one worker and goes to it."""
     surface, hopf, grid = _sphere3(surfaces)
     field = cv.TangentField(hopf.ambient_value, hopf.ambient_jacobian, key="hopf")
     got, want, forks, workers = _route(monkeypatch, surface, field, grid)
     assert got == want
-    assert (forks, workers) == (2, 1)
+    assert (forks, workers) == (1, 1)
 
 
 def test_user_coordinate_field_goes_to_the_workers(surfaces, monkeypatch):
@@ -254,15 +254,22 @@ def test_user_coordinate_field_goes_to_the_workers(surfaces, monkeypatch):
                         cv.gauss_degree(surface, grid, workers=1)))
 
 
-def test_grid_not_made_by_build_has_no_spec(surfaces):
-    """A pass spec carries node counts only, so a grid whose rules are not
-    the ones ``QuadratureGrid.build`` makes of them gets none."""
+def test_grid_not_made_by_build_goes_to_the_workers(surfaces, monkeypatch):
+    """A pass spec carries its grids, rules and all, so a grid whose rules
+    are not the ones ``QuadratureGrid.build`` makes of its counts goes to
+    the worker as it is: at 2 workers its passes give its own bits at one
+    worker, which differ from the built grid's."""
     surface, field, grid = _sphere3(surfaces)
-    kernel = quadrature._Kernel("eta", surface, field)
-    assert quadrature._spec(surface, kernel, (grid,)) is not None
     cg = grid.charts[0]
-    moved = dataclasses.replace(cg.rules[1], nodes=cg.rules[1].nodes + 1e-3)
+    # the Gauss axis: a shifted periodic axis would move the integrals of
+    # this rotation-invariant integrand by rounding only
+    moved = dataclasses.replace(cg.rules[0], nodes=cg.rules[0].nodes + 1e-3)
     odd = dataclasses.replace(grid, charts=(
-        dataclasses.replace(cg, rules=(cg.rules[0], moved, cg.rules[2])),))
-    assert quadrature._spec(surface, kernel, (odd,)) is None
-    assert np.array_equal(odd.charts[0].rules[0].nodes, cg.rules[0].nodes)
+        dataclasses.replace(cg, rules=(moved, cg.rules[1], cg.rules[2])),))
+    assert quadrature._spec(surface, quadrature._Kernel("eta", surface, field), (odd,))
+    got, want, forks, workers = _route(monkeypatch, surface, field, odd)
+    assert got == want
+    assert (forks, workers) == (1, 1)
+    assert got != repr((cv.verify_integral_formula(surface, field, grid, workers=1),
+                        cv.gauss_degree(surface, grid, workers=1)))
+    assert np.array_equal(odd.charts[0].rules[1].nodes, cg.rules[1].nodes)
