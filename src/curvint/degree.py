@@ -23,7 +23,7 @@ from .fields import shape_data_batch  # noqa: F401  perfbench's tracer wraps it 
 from .invariants import eta_all  # noqa: F401  perfbench's tracer wraps it here
 from .manifold import ChartedHypersurface, _shape_det, shape_determinant_batch
 from .quadrature import (
-    QuadratureGrid, _eta_integrals, _integrate_vector, _Kernel, _kernel, _select_ks)
+    QuadratureGrid, _eta_integrals, _integrate_vector, _Kernel, _select_ks)
 from .quadrature import _run_blocks  # noqa: F401  perfbench's tracer wraps it here
 
 _DEGREE_RESIDUAL_MAX = 0.1
@@ -72,7 +72,6 @@ def _degree_from_integral(integral: float, n: int) -> DegreeResult:
     return result
 
 
-@_kernel("degree")
 def _degree_kernel(surface, field, ci, U, ws):
     """Block kernel of ``gauss_degree``: det h per point."""
     det, volume_factor = shape_determinant_batch(surface, ci, U, ws=ws)
@@ -91,7 +90,7 @@ def gauss_degree(
     incoherently oriented input.
     """
 
-    (total,), _ = _integrate_vector(surface, _Kernel("degree", surface), grid, workers)
+    (total,), _ = _integrate_vector(surface, _Kernel(_degree_kernel, surface), grid, workers)
     return _degree_from_integral(total, surface.n_intrinsic)
 
 
@@ -324,7 +323,6 @@ def _defect(a: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
-@_kernel("foliation")
 def _foliation_kernel(surface, field, ci, U, ws):
     """Block kernel of ``foliation_obstruction_report``: det h per point,
     and the defect and rank of a as peaks."""
@@ -362,7 +360,7 @@ def foliation_obstruction_report(
     """
     n = surface.n_intrinsic
     (det_integral,), peaks = _integrate_vector(
-        surface, _Kernel("foliation", surface, field), grid, workers)
+        surface, _Kernel(_foliation_kernel, surface, field), grid, workers)
     max_defect = float(peaks[0])
     max_rank = int(peaks[1])
 

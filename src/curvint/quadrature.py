@@ -14,11 +14,14 @@ integrate and per-point peaks.  The kernel is called once per block of
 long vector operations.  The blocks of a grid and of its half-resolution
 companion go out as one task list (``_integrate_grids``).  A pass of an
 engine kernel (eta, degree or foliation) over a catalog surface, with no
-field or a coordinate field, is plain data (``_spec``): above
-``FORK_POINTS`` points, ``_run_blocks`` shares its tasks out among worker
-processes that the first such dispatch forks and that then wait for the
-next, until the host process ends (``_Worker``); each sends back only the
-sums and peaks of its blocks.  Every other pass, such as ``integrate``'s
+field or a coordinate field, is plain data (``_spec``): the kernel
+function, which pickle sends by its qualified name, the surface key, the
+field's coefficients and the grids.  Above ``FORK_POINTS`` points,
+``_run_blocks`` shares its tasks out among worker processes that the
+first such dispatch forks and that then wait for the next, until the
+host process ends (``_Worker``); each reads its requests from a pipe as
+a stream of pickles and sends back, the same way, only the sums and
+peaks of its blocks.  Every other pass, such as ``integrate``'s
 over a user integrand, runs in the calling process, so a user's callable
 is called once per block, there, and its side effects stay visible.
 Threads would meet at the interpreter lock at every numpy call, and two
@@ -71,7 +74,10 @@ BLOCK = 8192  # points per kernel call and exact sum; fixed, as it shapes the su
 # forked per dispatch on sphere3 eta passes (CHANGES.md), whose fork and
 # copy-on-write faults cost more than a second process gained below it;
 # the persistent workers' own crossover is lower, two blocks
-# (BENCH_29.json ``crossover``).
+# (BENCH_29.json ``crossover``).  It stays until another value wins the
+# benchmark's alternating pairs: at 0, which sends every sweep-small pass
+# to the workers, sweep-small ran slower in one set of three pairs and
+# faster in two other sets (CHANGES.md), no gain either way.
 FORK_POINTS = 7 * BLOCK // 2
 
 _LOCAL = threading.local()  # each thread's workspace; a worker process inherits it
@@ -175,7 +181,6 @@ class QuadratureGrid:
     ``counts`` is the per-coordinate node count, shared by all charts.
     """
 
-    surface_key: str
     counts: tuple[int, ...]
     charts: tuple[ChartGrid, ...]
     domains: tuple[tuple[tuple[float, float], ...], ...]
@@ -195,7 +200,7 @@ class QuadratureGrid:
         domains = tuple(
             tuple(zip(ch.lo, ch.hi)) for ch in surface.charts
         )
-        return cls(surface.metadata.key, counts, charts, domains)
+        return cls(counts, charts, domains)
 
     def half(self, surface: ChartedHypersurface) -> "QuadratureGrid":
         return QuadratureGrid.build(
@@ -243,33 +248,12 @@ def _share(tasks, worker) -> list:
     return out
 
 
-def _send(fd, obj):
-    """Write ``obj`` pickled to ``fd``, after its length."""
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive(fd):
-    """The next object that ``_send`` wrote to ``fd``; EOFError when the
-    writer closed it or died before the whole object was sent."""
-    def read(size):
-        buf = bytearray()
-        while len(buf) < size:
-            chunk = os.read(fd, size - len(buf))
-            if not chunk:
-                raise EOFError
-            buf += chunk
-        return buf
-    return pickle.loads(read(int.from_bytes(read(8), "little")))
-
-
 class _Worker:
     """A worker process: forked by the first dispatch that needs it, it
     runs the shares of every later spec pass, until EOF on its request
-    pipe, ``_stop_workers`` or the end of this process.  ``fds`` are this
-    process's ends of its request and reply pipes."""
+    pipe, ``_stop_workers`` or the end of this process.  ``requests`` and
+    ``replies`` are this process's ends of its two pipes, as buffered
+    files that carry one pickle per message: a pickle marks its own end."""
 
     def __init__(self):
         (req_r, req_w), (rep_r, rep_w) = os.pipe(), os.pipe()
@@ -288,22 +272,28 @@ class _Worker:
                 os._exit(code)
         os.close(req_r)
         os.close(rep_w)
-        self.fds = [req_w, rep_r]
+        self.requests, self.replies = os.fdopen(req_w, "wb"), os.fdopen(rep_r, "rb")
 
-    def start(self, spec: bytes, tasks) -> "_Worker":
-        _send(self.fds[0], (spec, tasks))
+    def start(self, spec, tasks) -> "_Worker":
+        pickle.dump((spec, tasks), self.requests, pickle.HIGHEST_PROTOCOL)
+        self.requests.flush()
         return self
 
     def finish(self) -> list:
-        """The results of the share it was given (``_receive``)."""
-        return _receive(self.fds[1])
+        """The results of the share it was given; EOFError or
+        UnpicklingError when the worker died before it sent them all."""
+        return pickle.load(self.replies)
+
+    def close(self):
+        """Close this process's ends of the pipes."""
+        for pipe in (self.requests, self.replies):
+            with contextlib.suppress(OSError):
+                pipe.close()
 
     def kill(self):
         """Close the pipes, then kill and reap the process, once."""
-        for fd in self.fds:
-            with contextlib.suppress(OSError):
-                os.close(fd)
-        pid, self.pid, self.fds = self.pid, None, ()
+        self.close()
+        pid, self.pid = self.pid, None
         if pid is not None:
             with contextlib.suppress(OSError):
                 os.kill(pid, signal.SIGKILL)
@@ -313,10 +303,11 @@ class _Worker:
 _WORKERS: list[_Worker] = []  # this process's workers, in share order
 
 
-def _serve(requests, replies):
-    """A worker's loop: for each ``(spec, tasks)`` request, the block
-    worker made again from the spec runs ``_share`` over the tasks, and
-    the results go back.  It leaves at EOF on ``requests``.
+def _serve(requests: int, replies: int):
+    """A worker's loop: for each pickled ``(spec, tasks)`` request read
+    from the pipe ``requests``, the block worker made again from the spec
+    (``_rebuild``) runs ``_share`` over the tasks, and the results go back
+    pickled through ``replies``.  It leaves at EOF on ``requests``.
 
     It first closes every file it inherited but its two pipes and the
     standard streams: a pipe, file or socket that the host closes later
@@ -325,12 +316,14 @@ def _serve(requests, replies):
     os.closerange(3, low)
     os.closerange(low + 1, high)
     os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+    requests, replies = os.fdopen(requests, "rb"), os.fdopen(replies, "wb")
     while True:
         try:
-            spec, tasks = _receive(requests)
+            spec, tasks = pickle.load(requests)
         except EOFError:
             return
-        _send(replies, _share(tasks, _rebuild(pickle.loads(spec))))
+        pickle.dump(_share(tasks, _rebuild(*spec)), replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
 
 
 def _worker(i: int) -> _Worker:
@@ -351,8 +344,7 @@ def _forget_workers():
     workers, so that it never writes to them and they still see EOF when
     the parent goes, and forget those workers."""
     for w in _WORKERS:
-        for fd in w.fds:
-            os.close(fd)
+        w.close()
     _WORKERS.clear()
 
 
@@ -394,7 +386,7 @@ def _run_blocks(tasks, worker, workers):
                 started[k] = _worker(k - 1).start(spec, tasks[k::procs])
         shares[0] = _share(tasks[0::procs], worker)
         for k, proc in started.items():
-            with contextlib.suppress(EOFError, OSError):
+            with contextlib.suppress(EOFError, pickle.UnpicklingError, OSError):
                 shares[k] = proc.finish()
     finally:
         if len(shares) < procs:  # a share is missing, or something raised
@@ -419,62 +411,43 @@ def _workspace():
 
 
 class _Kernel(NamedTuple):
-    """The engine block kernel ``_KERNELS[name]`` bound to the surface and
-    the field of a pass: ``func(ci, U, ws)`` for ``_integrate_grids``."""
+    """An engine block kernel, ``kernel(surface, field, ci, U, ws)``,
+    bound to the surface and the field of a pass: ``func(ci, U, ws)`` for
+    ``_integrate_grids``.  The kernel is ``_eta_kernel``,
+    ``degree._degree_kernel`` or ``degree._foliation_kernel``, a module
+    function that pickle sends by its qualified name."""
 
-    name: str
+    kernel: object
     surface: ChartedHypersurface
     field: TangentField | None = None
 
     def __call__(self, ci, U, ws):
-        return _KERNELS[self.name](self.surface, self.field, ci, U, ws)
+        return self.kernel(self.surface, self.field, ci, U, ws)
 
 
-_KERNELS = {}  # name -> engine block kernel(surface, field, ci, U, ws)
-
-
-def _kernel(name: str):
-    """Register an engine block kernel under ``name``, which specs carry."""
-    def register(kernel):
-        _KERNELS[name] = kernel
-        return kernel
-    return register
-
-
-class _Spec(NamedTuple):
-    """A pass as plain data, from which a worker process makes it again."""
-
-    kernel: str                               # a name in _KERNELS
-    surface: str                              # a catalog key
-    coefficients: tuple[float, ...] | None    # the field's, if any
-    field_key: str
-    grids: tuple[QuadratureGrid, ...]         # rules and all
-
-
-def _spec(surface, func, grids) -> bytes | None:
-    """The pickled ``_Spec`` of a pass, or None unless its kernel and
-    surface can be made again from plain data: an engine kernel
-    (``_Kernel``); the catalog's own surface object (``catalog._key_of``);
-    no field, or one with coefficients, which the passes read off the
-    geometry without calling its callables.  The grids travel as they
-    are.  A pass that calls a user's callables has no spec."""
+def _spec(surface, func, grids) -> tuple | None:
+    """The spec ``(kernel, key, field, grids)`` of a pass, or None unless
+    its kernel and surface can be made again from plain data: an engine
+    kernel (``_Kernel``); the catalog's own surface object
+    (``catalog._key_of``); no field, or one with coefficients, which the
+    passes read off the geometry without calling its callables.  The
+    field of the spec keeps only its key and coefficients, and the grids
+    travel as they are, rules and all.  A pass that calls a user's
+    callables has no spec."""
     key = catalog._key_of(surface)
     if (not isinstance(func, _Kernel) or key is None
             or (func.field is not None and func.field.coefficients is None)):
         return None
-    field = func.field
-    return pickle.dumps(_Spec(
-        func.name, key, None if field is None else field.coefficients,
-        "" if field is None else field.key, tuple(grids)))
+    field = None if func.field is None else TangentField(
+        None, key=func.field.key, coefficients=func.field.coefficients)
+    return func.kernel, key, field, tuple(grids)
 
 
-def _rebuild(spec: _Spec):
-    """The block worker of a pass spec (``_blocks``), in a worker process.
-    The field is given its coefficients only: no pass calls its callables."""
-    surface = catalog._surface(spec.surface)
-    field = None if spec.coefficients is None else TangentField(
-        None, key=spec.field_key, coefficients=spec.coefficients)
-    return _blocks(surface, _Kernel(spec.kernel, surface, field), spec.grids)[1]
+def _rebuild(kernel, key, field, grids):
+    """The block worker of a pass spec (``_spec``, ``_blocks``), in a
+    worker process: the catalog surface ``key`` is built there."""
+    surface = catalog._surface(key)
+    return _blocks(surface, _Kernel(kernel, surface, field), grids)[1]
 
 
 def _blocks(surface, func, grids):
@@ -594,7 +567,6 @@ def _select_ks(n: int, k) -> list[int]:
     return ks
 
 
-@_kernel("eta")
 def _eta_kernel(surface, field, ci, U, ws):
     """Block kernel of ``_eta_integrals``: (1, eta_0, ..., eta_n) per point."""
     h, dv, det_g, volume_factor = chart_forms_batch(surface, field, ci, U, ws=ws)
@@ -612,7 +584,7 @@ def _eta_integrals(surface, field, grid, workers):
     eta_k come from the chart-basis forms, with no adapted frame.
     """
     (values, _), (halves, _) = _integrate_grids(
-        surface, _Kernel("eta", surface, field), (grid, grid.half(surface)), workers)
+        surface, _Kernel(_eta_kernel, surface, field), (grid, grid.half(surface)), workers)
     return values, halves
 
 

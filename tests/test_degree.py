@@ -12,7 +12,7 @@ import curvint.fields
 import curvint.manifold
 import curvint.quadrature
 from curvint.degree import _defect, _rank, _singular_values
-from curvint.fields import _chart_forms, _reduced_a, shape_data_batch
+from curvint.fields import _chart_forms, _reduced_a, coordinate_field, shape_data_batch
 from curvint.manifold import Workspace, _batch_last, _cholesky
 from curvint.quadrature import BLOCK, QuadratureGrid
 from conftest import CATALOG_PAIRS, ambient_shape_data
@@ -374,6 +374,56 @@ def test_verify_torus2_odd_dimension(surfaces):
     assert rep.degree.rounded == 0
     assert all(r.predicted == 0.0 for r in rep.rows)
     assert rep.all_passed
+
+
+def _sphere5_profile(U):
+    """Amplitudes cos t1, sin t1 cos t2, sin t1 sin t2 of the three
+    coordinate circles of S^5, in chart coordinates (t1, t2, x1, x2, x3)."""
+    c1, s1, c2, s2 = np.cos(U[:, 0]), np.sin(U[:, 0]), np.cos(U[:, 1]), np.sin(U[:, 1])
+    yield [c1, s1 * c2, s1 * s2]
+    yield [[-s1, None], [c1 * c2, -s1 * s2], [c1 * s2, s1 * c2]]
+    yield [[-c1, None, None],
+           [-s1 * c2, -c1 * s2, -s1 * c2],
+           [-s1 * s2, c1 * c2, -s1 * s2]]
+
+
+def _sphere5(scale):
+    """The unit 5-sphere in R^6 as a user surface, its first ambient pair
+    scaled by ``scale`` (diag(2,1,1,1,1,1) gives an ellipsoid)."""
+    unit = cv.catalog._rotation_chart(
+        (0.0,) * 5, (0.5 * np.pi, 0.5 * np.pi, 2 * np.pi, 2 * np.pi, 2 * np.pi),
+        (False, False, True, True, True), (2, 3, 4), _sphere5_profile)
+    a = np.array([scale, scale, 1.0, 1.0, 1.0, 1.0])
+    chart = dataclasses.replace(
+        unit,
+        position=lambda U: unit.position(U) * a,
+        first_partials=lambda U: unit.first_partials(U) * a[:, None],
+        second_partials=lambda U: unit.second_partials(U) * a[:, None, None])
+    return cv.ChartedHypersurface(
+        n_intrinsic=4, charts=(chart,),
+        metadata=cv.SurfaceMetadata(key="sphere5" if scale == 1 else "ellipsoid5",
+                                    betti=(1, 0, 0, 0, 0, 1), euler_characteristic=0))
+
+
+@pytest.mark.parametrize("scale,counts", [(1.0, (12, 12, 2, 2, 2)),
+                                          (2.0, (24, 12, 48, 2, 2))])
+def test_verify_sphere5_binomial_two(scale, counts):
+    """At n = 4 the paper's identity has its first binomial other than 1:
+    eta_2 integrates to d * C(2, 1) * vol(S^5) = 2 pi^3.  The unit S^5
+    (constant integrand) and its diag(2,1,1,1,1,1) image (not constant)
+    with the Killing field d/dx1 + d/dx2 + d/dx3 give d = 1 and
+    eta / pi^3 = (1, 0, 2, 0, 1), resolved; the Betti numbers of S^5 meet
+    the degree constraints."""
+    surface = _sphere5(scale)
+    field = coordinate_field(surface, (0.0, 0.0, 1.0, 1.0, 1.0))
+    rep = cv.verify_integral_formula(surface, field, QuadratureGrid.build(surface, counts))
+    assert rep.degree.rounded == 1
+    assert rep.all_passed and rep.all_resolved
+    assert [r.predicted / np.pi**3 for r in rep.rows] == pytest.approx([1, 0, 2, 0, 1])
+    assert [r.integral / np.pi**3 for r in rep.rows] == pytest.approx(
+        [1, 0, 2, 0, 1], rel=0, abs=1e-8)
+    assert cv.milnor_constraints(cv.MilnorInput(
+        d=rep.degree.rounded, betti=surface.metadata.betti)).all_ok
 
 
 def test_verify_tight_tolerance_fails_resolution(surfaces):

@@ -266,10 +266,59 @@ def test_grid_not_made_by_build_goes_to_the_workers(surfaces, monkeypatch):
     moved = dataclasses.replace(cg.rules[0], nodes=cg.rules[0].nodes + 1e-3)
     odd = dataclasses.replace(grid, charts=(
         dataclasses.replace(cg, rules=(moved, cg.rules[1], cg.rules[2])),))
-    assert quadrature._spec(surface, quadrature._Kernel("eta", surface, field), (odd,))
+    assert quadrature._spec(surface, quadrature._Kernel(quadrature._eta_kernel, surface, field), (odd,))
     got, want, forks, workers = _route(monkeypatch, surface, field, odd)
     assert got == want
     assert (forks, workers) == (1, 1)
     assert got != repr((cv.verify_integral_formula(surface, field, grid, workers=1),
                         cv.gauss_degree(surface, grid, workers=1)))
     assert np.array_equal(odd.charts[0].rules[1].nodes, cg.rules[1].nodes)
+
+
+def test_a_worker_that_dies_mid_reply_leaves_its_share_here(surfaces, monkeypatch):
+    """A worker that writes part of its reply pickle and then exits leaves
+    its share to this process: the pass gives the bits of one worker, and
+    the worker is reaped, with no other child left."""
+    monkeypatch.setattr(quadrature, "default_workers", lambda: 2)
+    surface, field, grid = _sphere3(surfaces)
+    want = repr(cv.verify_integral_formula(surface, field, grid, workers=1))
+    parent, dump = os.getpid(), pickle.dump
+
+    def cut_short(obj, file, *args):
+        if os.getpid() == parent:
+            return dump(obj, file, *args)
+        data = pickle.dumps(obj, *args)
+        file.write(data[:len(data) // 2])
+        file.flush()
+        os._exit(3)
+
+    quadrature._stop_workers()  # the worker is forked with the patch
+    monkeypatch.setattr(pickle, "dump", cut_short)
+    assert repr(cv.verify_integral_formula(surface, field, grid, workers=2)) == want
+    assert quadrature._WORKERS == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_spec_holds_only_plain_data(surfaces):
+    """The engine kernels pickle as themselves.  The spec of a catalog pass
+    with a user coordinate field keeps the field's key and coefficients but
+    not its callables, and the block worker made again from the pickled
+    spec gives every block's bits of the pass here."""
+    for kernel in (quadrature._eta_kernel, cv.degree._degree_kernel,
+                   cv.degree._foliation_kernel):
+        assert pickle.loads(pickle.dumps(kernel)) is kernel
+    surface = surfaces["sphere3"]
+    grid = QuadratureGrid.build(surface, 24)
+    grids = (grid, grid.half(surface))
+    func = quadrature._Kernel(quadrature._eta_kernel, surface,
+                              coordinate_field(surface, (0.0, 1.0, 1.0), key="mine"))
+    spec = quadrature._spec(surface, func, grids)
+    field = spec[2]
+    assert field.ambient_value is None and field.ambient_jacobian is None
+    assert (field.key, field.coefficients) == ("mine", (0.0, 1.0, 1.0))
+    tasks, worker = quadrature._blocks(surface, func, grids)
+    rebuilt = quadrature._rebuild(*pickle.loads(pickle.dumps(spec)))
+    for task in tasks:
+        (sums, peaks), (want_sums, want_peaks) = rebuilt(task), worker(task)
+        assert np.array_equal(sums, want_sums) and np.array_equal(peaks, want_peaks)
