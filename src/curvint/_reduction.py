@@ -1,9 +1,10 @@
 """Deterministic summation helpers.
 
 Results must not depend on how work was scheduled.  Each block's values
-are summed exactly rounded by ``exact_row_sums``, and the partial results
-from parallel blocks are combined by a pairwise tree whose layout depends
-only on the number of blocks.
+are split into a few exact parts by ``exact_row_parts``, and a pass adds
+the parts of all its blocks with one ``exact_row_sums`` call: the total
+is the exactly rounded sum of every value, whatever the block size, the
+block order or the worker count.
 """
 
 import math
@@ -20,8 +21,10 @@ def _fsum_rows(x):
     return np.array([math.fsum(row.tolist()) for row in x])
 
 
-def exact_row_sums(x: np.ndarray) -> np.ndarray:
-    """Exactly rounded sum of each row of a C-contiguous (m, B) array.
+def exact_row_parts(x: np.ndarray) -> np.ndarray:
+    """Exact parts of each row of a C-contiguous (m, B) array: an (m, r)
+    array whose row i sums exactly to row i of x, padded with -0.0, the
+    identity of float addition, so that an all -0.0 row keeps its sign.
 
     Error-free vector extraction (Rump, Ogita & Oishi, "Accurate
     floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008,
@@ -32,22 +35,18 @@ def exact_row_sums(x: np.ndarray) -> np.ndarray:
     below ``2^(-1021 - M)`` (subnormal multiples of the smallest step) sum
     exactly as they are.  A row leaves the loop once its remainder is all
     zero, so a row that needs many rounds does not keep the others in the
-    loop.  Each row's few exact round sums are then given to
-    ``math.fsum``; an exactly rounded sum is unique, so the bits are those
-    of ``math.fsum`` over the row, signed zeros included.  It is done in
-    numpy because ``math.fsum`` makes a Python float of every term: over
-    the 52 full eta blocks of the four n = 2 catalog pairs at 48^3, a
-    (4, 8192) block took a median 0.18 ms against 1.12 ms with
-    ``math.fsum`` (one thread on a 2-vCPU KVM guest).
+    loop.  The parts of a row are its few exact round sums; a row with
+    none, all zeros, has the one part ``x[i].sum()``.
 
-    Falls back to ``math.fsum`` over the raw rows when a value is not
-    finite, when ``sigma`` would overflow or when B is too large for the
-    headroom; the fallback keeps fsum's values and exceptions.
+    Falls back to one part per row, ``math.fsum`` over the raw row, when a
+    value is not finite, when ``sigma`` would overflow or when B is too
+    large for the headroom; the fallback keeps fsum's values and
+    exceptions.
     """
     m, B = x.shape
     M = (B + 1).bit_length()
     if M > _MAX_HEADROOM:
-        return _fsum_rows(x)
+        return _fsum_rows(x)[:, None]
     tiny = 2.0 ** (-1021 - M)
     r = x.copy()
     rows = list(range(m))  # the row of x that each row of r belongs to
@@ -55,9 +54,9 @@ def exact_row_sums(x: np.ndarray) -> np.ndarray:
     while True:
         # the per-row bookkeeping is on Python floats: a numpy call on an
         # m-element array costs more than the few float operations it saves
-        peak = np.max(np.abs(r), axis=1).tolist()
+        peak = np.abs(r).max(axis=1).tolist()
         if not all(map(math.isfinite, peak)):
-            return _fsum_rows(x)
+            return _fsum_rows(x)[:, None]
         if 0.0 in peak:  # a row whose remainder is all zero is done
             live = [k for k, v in enumerate(peak) if v != 0.0]
             if not live:
@@ -67,7 +66,7 @@ def exact_row_sums(x: np.ndarray) -> np.ndarray:
         for v in peak:
             e = math.frexp(max(v, _MIN_NORMAL))[1] + M
             if e > 1023:
-                return _fsum_rows(x)
+                return _fsum_rows(x)[:, None]
             # sigma = 0 takes a row of tiny remainders whole: q = r
             sigma.append(math.ldexp(1.0, e) if v > tiny else 0.0)
         sigma = np.array(sigma)[:, None]
@@ -77,37 +76,19 @@ def exact_row_sums(x: np.ndarray) -> np.ndarray:
         for i, s in zip(rows, q.sum(axis=1).tolist()):
             parts[i].append(s)
     # a row of zeros sums to -0.0 only when every entry is -0.0, as numpy's sum does
-    return np.array([math.fsum(p if p else [x[i].sum()])
-                     for i, p in enumerate(parts)])
+    parts = [p or [x[i].sum()] for i, p in enumerate(parts)]
+    width = max(map(len, parts))
+    return np.array([p + [-0.0] * (width - len(p)) for p in parts])
 
 
-def _two_sum(a, b):
-    """Error-free transformation: a + b = s + err exactly."""
-    s = a + b
-    bv = s - a
-    err = (a - (s - bv)) + (b - bv)
-    return s, err
-
-
-def tree_reduce_compensated(parts):
-    """Pairwise tree with two-sum nodes; residuals folded in at the root.
-
-    Pairs are summed level by level and an odd last part is carried up, so
-    the tree's shape depends only on len(parts); the result is accurate to
-    O(eps^2) regardless of the number of parts.
+def exact_row_sums(x: np.ndarray) -> np.ndarray:
+    """Exactly rounded sum of each row of a C-contiguous (m, B) array:
+    ``math.fsum`` over the row's few exact parts (``exact_row_parts``).
+    An exactly rounded sum is unique, so the bits are those of
+    ``math.fsum`` over the row, signed zeros included.  It is done in
+    numpy because ``math.fsum`` makes a Python float of every term: over
+    the 52 full eta blocks of the four n = 2 catalog pairs at 48^3, a
+    (4, 8192) block took a median 0.18 ms against 1.12 ms with
+    ``math.fsum`` (one thread on a 2-vCPU KVM guest).
     """
-    if not parts:
-        return 0.0
-    level = [(np.asarray(p, dtype=float), np.zeros_like(np.asarray(p, dtype=float)))
-             for p in parts]
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            (s1, e1), (s2, e2) = level[i], level[i + 1]
-            s, e = _two_sum(s1, s2)
-            nxt.append((s, e + e1 + e2))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    s, e = level[0]
-    return s + e
+    return _fsum_rows(exact_row_parts(x))

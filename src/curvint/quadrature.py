@@ -20,7 +20,7 @@ field's coefficients and the grids.  Above ``FORK_POINTS`` points,
 ``_run_blocks`` shares its tasks out among worker processes that the
 first such dispatch forks and that then wait for the next, until the
 host process ends (``_Worker``); each reads its requests from a pipe as
-a stream of pickles and sends back, the same way, only the sums and
+a stream of pickles and sends back, the same way, only the exact parts and
 peaks of its blocks.  Every other pass, such as ``integrate``'s
 over a user integrand, runs in the calling process, so a user's callable
 is called once per block, there, and its side effects stay visible.
@@ -31,16 +31,15 @@ the engine's kernels write their largest per-block arrays into it, so a
 block does not free memory that the next one allocates again.  The nodes and
 weights of a block are gathered from the per-axis rules when it runs;
 the whole grid is never built.  The weighted values of every block are
-summed exactly rounded (``_reduction.exact_row_sums``: error-free vector
-extraction in numpy, the same bits as ``math.fsum`` at about a sixth of
-its time, since fsum makes a Python float of every term; an exactly
-rounded sum is unique) and the block sums
-combined by a fixed-shape pairwise tree with compensated nodes, while
-peaks are reduced by max, which does not depend on order.  The block
-size is fixed, since it shapes the tree: another size moves the sums in
-their last digits.  The module guarantee is: same inputs give
-bit-identical results for any number of workers, with total summation
-error at the few-ulp level.
+split into a few parts whose sum is exact (``_reduction.exact_row_parts``:
+error-free vector extraction in numpy), and the parts of all the blocks
+of a grid are added exactly rounded in one call
+(``_reduction.exact_row_sums``, the same bits as ``math.fsum`` over every
+term at a fraction of its time; an exactly rounded sum is unique), while
+peaks are reduced by max, which does not depend on order.  The module
+guarantee is: each integral is the exactly rounded sum of its weighted
+terms, so same inputs give bit-identical results for any number of
+workers, block size or block order.
 
 Each integration also runs its half-resolution companion grid; the
 difference is reported as the estimated error.
@@ -60,14 +59,18 @@ from typing import NamedTuple
 import numpy as np
 
 from . import catalog
-from ._reduction import exact_row_sums, tree_reduce_compensated
+from ._reduction import exact_row_parts, exact_row_sums
 from .errors import CurvintError
 from .fields import TangentField, chart_forms_batch
 from .fields import shape_data_batch  # noqa: F401  perfbench's tracer wraps it here
 from .invariants import ColumnSystem, eta_all
 from .manifold import ChartedHypersurface, Workspace, geometry_batch
 
-BLOCK = 8192  # points per kernel call and exact sum; fixed, as it shapes the sum tree
+BLOCK = 8192  # points per kernel call; the sums do not depend on it
+
+# the sum of each grid's block parts keeps the name that perfbench's tracer
+# wraps (span quadrature.reduce), so the span still times this step
+tree_reduce_compensated = exact_row_sums
 
 # Points of one dispatch above which the blocks of a spec pass go to the
 # worker processes.  The value is the crossover measured for children
@@ -452,7 +455,7 @@ def _rebuild(kernel, key, field, grids):
 
 def _blocks(surface, func, grids):
     """The tasks ``(grid, chart, start)`` of a pass over ``grids``, and the
-    worker that returns a task's exactly rounded row sums and its peaks."""
+    worker that returns a task's exact row parts and its peaks."""
     tasks = [(g, ci, start) for g, grid in enumerate(grids)
              for ci, cg in enumerate(grid.charts) for start in range(0, cg.size, BLOCK)]
 
@@ -466,7 +469,7 @@ def _blocks(surface, func, grids):
                 raise type(exc)(f"chart {ci}: {exc}") from exc
             wf = surface.charts[ci].weight_fraction
             terms = np.multiply(vals.T, wf * weights * volf, order="C")  # (m, B)
-            return exact_row_sums(terms), np.max(peaks, axis=0)
+            return exact_row_parts(terms), np.max(peaks, axis=0)
 
     return tasks, worker
 
@@ -482,17 +485,17 @@ def _integrate_grids(surface, func, grids, workers):
     callable.  They keep in it the second form and the field form K: 2 p^2
     float64 per point, 18 for p = 3, that is about 1.2 MB per process for
     a BLOCK-point workspace.  Values are weighted by volume factor and
-    quadrature weight, each row of a block summed exactly rounded, and the
-    blocks of each grid combined by a pairwise tree; peaks are reduced by
-    max.  The blocks of all grids are one task list for ``_run_blocks``.
+    quadrature weight, each row of a block split into exact parts, and the
+    parts of each grid's blocks summed exactly rounded; peaks are reduced
+    by max.  The blocks of all grids are one task list for ``_run_blocks``.
     When the grids hold more than ``FORK_POINTS`` points together and the
     pass has a spec (``_spec``: an engine kernel over a catalog surface),
     the list is shared out among ``workers`` processes; ``workers``
     parallelises such passes only, and every other pass runs inline.  A
     ``CurvintError`` gets the prefix ``chart {ci}:``; the error raised is
     that of the first failing block.  Returns the (m,) sums and the (j,)
-    maxima of each grid, whose bits do not depend on the worker count or
-    the route.
+    maxima of each grid, whose bits do not depend on the worker count, the
+    route or BLOCK.
     """
     for grid in grids:
         _check_grid(surface, grid)
@@ -503,7 +506,7 @@ def _integrate_grids(surface, func, grids, workers):
     out = []
     for g in range(len(grids)):
         mine = [part for task, part in zip(tasks, parts) if task[0] == g]
-        out.append((np.atleast_1d(tree_reduce_compensated([s for s, _ in mine])),
+        out.append((tree_reduce_compensated(np.concatenate([s for s, _ in mine], axis=1)),
                     np.max([p for _, p in mine], axis=0)))
     return out
 

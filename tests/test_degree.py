@@ -1,6 +1,7 @@
 """Degree extraction, formula verification, Milnor bounds, foliation."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import mpmath as mp
@@ -424,6 +425,85 @@ def test_verify_sphere5_binomial_two(scale, counts):
         [1, 0, 2, 0, 1], rel=0, abs=1e-8)
     assert cv.milnor_constraints(cv.MilnorInput(
         d=rep.degree.rounded, betti=surface.metadata.betti)).all_ok
+
+
+_TUBE_RHO = 0.5
+
+
+def _tube_s2_profile(U):
+    """The rho-tube about the unit S^2 of R^3, in R^4, in chart coordinates
+    (theta, w, phi): amplitude (1 + rho cos w) sin theta of the phi circle,
+    then (1 + rho cos w) cos theta and rho sin w."""
+    cth, sth = np.cos(U[:, 0]), np.sin(U[:, 0])
+    cw, sw = _TUBE_RHO * np.cos(U[:, 1]), _TUBE_RHO * np.sin(U[:, 1])
+    s = 1.0 + cw
+    yield [s * sth, s * cth, sw]
+    yield [[s * cth, -sw * sth], [-s * sth, -sw * cth], [None, cw]]
+    yield [[-s * sth, -sw * cth, -cw * sth],
+           [-s * cth, sw * sth, -cw * cth],
+           [None, None, -sw]]
+
+
+def _tube_s2s3_profile(U):
+    """The rho-tube about the unit S^2 of R^3, in R^6, in chart coordinates
+    (theta, t, x1, phi, x2), with s = 1 + rho cos t cos x1: amplitudes
+    s sin theta of the phi circle and rho sin t of the x2 circle, then
+    s cos theta and rho cos t sin x1."""
+    cth, sth = np.cos(U[:, 0]), np.sin(U[:, 0])
+    ct, st = _TUBE_RHO * np.cos(U[:, 1]), _TUBE_RHO * np.sin(U[:, 1])
+    cx, sx = np.cos(U[:, 2]), np.sin(U[:, 2])
+    s = 1.0 + ct * cx
+    s_t, s_x, s_tx = -st * cx, -ct * sx, st * sx
+    s_tt = s_xx = 1.0 - s
+    yield [s * sth, st, s * cth, ct * sx]
+    yield [[s * cth, s_t * sth, s_x * sth],
+           [None, ct, None],
+           [-s * sth, s_t * cth, s_x * cth],
+           [None, -st * sx, ct * cx]]
+    yield [[-s * sth, s_t * cth, s_x * cth, s_tt * sth, s_tx * sth, s_xx * sth],
+           [None, None, None, -st, None, None],
+           [-s * cth, -s_t * sth, -s_x * sth, s_tt * cth, s_tx * cth, s_xx * cth],
+           [None, None, None, -ct * sx, -st * cx, -ct * sx]]
+
+
+_TUBES = {  # key: n, hi, periodic, angles, profile, field, Betti numbers, grid
+    "tube-s2": (2, (np.pi, 2 * np.pi, 2 * np.pi), (False, True, True), (2,),
+                _tube_s2_profile, (0.0, 1.0, 0.0), (1, 1, 1, 1), (12, 12, 12)),
+    "tube-s2s3": (4, (np.pi, 0.5 * np.pi, 2 * np.pi, 2 * np.pi, 2 * np.pi),
+                  (False, False, True, True, True), (3, 4), _tube_s2s3_profile,
+                  (0.0, 0.0, 1.0, 0.0, 1.0), (1, 0, 1, 1, 0, 1), (16, 12, 24, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("key", list(_TUBES))
+def test_verify_connected_tube_degree_two(key):
+    """The boundaries of rho-tubes about the unit S^2 of R^3 in R^4 and in
+    R^6 are connected, S^2 x S^1 and S^2 x S^3, with normal-map degree
+    d = chi(S^2) = 2.  With the unit field along the tube circle (n = 2)
+    or along the Hopf circles of the tube S^3 (n = 4), every eta_k
+    integrates to d * C(n/2, k/2) * vol(S^{n+1}): eta / pi^2 = (4, 0, 4)
+    and eta / pi^3 = (2, 0, 4, 0, 2), resolved, and 2|d| is the sum of
+    the Betti numbers.  For n = 2 the field is integrable, so the
+    foliation report finds rank 2 and no hypothesis."""
+    n, hi, periodic, angles, profile, coefficients, betti, counts = _TUBES[key]
+    chart = cv.catalog._rotation_chart((0.0,) * (n + 1), hi, periodic, angles, profile)
+    surface = cv.ChartedHypersurface(
+        n_intrinsic=n, charts=(chart,),
+        metadata=cv.SurfaceMetadata(key=key, betti=betti, euler_characteristic=0))
+    field = coordinate_field(surface, coefficients)
+    grid = QuadratureGrid.build(surface, counts)
+    rep = cv.verify_integral_formula(surface, field, grid)
+    assert rep.degree.rounded == 2
+    assert rep.all_passed and rep.all_resolved
+    want = [2 * math.comb(n // 2, k // 2) * (1 - k % 2) for k in range(n + 1)]
+    assert [r.predicted / cv.sphere_volume(n + 1) for r in rep.rows] == pytest.approx(want)
+    assert max(abs(r.integral - r.predicted) for r in rep.rows) < 1e-12
+    assert 2 * abs(rep.degree.rounded) == sum(betti)
+    assert cv.milnor_constraints(cv.MilnorInput(d=rep.degree.rounded, betti=betti)).all_ok
+    if n == 2:
+        fol = cv.foliation_obstruction_report(surface, field, grid)
+        assert fol.integrable and fol.max_rank == 2
+        assert not fol.hypothesis and fol.consistent
 
 
 def test_verify_tight_tolerance_fails_resolution(surfaces):

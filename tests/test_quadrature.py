@@ -706,3 +706,36 @@ def test_eta_pass_hands_fsum_few_values(surfaces, monkeypatch):
     grid = QuadratureGrid.build(surface, 48)
     curvint.quadrature._eta_integrals(surface, cv.get_field("hopf", surface), grid, 1)
     assert lengths and max(lengths) <= 64
+
+
+def _block_size_bits(surfaces):
+    """Bits of the eta sums of both grids, the degree's raw value and the
+    foliation defect of every catalog pair, on grids of several blocks:
+    128^2 for torus2 and 32^3 for the others."""
+    out = []
+    for skey, fkey in CATALOG_PAIRS:
+        surface = surfaces[skey]
+        field = cv.get_field(fkey, surface)
+        grid = QuadratureGrid.build(surface, 128 if surface.dim == 2 else 32)
+        values, halves = curvint.quadrature._eta_integrals(surface, field, grid, 1)
+        out.append((values.tobytes(), halves.tobytes(),
+                    cv.gauss_degree(surface, grid, workers=1).raw.hex(),
+                    cv.foliation_obstruction_report(surface, field, grid,
+                                                    workers=1).max_defect.hex()))
+    return out
+
+
+@pytest.fixture(scope="module")
+def block_size_bits(surfaces):
+    return _block_size_bits(surfaces)
+
+
+@pytest.mark.parametrize("block", [4096, 3000, 1000])
+def test_report_bits_do_not_depend_on_the_block_size(surfaces, block_size_bits,
+                                                     monkeypatch, block):
+    """Each integral is the exactly rounded sum of its weighted terms, so
+    another block size, which splits the grids into other blocks, moves
+    no bit of the sums or of the reports."""
+    assert BLOCK == 8192
+    monkeypatch.setattr(curvint.quadrature, "BLOCK", block)
+    assert _block_size_bits(surfaces) == block_size_bits
